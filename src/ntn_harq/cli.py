@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .bler import default_table, load_bler_table
-from .errors import ConfigError, InfeasibleLinkError, InvalidInputError
+from .errors import ConfigError, CurveNotFoundError, InfeasibleLinkError, InvalidInputError
 from .metrics import SchedulingMode
 from .scenario import (
     ScenarioConfig,
@@ -76,19 +76,17 @@ def render_timeline_text(timeline: SubframeTimeline, conflicts: ConflictReport |
     """One row per channel, one column per subframe; cells show the TB
     index (or ``#`` for untagged activity)."""
     width = 3
-    n = len(timeline.slots)
-    header = "sf".ljust(8) + "".join(
-        str(timeline.origin + i).rjust(width) for i in range(n)
-    )
+    n = len(timeline)
+    header = "sf".ljust(8) + (f"%{width}d" * n) % tuple(range(timeline.origin, timeline.origin + n))
     rows = []
     for label, activity in _CHANNEL_ROWS:
         cells = []
-        for uses in timeline.slots:
+        for first, stop, uses in timeline.segments:
             mark = ""
             for use in uses:
                 if use.activity is activity:
                     mark = "#" if use.tb_index is None else str(use.tb_index)
-            cells.append(mark.rjust(width))
+            cells.append(mark.rjust(width) * (stop - first))
         rows.append(label.ljust(8) + "".join(cells))
     lines = [header, *rows]
     if conflicts:
@@ -102,8 +100,7 @@ def render_timeline_text(timeline: SubframeTimeline, conflicts: ConflictReport |
 
 def render_timeline_svg(timeline: SubframeTimeline, conflicts: ConflictReport | None = None) -> str:
     cell_w, cell_h, left, top = 18, 22, 70, 24
-    n = len(timeline.slots)
-    width = left + n * cell_w + 10
+    width = left + len(timeline) * cell_w + 10
     height = top + len(_CHANNEL_ROWS) * cell_h + 40
     fills = {
         Activity.RX_PDCCH: "#4c78a8",
@@ -119,20 +116,25 @@ def render_timeline_svg(timeline: SubframeTimeline, conflicts: ConflictReport | 
     for row, (label, _) in enumerate(_CHANNEL_ROWS):
         y = top + row * cell_h
         parts.append(f'<text x="4" y="{y + 14}">{label}</text>')
-    for i in range(n):
-        x = left + i * cell_w
-        parts.append(f'<text x="{x + 3}" y="{top - 8}">{timeline.origin + i}</text>')
+    label = f'" y="{top - 8}">'
+    for first, stop, uses in timeline.segments:
+        # markup of each cell in this run's columns, after its x attribute
+        cells = []
         for row, (_, activity) in enumerate(_CHANNEL_ROWS):
             y = top + row * cell_h
-            for use in timeline.slots[i]:
+            for use in uses:
                 if use.activity is activity:
-                    tb = "" if use.tb_index is None else str(use.tb_index)
-                    parts.append(
-                        f'<rect x="{x}" y="{y}" width="{cell_w - 1}" height="{cell_h - 1}" '
-                        f'fill="{fills[activity]}"/>'
-                    )
-                    if tb:
-                        parts.append(f'<text x="{x + 5}" y="{y + 14}" fill="white">{tb}</text>')
+                    cells.append((
+                        f'" y="{y}" width="{cell_w - 1}" height="{cell_h - 1}" fill="{fills[activity]}"/>',
+                        None if use.tb_index is None else f'" y="{y + 14}" fill="white">{use.tb_index}</text>',
+                    ))
+        for i in range(first, stop):
+            x = left + i * cell_w
+            parts.append(f'<text x="{x + 3}{label}{timeline.origin + i}</text>')
+            for rect, text in cells:
+                parts.append(f'<rect x="{x}{rect}')
+                if text:
+                    parts.append(f'<text x="{x + 5}{text}')
     if conflicts:
         y = top + len(_CHANNEL_ROWS) * cell_h + 16
         for c in conflicts.conflicts:
@@ -295,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except (ConfigError, InvalidInputError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CurveNotFoundError as exc:
+        print(f"config error: tbs_bits has no BLER curve in the table ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -373,13 +373,20 @@ def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
                 f"relation caps how many TBs one cycle may carry"
             )
         return config.n_tbphc
-    best = None
-    for n in range(1, MAX_AUTO_TBPHC + 1):
-        if _required_harq(config, n_rep, n, rtt_ms) <= config.max_harq:
-            best = n
-        else:
-            break
-    if best is None:
+
+    def fits(n: int) -> bool:
+        return _required_harq(config, n_rep, n, rtt_ms) <= config.max_harq
+
+    # the HARQ count needed grows with n: double n while it fits, then
+    # bisect between the last n that fits and the first that does not
+    best, high = 0, 1
+    while high <= MAX_AUTO_TBPHC and fits(high):
+        best, high = high, 2 * high
+    high = min(high, MAX_AUTO_TBPHC + 1)
+    while high - best > 1:
+        n = (best + high) // 2
+        best, high = (n, high) if fits(n) else (best, n)
+    if not best:
         raise ConfigError(
             f"even one TB per cycle needs more than {config.max_harq} HARQ processes "
             f"under the HARQ-process sizing relation; raise cycle.max_harq or enable "

@@ -6,6 +6,14 @@ what conflict detection checks.  The legacy builder lays transport blocks
 out contiguously with the fixed delays and reports any slot claimed twice;
 the proposed builder uses the per-TB variable delays and is conflict-free
 by construction.
+
+A timeline is stored as blocks, one per repeated transmission: a use that
+claims ``width`` consecutive subframes from ``start``, kept sorted by
+start.  Consumers sweep the block endpoints once
+(``SubframeTimeline.segments``), so laying out, validating and shifting a
+cycle cost O(n log n) in its number of blocks whatever the repetition
+counts, and the exports do per-subframe work only for the text they
+write.  ``SubframeTimeline.slots`` expands the per-subframe view on demand.
 """
 from __future__ import annotations
 
@@ -13,6 +21,10 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, MinDelayViolationError
 from .harq import CycleParams, Direction, GrantMode, delay_plan, fixed_positions
@@ -28,6 +40,10 @@ class Activity(Enum):
     SWITCH = "Switch"
     IDLE = "Idle"
 
+    # members are singletons, so identity hashing is consistent with
+    # equality and skips Enum's Python-level __hash__ in the sweeps
+    __hash__ = object.__hash__
+
 
 RX_ACTIVITIES = frozenset({Activity.RX_PDCCH, Activity.RX_PDSCH})
 TX_ACTIVITIES = frozenset({Activity.TX_PUCCH, Activity.TX_PUSCH})
@@ -38,8 +54,7 @@ class Perspective(Enum):
     BS = "BS"
 
 
-@dataclass(frozen=True)
-class SlotUse:
+class SlotUse(NamedTuple):
     """One activity claiming one subframe."""
 
     activity: Activity
@@ -47,27 +62,91 @@ class SlotUse:
     harq_id: int | None = None
 
 
-@dataclass
-class SubframeTimeline:
-    """Ordered subframe slots; an empty slot is idle, two or more uses in
-    one slot is the half-duplex conflict.  ``origin`` offsets slot list
-    positions to time indices (BS views can start before the UE's SF 0)."""
+_SWITCH = SlotUse(Activity.SWITCH)
 
-    slots: list[tuple[SlotUse, ...]]
+Segment = tuple[int, int, tuple[SlotUse, ...]]
+
+
+class Block(NamedTuple):
+    """``use`` claiming ``width`` subframes from position ``start``.  Uses
+    that share a subframe are listed in ascending ``rank``, the order in
+    which they were claimed."""
+
+    start: int
+    width: int
+    use: SlotUse
+    rank: int
+
+
+_by_position = attrgetter("start", "rank")
+
+
+@dataclass(frozen=True)
+class SubframeTimeline:
+    """``length`` subframes holding ``blocks`` sorted by position; a
+    subframe no block covers is idle, one covered twice or more is the
+    half-duplex conflict.  ``origin`` offsets positions to time indices
+    (BS views can start before the UE's SF 0)."""
+
+    blocks: tuple[Block, ...]
+    length: int
     perspective: Perspective = Perspective.UE
-    cycle_boundaries: tuple[int, ...] = (0,)
     origin: int = 0
 
+    @classmethod
+    def from_slots(
+        cls,
+        slots: Sequence[Sequence[SlotUse]],
+        perspective: Perspective = Perspective.UE,
+        origin: int = 0,
+    ) -> SubframeTimeline:
+        """A timeline from per-subframe uses, one block per use."""
+        claims = [(sf, use) for sf, uses in enumerate(slots) for use in uses]
+        blocks = tuple(Block(sf, 1, use, rank) for rank, (sf, use) in enumerate(claims))
+        return cls(blocks, len(slots), perspective, origin)
+
     def __len__(self) -> int:
-        return len(self.slots)
+        return self.length
+
+    @cached_property
+    def segments(self) -> list[Segment]:
+        """``(first, stop, uses)`` for each run of positions covered by the
+        same blocks, in order from 0 to ``length``; idle runs have no uses.
+        One sweep over the block endpoints, made on first use."""
+        out: list[Segment] = []
+        active: dict[int, SlotUse] = {}  # rank -> use, for the blocks covering pos
+        ends: list[tuple[int, int]] = []  # heap of (stop, rank) over the same blocks
+        pos = 0
+        for start, width, use, rank in [*self.blocks, (self.length, 0, None, -1)]:
+            while pos < start:
+                stop = ends[0][0] if ends and ends[0][0] < start else start
+                if len(active) > 1:
+                    out.append((pos, stop, tuple(active[r] for r in sorted(active))))
+                else:
+                    out.append((pos, stop, tuple(active.values())))
+                pos = stop
+                while ends and ends[0][0] == pos:
+                    del active[heappop(ends)[1]]
+            active[rank] = use
+            heappush(ends, (start + width, rank))
+        return out
+
+    @property
+    def slots(self) -> list[tuple[SlotUse, ...]]:
+        """The uses of every position, expanded from the blocks."""
+        out: list[tuple[SlotUse, ...]] = []
+        for first, stop, uses in self.segments:
+            out.extend([uses] * (stop - first))
+        return out
 
     def uses(self) -> list[tuple[int, SlotUse]]:
         """All (time_index, use) pairs in slot order."""
-        out = []
-        for pos, uses in enumerate(self.slots):
-            for use in uses:
-                out.append((self.origin + pos, use))
-        return out
+        return [
+            (self.origin + sf, use)
+            for first, stop, uses in self.segments
+            for sf in range(first, stop)
+            for use in uses
+        ]
 
 
 @dataclass(frozen=True)
@@ -97,97 +176,67 @@ class ConflictReport:
 # layout assembly
 
 
-@dataclass(frozen=True)
-class _Block:
-    start: int
-    width: int
-    use: SlotUse
-
-    @property
-    def end(self) -> int:
-        return self.start + self.width - 1
+def _double_bookings(first: int, stop: int, uses: tuple[SlotUse, ...]) -> list[Conflict]:
+    activities = tuple(u.activity.value for u in uses)
+    tb_indices = tuple(u.tb_index for u in uses)
+    return [Conflict(sf, activities, tb_indices) for sf in range(first, stop)]
 
 
-def _grid_from_blocks(blocks: list[_Block]) -> list[list[SlotUse]]:
-    length = max(b.end for b in blocks) + 1
-    grid: list[list[SlotUse]] = [[] for _ in range(length)]
-    for block in blocks:
-        for sf in range(block.start, block.start + block.width):
-            grid[sf].append(block.use)
-    return grid
+def _lay_out(claims: list[tuple[int, int, SlotUse]], n_switch: int) -> tuple[SubframeTimeline, list[Conflict]]:
+    """The timeline of ``(start, width, use)`` claims, ranked in list order,
+    and every subframe claimed twice or more.
 
-
-def _collisions(grid: list[list[SlotUse]]) -> list[Conflict]:
-    found = []
-    for sf, uses in enumerate(grid):
-        if len(uses) >= 2:
-            found.append(
-                Conflict(
-                    sf_index=sf,
-                    activities=tuple(u.activity.value for u in uses),
-                    tb_indices=tuple(u.tb_index for u in uses),
-                )
-            )
-    return found
-
-
-def _insert_switches(grid: list[list[SlotUse]], n_switch: int) -> None:
-    """Label free gap slots as Switch at every Rx<->Tx transition, plus a
-    trailing switch block after the last activity.  Never overwrites an
-    occupied slot; shortfalls are left for validate() to report."""
-    occupied = [(sf, uses[0]) for sf, uses in enumerate(grid) if uses]
-    switch_use = SlotUse(Activity.SWITCH)
-    for (sf_a, use_a), (sf_b, use_b) in zip(occupied, occupied[1:]):
-        a_rx = use_a.activity in RX_ACTIVITIES
-        b_rx = use_b.activity in RX_ACTIVITIES
-        if a_rx == b_rx:
-            continue
-        gap = range(sf_a + 1, sf_b)
-        free = [sf for sf in gap if not grid[sf]]
-        for sf in free[-n_switch:] if n_switch else []:
-            grid[sf].append(switch_use)
-    for _ in range(n_switch):
-        grid.append([switch_use])
-
-
-def _finish(grid: list[list[SlotUse]], perspective: Perspective = Perspective.UE) -> SubframeTimeline:
-    return SubframeTimeline(
-        slots=[tuple(uses) for uses in grid],
-        perspective=perspective,
-        cycle_boundaries=(0,),
-    )
+    A conflict-free layout gets a switch block at the end of every gap
+    between an Rx and a Tx block, as wide as ``n_switch`` or the gap, plus
+    a trailing block of ``n_switch`` subframes; a conflicting one is
+    returned as attempted.
+    """
+    blocks = sorted((Block(*claim, rank) for rank, claim in enumerate(claims)), key=_by_position)
+    length = max(b.start + b.width for b in blocks)
+    switches = []
+    for a, b in zip(blocks, blocks[1:]):
+        gap = b.start - a.start - a.width
+        if gap < 0:  # sorted by start, any overlap shows up between neighbours
+            attempt = SubframeTimeline(tuple(blocks), length)
+            return attempt, [c for seg in attempt.segments if len(seg[2]) >= 2 for c in _double_bookings(*seg)]
+        if gap and n_switch and (a.use.activity in RX_ACTIVITIES) != (b.use.activity in RX_ACTIVITIES):
+            width = min(n_switch, gap)
+            switches.append(Block(b.start - width, width, _SWITCH, len(blocks) + len(switches)))
+    if n_switch:
+        switches.append(Block(length, n_switch, _SWITCH, len(blocks) + len(switches)))
+    return SubframeTimeline(tuple(sorted(blocks + switches, key=_by_position)), length + n_switch), []
 
 
 # ---------------------------------------------------------------------------
 # legacy fixed-delay cycles
 
 
-def _legacy_blocks(params: CycleParams, direction: Direction) -> list[_Block]:
+def _legacy_claims(params: CycleParams, direction: Direction) -> list[tuple[int, int, SlotUse]]:
     p = params.rep_pdcch
-    blocks = []
+    claims = []
     if direction is Direction.DL:
         reps = params.pdsch_reps
-        blocks.append(_Block(0, p, SlotUse(Activity.RX_PDCCH)))
+        claims.append((0, p, SlotUse(Activity.RX_PDCCH)))
         start = p + params.n_dg2d
         ends = []
         for j, r in enumerate(reps, 1):
-            blocks.append(_Block(start, r, SlotUse(Activity.RX_PDSCH, j, j)))
+            claims.append((start, r, SlotUse(Activity.RX_PDSCH, j, j)))
             ends.append(start + r - 1)
             start += r
         for j, data_end in enumerate(ends, 1):
             ack = fixed_positions(direction, data_end, params.dd2a_min)
-            blocks.append(_Block(ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
+            claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
     else:
         reps = params.pusch_reps
         grant_start = 0
         for j, r in enumerate(reps, 1):
-            blocks.append(_Block(grant_start, p, SlotUse(Activity.RX_PDCCH, j, j)))
+            claims.append((grant_start, p, SlotUse(Activity.RX_PDCCH, j, j)))
             data = fixed_positions(direction, grant_start + p - 1, params.ug2d_min)
-            blocks.append(_Block(data, r, SlotUse(Activity.TX_PUSCH, j, j)))
+            claims.append((data, r, SlotUse(Activity.TX_PUSCH, j, j)))
             # grants are paced at the data period so the granted blocks
             # land back to back
             grant_start += r
-    return blocks
+    return claims
 
 
 def build_legacy_cycle(
@@ -200,26 +249,14 @@ def build_legacy_cycle(
     the same slot the attempt is returned as a ConflictReport instead of a
     timeline; with a single TB the cycle always succeeds.
     """
-    grid = _grid_from_blocks(_legacy_blocks(params, direction))
-    conflicts = _collisions(grid)
+    timeline, conflicts = _lay_out(_legacy_claims(params, direction), params.n_switch)
     if conflicts:
-        attempt = _finish(grid)
-        return ConflictReport(conflicts=tuple(conflicts), attempt=attempt)
-    _insert_switches(grid, params.n_switch)
-    return _finish(grid)
+        return ConflictReport(conflicts=tuple(conflicts), attempt=timeline)
+    return timeline
 
 
 # ---------------------------------------------------------------------------
 # proposed variable-delay cycles
-
-
-def _ack_wait_sf(params: CycleParams) -> int:
-    """Feedback subframes a DL TB may have to wait out before its own:
-    one block per earlier TB, or per earlier bundle group."""
-    n = params.n_tbphc
-    if params.ack_bundling:
-        return ((n - 1) // params.n_bundle) * params.rep_pucch
-    return (n - 1) * params.rep_pucch
 
 
 def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeTimeline:
@@ -237,20 +274,21 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
     """
     n = params.n_tbphc
     p = params.rep_pdcch
-    sw = params.n_switch
     n_grants = 1 if params.grant_mode is GrantMode.MTBG else n
     plan = delay_plan(params, direction)
-    blocks = []
+    claims = []
     for g in range(n_grants):
         tb = None if params.grant_mode is GrantMode.MTBG else g + 1
-        blocks.append(_Block(g * p, p, SlotUse(Activity.RX_PDCCH, tb, tb)))
+        claims.append((g * p, p, SlotUse(Activity.RX_PDCCH, tb, tb)))
 
     if direction is Direction.DL:
-        pad = max(0, params.dd2a_min - _ack_wait_sf(params))
+        # the last TB's delay is the switch gap plus its wait for the
+        # feedback of every earlier TB (or bundle group)
+        pad = max(0, params.dd2a_min - (plan.delays[-1] - params.n_switch))
         start = n_grants * p + params.n_dg2d
         placed_acks = set()
         for j, r in enumerate(params.pdsch_reps, 1):
-            blocks.append(_Block(start, r, SlotUse(Activity.RX_PDSCH, j, j)))
+            claims.append((start, r, SlotUse(Activity.RX_PDSCH, j, j)))
             data_end = start + r - 1
             realized = plan.delays[j - 1] + pad
             if realized < params.dd2a_min:
@@ -260,10 +298,10 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
             ack = fixed_positions(direction, data_end, realized)
             if params.ack_bundling:
                 if ack not in placed_acks:  # one block acknowledges the bundle
-                    blocks.append(_Block(ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH)))
+                    claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH)))
                     placed_acks.add(ack)
             else:
-                blocks.append(_Block(ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
+                claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
             start += r
     else:
         pad = max(0, params.ug2d_min - (n - 1) * p)
@@ -277,141 +315,93 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
                 raise MinDelayViolationError(
                     f"TB {j} grant-to-data delay {realized} < minimum {params.ug2d_min}"
                 )
-            blocks.append(
-                _Block(fixed_positions(direction, anchor, realized), r, SlotUse(Activity.TX_PUSCH, j, j))
-            )
+            claims.append((fixed_positions(direction, anchor, realized), r, SlotUse(Activity.TX_PUSCH, j, j)))
 
-    grid = _grid_from_blocks(blocks)
-    conflicts = _collisions(grid)
+    timeline, conflicts = _lay_out(claims, params.n_switch)
     if conflicts:  # construction guarantees this never happens
         raise AssertionError(f"variable-delay layout double-booked: {conflicts[0]}")
-    _insert_switches(grid, sw)
-    return _finish(grid)
+    return timeline
 
 
 # ---------------------------------------------------------------------------
 # checking
 
 
-def _single_uses(timeline: SubframeTimeline) -> list[tuple[int, SlotUse]]:
-    out = []
-    for pos, uses in enumerate(timeline.slots):
-        if len(uses) == 1:
-            out.append((pos, uses[0]))
-    return out
-
-
 def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
     """Report every feasibility defect in a UE-perspective timeline:
     double-booked slots, data/feedback or grant/data separations below the
-    mandatory minimums, and Rx<->Tx transitions short of switch slots."""
+    mandatory minimums, and Rx<->Tx transitions short of switch slots.
+
+    Transitions and separations are read off the singly-claimed slots:
+    per TB its last data and first feedback slot (DL), or its last grant
+    and first data slot (UL).  Untagged feedback and grants stand for
+    every TB: the k-th run of feedback slots answers the k-th bundle
+    group, and the last grant slot grants every TB without its own.
+    """
     if timeline.perspective is not Perspective.UE:
         raise InvalidInputError("validate() checks UE-perspective timelines")
     findings: list[Conflict] = []
-    for pos, uses in enumerate(timeline.slots):
+    switches = 0  # switch uses on the positions swept so far
+    last_use, switches_at_last = None, 0  # the last occupied single use
+    data_end: dict[int, int] = {}
+    ack_start: dict[int, int] = {}
+    ack_runs: list[list[int]] = []  # [first, stop] of each run of feedback slots
+    data_start: dict[int, int] = {}
+    grant_end: dict[int, int] = {}
+    shared_grant_end = None
+    for first, stop, uses in timeline.segments:
         if len(uses) >= 2:
-            findings.append(
-                Conflict(
-                    sf_index=pos,
-                    activities=tuple(u.activity.value for u in uses),
-                    tb_indices=tuple(u.tb_index for u in uses),
-                )
-            )
-
-    occupied = [
-        (pos, use)
-        for pos, use in _single_uses(timeline)
-        if use.activity not in (Activity.IDLE, Activity.SWITCH)
-    ]
-    for (sf_a, use_a), (sf_b, use_b) in zip(occupied, occupied[1:]):
-        a_rx = use_a.activity in RX_ACTIVITIES
-        b_rx = use_b.activity in RX_ACTIVITIES
-        if a_rx == b_rx:
+            findings.extend(_double_bookings(first, stop, uses))
+            switches += (stop - first) * sum(u.activity is Activity.SWITCH for u in uses)
             continue
-        n_sw = sum(
-            1
-            for sf in range(sf_a + 1, sf_b)
-            for use in timeline.slots[sf]
-            if use.activity is Activity.SWITCH
-        )
-        if n_sw < params.n_switch:
-            findings.append(
-                Conflict(
-                    sf_index=sf_b,
-                    activities=(use_a.activity.value, use_b.activity.value),
-                    tb_indices=(use_a.tb_index, use_b.tb_index),
-                    kind="missing-switch",
-                )
-            )
+        if not uses or uses[0].activity is Activity.IDLE:
+            continue
+        use = uses[0]
+        activity, tb = use.activity, use.tb_index
+        if activity is Activity.SWITCH:
+            switches += stop - first
+            continue
+        if last_use is not None and (
+            (last_use.activity in RX_ACTIVITIES) != (activity in RX_ACTIVITIES)
+            and switches - switches_at_last < params.n_switch
+        ):
+            pair = (last_use.activity.value, activity.value)
+            findings.append(Conflict(first, pair, (last_use.tb_index, tb), "missing-switch"))
+        last_use, switches_at_last = use, switches
+        if activity is Activity.RX_PDSCH:
+            if tb is not None:
+                data_end[tb] = stop - 1
+        elif activity is Activity.TX_PUCCH:
+            if ack_runs and ack_runs[-1][1] == first:
+                ack_runs[-1][1] = stop
+            else:
+                ack_runs.append([first, stop])
+            if tb is not None:
+                ack_start.setdefault(tb, first)
+        elif activity is Activity.TX_PUSCH:
+            if tb is not None:
+                data_start.setdefault(tb, first)
+        elif activity is Activity.RX_PDCCH:
+            shared_grant_end = stop - 1
+            if tb is not None:
+                grant_end[tb] = stop - 1
 
-    findings.extend(_delay_findings(timeline, params))
+    for j in sorted(data_end):
+        if j in ack_start:
+            ack = ack_start[j]
+        elif (j - 1) // params.n_bundle < len(ack_runs):
+            ack = ack_runs[(j - 1) // params.n_bundle][0]
+        else:
+            continue
+        if ack - data_end[j] - 1 < params.dd2a_min:
+            findings.append(Conflict(ack, (Activity.RX_PDSCH.value, Activity.TX_PUCCH.value), (j, j), "min-delay"))
+    for j in sorted(data_start):
+        end = grant_end.get(j, shared_grant_end)
+        if end is not None and data_start[j] - end - 1 < params.ug2d_min:
+            pair = (Activity.RX_PDCCH.value, Activity.TX_PUSCH.value)
+            findings.append(Conflict(data_start[j], pair, (j, j), "min-delay"))
     findings.sort(key=lambda c: (c.sf_index, c.kind))
     return ConflictReport(conflicts=tuple(findings))
-
-
-def _delay_findings(timeline: SubframeTimeline, params: CycleParams) -> list[Conflict]:
-    uses = _single_uses(timeline)
-    findings = []
-    pdsch = [(pos, u) for pos, u in uses if u.activity is Activity.RX_PDSCH]
-    pusch = [(pos, u) for pos, u in uses if u.activity is Activity.TX_PUSCH]
-    if pdsch:
-        pucch_runs = _runs(uses, Activity.TX_PUCCH)
-        tagged = {
-            u.tb_index: pos
-            for pos, u in uses
-            if u.activity is Activity.TX_PUCCH and u.tb_index is not None
-        }
-        for j in sorted({u.tb_index for _, u in pdsch if u.tb_index is not None}):
-            data_end = max(pos for pos, u in pdsch if u.tb_index == j)
-            if j in tagged:
-                ack_start = tagged[j]
-            else:
-                group = (j - 1) // params.n_bundle
-                if group >= len(pucch_runs):
-                    continue
-                ack_start = pucch_runs[group][0]
-            sep = ack_start - data_end - 1
-            if sep < params.dd2a_min:
-                findings.append(
-                    Conflict(
-                        sf_index=ack_start,
-                        activities=(Activity.RX_PDSCH.value, Activity.TX_PUCCH.value),
-                        tb_indices=(j, j),
-                        kind="min-delay",
-                    )
-                )
-    if pusch:
-        grants = [(pos, u) for pos, u in uses if u.activity is Activity.RX_PDCCH]
-        shared_end = max((pos for pos, _ in grants), default=None)
-        for j in sorted({u.tb_index for _, u in pusch if u.tb_index is not None}):
-            data_start = min(pos for pos, u in pusch if u.tb_index == j)
-            tagged_grant = [pos for pos, u in grants if u.tb_index == j]
-            grant_end = max(tagged_grant) if tagged_grant else shared_end
-            if grant_end is None:
-                continue
-            sep = data_start - grant_end - 1
-            if sep < params.ug2d_min:
-                findings.append(
-                    Conflict(
-                        sf_index=data_start,
-                        activities=(Activity.RX_PDCCH.value, Activity.TX_PUSCH.value),
-                        tb_indices=(j, j),
-                        kind="min-delay",
-                    )
-                )
-    return findings
-
-
-def _runs(uses: list[tuple[int, SlotUse]], activity: Activity) -> list[tuple[int, int]]:
-    """Maximal consecutive runs of one activity as (start, end) pairs."""
-    positions = sorted(pos for pos, u in uses if u.activity is activity)
-    runs = []
-    for pos in positions:
-        if runs and pos == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], pos)
-        else:
-            runs.append((pos, pos))
-    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -421,31 +411,23 @@ def _runs(uses: list[tuple[int, SlotUse]], activity: Activity) -> list[tuple[int
 def bs_view(timeline: SubframeTimeline, rtt_ms: float) -> SubframeTimeline:
     """Shift a UE timeline to the BS clock: downlink activities happen
     half the round trip earlier at the BS, uplink arrivals half later.
-    Switch and idle slots stay on the shared wall clock."""
+    Switch and idle slots stay on the shared wall clock.  Uses that land
+    on one BS subframe keep the order of their UE subframes."""
     if timeline.perspective is not Perspective.UE:
         raise InvalidInputError("bs_view() expects a UE-perspective timeline")
     if rtt_ms < 0:
         raise InvalidInputError("rtt must be >= 0")
     shift = math.ceil(rtt_ms / 2.0 / SF_MS)
-    length = len(timeline.slots) + 2 * shift
-    origin = timeline.origin - shift
-    grid: list[list[SlotUse]] = [[] for _ in range(length)]
-    for pos, uses in enumerate(timeline.slots):
-        time = timeline.origin + pos
-        for use in uses:
-            if use.activity in RX_ACTIVITIES:
-                t = time - shift
-            elif use.activity in TX_ACTIVITIES:
-                t = time + shift
-            else:
-                t = time
-            grid[t - origin].append(use)
-    return SubframeTimeline(
-        slots=[tuple(uses) for uses in grid],
-        perspective=Perspective.BS,
-        cycle_boundaries=timeline.cycle_boundaries,
-        origin=origin,
-    )
+    # positions count from the new origin, half a round trip earlier; a
+    # block moved further came from an earlier UE subframe, so it ranks
+    # ahead of every block moved less
+    ranks = 1 + max((b.rank for b in timeline.blocks), default=0)
+    blocks = []
+    for start, width, use, rank in timeline.blocks:
+        offset = 0 if use.activity in RX_ACTIVITIES else 2 * shift if use.activity in TX_ACTIVITIES else shift
+        blocks.append(Block(start + offset, width, use, rank - offset * ranks))
+    blocks.sort(key=_by_position)
+    return SubframeTimeline(tuple(blocks), timeline.length + 2 * shift, Perspective.BS, timeline.origin - shift)
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +438,21 @@ def export_timeline(timeline: SubframeTimeline) -> str:
     """One ``index,perspective,activity,tb_index,harq_id`` line per SF
     (idle slots export as Idle; double-booked slots export one line per
     claiming activity)."""
-    lines = []
     view = timeline.perspective.value
-    for pos, uses in enumerate(timeline.slots):
-        index = timeline.origin + pos
-        if not uses:
-            lines.append(f"{index},{view},Idle,,")
-            continue
-        for use in uses:
-            tb = "" if use.tb_index is None else str(use.tb_index)
-            hid = "" if use.harq_id is None else str(use.harq_id)
-            lines.append(f"{index},{view},{use.activity.value},{tb},{hid}")
-    return "\n".join(lines) + "\n"
+    origin = timeline.origin
+    parts = []
+    for first, stop, uses in timeline.segments:
+        # each line of the run minus its leading SF index
+        lines = [
+            f",{view},{u.activity.value},{'' if u.tb_index is None else u.tb_index},"
+            f"{'' if u.harq_id is None else u.harq_id}\n"
+            for u in uses
+        ] or [f",{view},Idle,,\n"]
+        if len(lines) > 1:
+            parts.extend(f"{origin + sf}{line}" for sf in range(first, stop) for line in lines)
+        else:
+            parts.append(lines[0].join(map(str, range(origin + first, origin + stop))) + lines[0])
+    return "".join(parts) or "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,70 @@
+"""Byte-identity of CLI outputs against copies recorded in ``tests/golden/``.
+
+The copies pin the ``run`` CSV of every shipped profile, every timeline
+format and view of a large auto-sized downlink cycle, and a legacy
+multi-TB attempt with its conflict annotations.  Regenerate them only
+when an output is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+from __future__ import annotations
+
+import gzip
+import io
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from ntn_harq.cli import main, render_timeline
+from ntn_harq.scenario import load_config
+
+ROOT = Path(__file__).resolve().parent.parent
+PROFILES = ROOT / "profiles"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# auto n_tbphc under a raised HARQ budget reaches the 512-TB cap
+LARGE_DL = {"cycle.n_tbphc": "auto", "cycle.max_harq": "1024"}
+# twelve repetitions against the 3-SF fixed delay double-book every TB
+LEGACY_DL = {"mode": "legacy", "cycle.n_tbphc": "8"}
+
+
+def _run_csv(profile: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["run", str(PROFILES / f"{profile}.cfg")]) == 0
+    return out.getvalue()
+
+
+def _timeline(overrides: dict[str, str], view: str, fmt: str) -> str:
+    config = load_config(PROFILES / "leo600_ltem_dl.cfg", overrides)
+    text, status = render_timeline(config, view, fmt)
+    assert status == 0
+    return text
+
+
+CASES = {
+    **{f"run.{p.stem}.csv": (_run_csv, p.stem) for p in sorted(PROFILES.glob("*.cfg"))},
+    **{
+        f"timeline.{label}.{view}.{fmt}": (_timeline, overrides, view, fmt)
+        for label, overrides in (("large_dl", LARGE_DL), ("legacy_dl", LEGACY_DL))
+        for view in ("ue", "bs")
+        for fmt in ("text", "svg", "csv")
+    },
+}
+
+
+def produce(name: str) -> str:
+    fn, *args = CASES[name]
+    return fn(*args)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name):
+    expected = gzip.decompress((GOLDEN / f"{name}.gz").read_bytes()).decode()
+    assert produce(name) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name in CASES:
+        (GOLDEN / f"{name}.gz").write_bytes(gzip.compress(produce(name).encode(), mtime=0))

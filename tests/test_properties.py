@@ -1,0 +1,131 @@
+"""Generated-input checks of the timeline builders, ``validate`` and
+``bs_view``.
+
+``reference_validate`` is the slot-by-slot form of ``validate``: every
+list it builds is a scan over per-subframe slots.  The block sweep must
+report exactly its findings.
+"""
+from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ntn_harq.errors import MinDelayViolationError
+from ntn_harq.harq import CycleParams, Direction, GrantMode
+from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
+from ntn_harq.scheduler import (
+    RX_ACTIVITIES,
+    Activity,
+    Conflict,
+    SlotUse,
+    SubframeTimeline,
+    bs_view,
+    build_proposed_cycle,
+    validate,
+)
+
+
+def reference_validate(slots: list[tuple[SlotUse, ...]], params: CycleParams) -> list[Conflict]:
+    findings = [
+        Conflict(sf, tuple(u.activity.value for u in uses), tuple(u.tb_index for u in uses))
+        for sf, uses in enumerate(slots)
+        if len(uses) >= 2
+    ]
+    single = [(sf, uses[0]) for sf, uses in enumerate(slots) if len(uses) == 1]
+    occupied = [(sf, u) for sf, u in single if u.activity not in (Activity.IDLE, Activity.SWITCH)]
+    for (sf_a, a), (sf_b, b) in zip(occupied, occupied[1:]):
+        if (a.activity in RX_ACTIVITIES) == (b.activity in RX_ACTIVITIES):
+            continue
+        n_sw = sum(u.activity is Activity.SWITCH for sf in range(sf_a + 1, sf_b) for u in slots[sf])
+        if n_sw < params.n_switch:
+            findings.append(Conflict(sf_b, (a.activity.value, b.activity.value), (a.tb_index, b.tb_index),
+                                     "missing-switch"))
+
+    def of(activity):
+        return [(sf, u) for sf, u in single if u.activity is activity]
+
+    pdsch, pucch, pusch, grants = (of(a) for a in (Activity.RX_PDSCH, Activity.TX_PUCCH, Activity.TX_PUSCH,
+                                                    Activity.RX_PDCCH))
+    runs: list[list[int]] = []  # maximal runs of consecutive feedback slots
+    for sf, _ in pucch:
+        if runs and sf == runs[-1][-1] + 1:
+            runs[-1].append(sf)
+        else:
+            runs.append([sf])
+    for j in sorted({u.tb_index for _, u in pdsch if u.tb_index is not None}):
+        data_end = max(sf for sf, u in pdsch if u.tb_index == j)
+        tagged = [sf for sf, u in pucch if u.tb_index == j]
+        if tagged:
+            ack = min(tagged)
+        elif (j - 1) // params.n_bundle < len(runs):
+            ack = runs[(j - 1) // params.n_bundle][0]
+        else:
+            continue
+        if ack - data_end - 1 < params.dd2a_min:
+            findings.append(Conflict(ack, ("RxPDSCH", "TxPUCCH"), (j, j), "min-delay"))
+    for j in sorted({u.tb_index for _, u in pusch if u.tb_index is not None}):
+        data_start = min(sf for sf, u in pusch if u.tb_index == j)
+        tagged = [sf for sf, u in grants if u.tb_index == j]
+        grant_end = max(tagged) if tagged else max((sf for sf, _ in grants), default=None)
+        if grant_end is not None and data_start - grant_end - 1 < params.ug2d_min:
+            findings.append(Conflict(data_start, ("RxPDCCH", "TxPUSCH"), (j, j), "min-delay"))
+    findings.sort(key=lambda c: (c.sf_index, c.kind))
+    return findings
+
+
+@st.composite
+def cycles(draw):
+    direction = draw(st.sampled_from(Direction))
+    n = draw(st.integers(1, 12))
+    reps = st.one_of(st.integers(1, 24), st.tuples(*[st.integers(1, 6)] * n))
+    params = CycleParams(
+        n_tbphc=n,
+        rep_pdcch=draw(st.integers(1, 4)),
+        rep_pdsch=draw(reps),
+        rep_pusch=draw(reps),
+        rep_pucch=draw(st.integers(1, 3)),
+        n_switch=draw(st.integers(0, 3)),
+        n_dg2d=draw(st.integers(0, 3)),
+        dd2a_min=draw(st.integers(0, 10)),
+        ug2d_min=draw(st.integers(0, 10)),
+        n_bundle=draw(st.integers(1, 4)),
+        grant_mode=draw(st.sampled_from(GrantMode)),
+        ack_bundling=direction is Direction.DL and draw(st.booleans()),
+    )
+    return params, direction
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycles(), st.sampled_from([0, 1, 7.5, 20, 41]))
+def test_proposed_cycle_matches_closed_form_and_validates(cycle, rtt_ms):
+    params, direction = cycle
+    try:
+        timeline = build_proposed_cycle(params, direction)
+    except MinDelayViolationError:
+        return  # the documented outcome when padding cannot restore a minimum
+    assert len(timeline) == cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
+    assert validate(timeline, params).conflicts == ()
+    view = bs_view(timeline, rtt_ms)
+    assert Counter(u for _, u in view.uses()) == Counter(u for _, u in timeline.uses())
+
+
+slot_uses = st.builds(
+    SlotUse,
+    st.sampled_from(Activity),
+    st.sampled_from([None, 1, 2, 3]),
+    st.sampled_from([None, 1]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.lists(slot_uses, max_size=3).map(tuple), max_size=16),
+    st.builds(CycleParams, n_switch=st.integers(0, 2), dd2a_min=st.integers(0, 5), ug2d_min=st.integers(0, 5),
+              n_bundle=st.integers(1, 3)),
+)
+def test_validate_matches_slot_reference(slots, params):
+    timeline = SubframeTimeline.from_slots(slots)
+    assert timeline.slots == slots
+    assert list(validate(timeline, params).conflicts) == reference_validate(slots, params)

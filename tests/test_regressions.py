@@ -1,0 +1,76 @@
+"""Regression tests for fixed defects and for the bisected TB-count search."""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from ntn_harq.bler import select_repetitions
+from ntn_harq.cli import main
+from ntn_harq.errors import ConfigError
+from ntn_harq.geometry import round_trip_time, slant_range
+from ntn_harq.harq import CycleParams, harq_for_tbphc
+from ntn_harq.linkbudget import snr_db
+from ntn_harq.scenario import (
+    MAX_AUTO_TBPHC,
+    SF_MS,
+    build_cycle_params,
+    config_from_mapping,
+    parse_config_text,
+    select_tbphc,
+)
+from ntn_harq.scheduler import Activity, SlotUse, SubframeTimeline, validate
+
+PROFILES = sorted((Path(__file__).resolve().parent.parent / "profiles").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("n_feedback", [1, 3])
+def test_validate_measures_feedback_from_its_first_slot(n_feedback):
+    # feedback starts two SFs after the data against a 3-SF minimum,
+    # however many SFs the feedback repeats over
+    slots = [
+        (SlotUse(Activity.RX_PDSCH, 1, 1),),
+        (SlotUse(Activity.SWITCH),),
+        *[(SlotUse(Activity.TX_PUCCH, 1, 1),)] * n_feedback,
+    ]
+    params = CycleParams(dd2a_min=3, n_switch=1, rep_pucch=n_feedback)
+    report = validate(SubframeTimeline.from_slots(slots), params)
+    assert [(c.kind, c.sf_index) for c in report.conflicts] == [("min-delay", 2)]
+
+
+def test_tbs_without_bler_curve_is_config_error(tmp_path, capsys):
+    config = tmp_path / "tbs300.cfg"
+    config.write_text("tbs_bits = 300\n")
+    assert main(["run", str(config)]) == 3
+    assert "tbs_bits" in capsys.readouterr().err
+
+
+def linear_select_tbphc(config, n_rep: int, rtt_ms: float) -> int:
+    """The largest n_tbphc within the HARQ budget, by trying n = 1, 2, ..."""
+    best = None
+    for n in range(1, MAX_AUTO_TBPHC + 1):
+        if harq_for_tbphc(build_cycle_params(config, n_rep, n), rtt_ms, SF_MS, config.n_a2g) > config.max_harq:
+            break
+        best = n
+    if best is None:
+        raise ConfigError("even one TB per cycle exceeds the HARQ budget")
+    return best
+
+
+@pytest.mark.parametrize("extended", ["false", "true"])
+@pytest.mark.parametrize("max_harq", [1, 8, 64, 1024])
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.stem)
+def test_select_tbphc_bisection_matches_linear_scan(profile, max_harq, extended, table):
+    raw = parse_config_text(profile.read_text())
+    raw.update({"cycle.n_tbphc": "auto", "cycle.max_harq": str(max_harq), "protocol.extended_harq": extended})
+    config = config_from_mapping(raw)
+    rtt_ms = round_trip_time(config.geometry)
+    distance_m = slant_range(config.geometry.altitude_km, config.geometry.service_elevation_deg) * 1000.0
+    n_rep = select_repetitions(table, config.tbs_bits, snr_db(config.link, distance_m), config.target_bler)
+    try:
+        expected = linear_select_tbphc(config, n_rep, rtt_ms)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            select_tbphc(config, n_rep, rtt_ms)
+    else:
+        assert select_tbphc(config, n_rep, rtt_ms) == expected

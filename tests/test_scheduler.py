@@ -226,7 +226,7 @@ def test_validate_flags_hand_built_overlap():
         (SlotUse(Activity.RX_PDSCH, 1, 1),),
         (SlotUse(Activity.RX_PDSCH, 2, 2), SlotUse(Activity.TX_PUCCH, 1, 1)),
     ]
-    timeline = SubframeTimeline(slots=slots)
+    timeline = SubframeTimeline.from_slots(slots=slots)
     report = validate(timeline, CycleParams(n_tbphc=2, dd2a_min=0, n_switch=0))
     kinds = {c.kind for c in report.conflicts}
     assert "double-booking" in kinds
@@ -242,7 +242,7 @@ def test_validate_flags_short_feedback_delay():
         (SlotUse(Activity.SWITCH),),
         (SlotUse(Activity.TX_PUCCH, 1, 1),),
     ]
-    timeline = SubframeTimeline(slots=slots)
+    timeline = SubframeTimeline.from_slots(slots=slots)
     report = validate(timeline, CycleParams(n_tbphc=1, dd2a_min=3, n_switch=1))
     assert any(c.kind == "min-delay" for c in report.conflicts)
 
@@ -255,7 +255,7 @@ def test_validate_flags_missing_switch():
         (),
         (SlotUse(Activity.TX_PUCCH, 1, 1),),
     ]
-    timeline = SubframeTimeline(slots=slots)
+    timeline = SubframeTimeline.from_slots(slots=slots)
     report = validate(timeline, CycleParams(n_tbphc=1, dd2a_min=3, n_switch=1))
     assert any(c.kind == "missing-switch" for c in report.conflicts)
 
@@ -279,7 +279,7 @@ def test_validate_checks_ul_grant_separation():
 
 
 def test_validate_rejects_bs_perspective():
-    timeline = SubframeTimeline(slots=[()], perspective=Perspective.BS)
+    timeline = SubframeTimeline.from_slots(slots=[()], perspective=Perspective.BS)
     with pytest.raises(InvalidInputError):
         validate(timeline, CycleParams())
 
@@ -325,7 +325,7 @@ def test_bs_view_feedback_arrives_one_way_later():
 def test_bs_view_grant_position_example():
     slots = [() for _ in range(12)]
     slots[10] = (SlotUse(Activity.RX_PDCCH),)
-    timeline = SubframeTimeline(slots=slots)
+    timeline = SubframeTimeline.from_slots(slots=slots)
     view = bs_view(timeline, 20)
     positions = [i for i, u in view.uses() if u.activity is Activity.RX_PDCCH]
     assert positions == [0]
@@ -333,7 +333,7 @@ def test_bs_view_grant_position_example():
 
 def test_bs_view_rejects_negative_rtt():
     with pytest.raises(InvalidInputError):
-        bs_view(SubframeTimeline(slots=[()]), -1)
+        bs_view(SubframeTimeline.from_slots(slots=[()]), -1)
 
 
 # --- export ----------------------------------------------------------------
@@ -345,7 +345,7 @@ def test_export_format():
         (),
         (SlotUse(Activity.TX_PUSCH, 1, 1),),
     ]
-    timeline = SubframeTimeline(slots=slots)
+    timeline = SubframeTimeline.from_slots(slots=slots)
     assert export_timeline(timeline) == (
         "0,UE,RxPDCCH,,\n"
         "1,UE,Idle,,\n"
