@@ -22,7 +22,6 @@ from .errors import (
 from .geometry import OrbitGeometry, Payload, round_trip_time, slant_range
 from .harq import (
     CycleParams,
-    DelayPlan,
     Direction,
     GrantMode,
     dd2a_bundled,
@@ -35,7 +34,6 @@ from .harq import (
 )
 from .linkbudget import LinkBudgetParams, fspl_db, snr_db
 from .metrics import (
-    MetricsReport,
     ProcessorProfile,
     SchedulingMode,
     cycle_length_closed_form,

@@ -8,7 +8,8 @@ Subcommands:
   calibrate  fit the unpublished grant/processing parameters to the
              protocol's reference throughput gain and store them
 
-Exit status: 0 success, 2 infeasible link, 3 configuration error.
+Exit status: 0 success, 2 infeasible link or a schedule that misses a
+minimum delay, 3 configuration error.
 """
 from __future__ import annotations
 
@@ -17,19 +18,24 @@ import sys
 from pathlib import Path
 
 from .bler import default_table, load_bler_table
-from .errors import ConfigError, CurveNotFoundError, InfeasibleLinkError, InvalidInputError
+from .errors import (
+    ConfigError,
+    CurveNotFoundError,
+    InfeasibleLinkError,
+    InvalidInputError,
+    MinDelayViolationError,
+)
 from .metrics import SchedulingMode
 from .scenario import (
     ScenarioConfig,
     calibrate,
     load_config,
     parse_config_text,
+    resolve,
     results_to_csv,
     run_scenario,
-    select_tbphc,
     sweep,
     update_config_file,
-    build_cycle_params,
 )
 from .scheduler import (
     Activity,
@@ -40,9 +46,6 @@ from .scheduler import (
     build_proposed_cycle,
     export_timeline,
 )
-from .geometry import round_trip_time, slant_range
-from .linkbudget import snr_db
-from .bler import select_repetitions
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -155,28 +158,16 @@ def render_timeline(
 ) -> tuple[str, int]:
     """Build the configured cycle and render it; legacy conflicts render
     the attempted layout with annotations."""
-    table = table if table is not None else default_table()
-    rtt_ms = round_trip_time(config.geometry)
-    distance_m = slant_range(config.geometry.altitude_km, config.geometry.service_elevation_deg) * 1000.0
-    snr = snr_db(config.link, distance_m)
-    n_rep = select_repetitions(table, config.tbs_bits, snr, config.target_bler)
-    if config.mode is SchedulingMode.LEGACY_FIXED:
-        n_tbphc = config.n_tbphc or 1
-    else:
-        n_tbphc = select_tbphc(config, n_rep, rtt_ms)
-    params = build_cycle_params(config, n_rep, n_tbphc)
+    resolved = resolve(config, table if table is not None else default_table())
     conflicts = None
     if config.mode is SchedulingMode.LEGACY_FIXED:
-        built = build_legacy_cycle(params, config.direction)
-        if isinstance(built, ConflictReport):
-            conflicts = built
-            timeline = built.attempt
-        else:
-            timeline = built
+        timeline = build_legacy_cycle(resolved.params, config.direction)
+        if isinstance(timeline, ConflictReport):
+            conflicts, timeline = timeline, timeline.attempt
     else:
-        timeline = build_proposed_cycle(params, config.direction)
+        timeline = build_proposed_cycle(resolved.params, config.direction)
     if perspective == "bs":
-        timeline = bs_view(timeline, rtt_ms)
+        timeline = bs_view(timeline, resolved.rtt_ms)
     if fmt == "svg":
         return render_timeline_svg(timeline, conflicts), EXIT_OK
     if fmt == "csv":
@@ -292,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleLinkError as exc:
+    except (InfeasibleLinkError, MinDelayViolationError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ConfigError, InvalidInputError, FileNotFoundError) as exc:

@@ -9,11 +9,14 @@ half-duplex UE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 from .errors import InvalidInputError
+
+SF_MS = 1.0  # one subframe lasts one millisecond
+SF_SECONDS = SF_MS / 1000.0
 
 
 class Direction(Enum):
@@ -87,18 +90,6 @@ class CycleParams:
     def pusch_reps(self) -> tuple[int, ...]:
         return self.rep_pusch  # type: ignore[return-value]
 
-    def data_reps(self, direction: Direction) -> tuple[int, ...]:
-        return self.pdsch_reps if direction is Direction.DL else self.pusch_reps
-
-
-@dataclass(frozen=True)
-class DelayPlan:
-    """Per-TB scheduling delays for one cycle (data-to-feedback in the DL,
-    grant-to-data in the UL), indexed by transmission order."""
-
-    direction: Direction
-    delays: tuple[int, ...] = field(default_factory=tuple)
-
 
 def fixed_positions(direction: Direction, anchor_sf: int, fixed_delay: int) -> int:
     """Position scheduled a fixed delay after its anchor subframe.
@@ -123,49 +114,64 @@ def _check_position(params: CycleParams, j: int) -> None:
         raise InvalidInputError(f"TB position {j} outside [1, {params.n_tbphc}]")
 
 
+def feedback_wait(n_before: int, n_bundle: int, rep_pucch: int) -> int:
+    """Feedback subframes sent ahead of a DL TB's own: one block for each
+    of the ``n_before`` earlier TBs, or for each earlier group of
+    ``n_bundle`` TBs when feedback is bundled."""
+    return n_before // n_bundle * rep_pucch
+
+
+def _dl_delays(params: CycleParams, n_bundle: int) -> tuple[int, ...]:
+    """Every DL TB's data-to-feedback delay with ``n_bundle`` TBs per
+    feedback block (1 when unbundled), in one pass."""
+    remaining = sum(params.pdsch_reps)
+    delays = []
+    for before, r in enumerate(params.pdsch_reps):
+        remaining -= r
+        delays.append(remaining + feedback_wait(before, n_bundle, params.rep_pucch) + params.n_switch)
+    return tuple(delays)
+
+
+def _ul_delays(params: CycleParams) -> tuple[int, ...]:
+    """Every UL TB's grant-to-data delay, in one pass."""
+    earlier = 0
+    delays = []
+    for j, r in enumerate(params.pusch_reps, 1):
+        delays.append((params.n_tbphc - j) * params.rep_pdcch + earlier + params.n_switch)
+        earlier += r
+    return tuple(delays)
+
+
 def dd2a_variable(params: CycleParams, j: int) -> int:
     """Data-to-feedback delay of the j-th DL TB: remaining data blocks,
     plus the feedback of all earlier TBs, plus the switching gap."""
     _check_position(params, j)
-    reps = params.pdsch_reps
-    remaining = sum(reps[j:])
-    return remaining + (j - 1) * params.rep_pucch + params.n_switch
+    return _dl_delays(params, 1)[j - 1]
 
 
 def ug2d_variable(params: CycleParams, j: int) -> int:
     """Grant-to-data delay of the j-th UL TB: remaining grant blocks,
     plus all earlier TBs' data, plus the switching gap."""
     _check_position(params, j)
-    reps = params.pusch_reps
-    return (
-        (params.n_tbphc - j) * params.rep_pdcch
-        + sum(reps[: j - 1])
-        + params.n_switch
-    )
+    return _ul_delays(params)[j - 1]
 
 
 def dd2a_bundled(params: CycleParams, j: int) -> int:
     """DL data-to-feedback delay when feedback is bundled: earlier TBs
     contribute one feedback block per bundle group instead of one each."""
     _check_position(params, j)
-    reps = params.pdsch_reps
-    remaining = sum(reps[j:])
-    groups_before = (j - 1) // params.n_bundle
-    return remaining + groups_before * params.rep_pucch + params.n_switch
+    return _dl_delays(params, params.n_bundle)[j - 1]
 
 
-def delay_plan(params: CycleParams, direction: Direction) -> DelayPlan:
-    """All per-TB delays for one cycle under the configured scheme."""
+def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
+    """All per-TB delays for one cycle under the configured scheme
+    (data-to-feedback in the DL, grant-to-data in the UL), indexed by
+    transmission order."""
     if direction is Direction.DL:
-        formula = dd2a_bundled if params.ack_bundling else dd2a_variable
-    else:
-        if params.ack_bundling:
-            raise InvalidInputError("feedback bundling applies to downlink cycles only")
-        formula = ug2d_variable
-    return DelayPlan(
-        direction=direction,
-        delays=tuple(formula(params, j) for j in range(1, params.n_tbphc + 1)),
-    )
+        return _dl_delays(params, params.n_bundle if params.ack_bundling else 1)
+    if params.ack_bundling:
+        raise InvalidInputError("feedback bundling applies to downlink cycles only")
+    return _ul_delays(params)
 
 
 def harq_for_tbphc(params: CycleParams, rtt_ms: float, t_tb_ms: float, ack_proc_sf: int) -> int:

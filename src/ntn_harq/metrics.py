@@ -11,23 +11,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidInputError
-from .harq import CycleParams, Direction, GrantMode
+from .harq import CycleParams, Direction, GrantMode, feedback_wait
 
 
 class SchedulingMode(Enum):
     LEGACY_FIXED = "legacy"
     PROPOSED_VARIABLE = "proposed"
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Headline numbers for one scenario run."""
-
-    suf: float
-    throughput_bps: float
-    gain_vs_baseline: float
-    required_harq: int
-    power_cost_w: float
 
 
 @dataclass(frozen=True)
@@ -105,10 +94,8 @@ def cycle_length_closed_form(
     if direction is Direction.DL:
         data = sum(params.pdsch_reps)
         grants = p if params.grant_mode is GrantMode.MTBG else n * p
-        if params.ack_bundling:
-            wait = ((n - 1) // params.n_bundle) * params.rep_pucch
-        else:
-            wait = (n - 1) * params.rep_pucch
+        n_bundle = params.n_bundle if params.ack_bundling else 1
+        wait = feedback_wait(n - 1, n_bundle, params.rep_pucch)
         return (
             grants
             + params.n_dg2d

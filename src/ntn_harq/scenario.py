@@ -7,20 +7,24 @@ states what differs from the bundled LTE-M/LEO600 uplink case.
 """
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, replace
+from enum import Enum
+from math import isfinite
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
 from .errors import ConfigError, InvalidInputError
 from .geometry import OrbitGeometry, Payload, round_trip_time, slant_range
-from .harq import CycleParams, Direction, GrantMode, harq_for_tbphc
+from .harq import SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, harq_for_tbphc
 from .linkbudget import LinkBudgetParams, snr_db
 from .metrics import (
     DEFAULT_OP_RATE_PER_S,
     DELAY_OP_COUNTS,
-    MetricsReport,
     ProcessorProfile,
     SchedulingMode,
     cycle_length_closed_form,
@@ -30,8 +34,6 @@ from .metrics import (
 )
 from .scheduler import GoodputResult, build_proposed_cycle, monte_carlo_goodput
 
-SF_SECONDS = 0.001
-SF_MS = 1.0
 MAX_AUTO_TBPHC = 512
 
 
@@ -120,62 +122,85 @@ class ScenarioConfig:
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    text = text.strip()
     if not text:
         return ()
     return tuple(float(part) for part in text.split(","))
 
 
-def _identity(text: str) -> str:
-    return text.strip().lower()
+def _one_of(choices: Mapping[str, Any] | type[Enum]) -> Callable[[str], Any]:
+    """A parser of a name in ``choices`` (or of an Enum's value), in any
+    case, to what it names."""
+    names = choices if isinstance(choices, Mapping) else {m.value: m for m in choices}
+
+    def parse(text: str) -> Any:
+        value = names.get(text.lower())
+        if value is None:
+            raise ValueError(f"expected one of {', '.join(names)}, got {text!r}")
+        return value
+
+    return parse
 
 
-_SCHEMA: dict[str, tuple[Callable[[str], object], str]] = {
-    "geometry.altitude_km": (float, "600"),
-    "geometry.payload": (_identity, "transparent"),
-    "geometry.service_elevation_deg": (float, "30"),
-    "geometry.feeder_elevation_deg": (float, "10"),
-    "link.eirp_dbm": (float, "23"),
-    "link.g_over_t_db": (float, "-4.9"),
-    "link.bandwidth_hz": (float, "180000"),
-    "link.carrier_ghz": (float, "2"),
-    "link.loss_atm_db": (float, "0.07"),
-    "link.loss_shadow_db": (float, "3"),
-    "link.loss_scint_db": (float, "2.2"),
-    "link.loss_polar_db": (float, "0"),
-    "protocol": (_identity, "lte-m"),
-    "protocol.extended_harq": (_parse_bool, "false"),
-    "tbs_bits": (int, "504"),
-    "target_bler": (float, "0.1"),
-    "direction": (_identity, "ul"),
-    "mode": (_identity, "proposed"),
-    "cycle.n_tbphc": (_identity, "auto"),
-    "cycle.rep_pdcch": (int, "1"),
-    "cycle.rep_pucch": (int, "1"),
-    "cycle.n_dg2d": (int, "1"),
-    "cycle.n_switch": (_identity, "protocol"),
-    "cycle.dd2a_min": (_identity, "protocol"),
-    "cycle.ug2d_min": (_identity, "protocol"),
-    "cycle.grant_mode": (_identity, "stbg"),
-    "cycle.ack_bundling": (_parse_bool, "false"),
-    "cycle.n_bundle": (int, "1"),
-    "cycle.n_a2g": (int, "0"),
-    "cycle.max_harq": (_identity, "protocol"),
-    "power.efficiency_mops_per_mw": (float, "144"),
-    "power.op_rate_per_s": (float, str(DEFAULT_OP_RATE_PER_S)),
-    "monte_carlo.n_cycles": (int, "0"),
-    "monte_carlo.seed": (int, "1"),
-    "monte_carlo.bler_per_attempt": (_parse_float_list, ""),
+def _int_or(word: str) -> Callable[[str], int | None]:
+    """A parser of an integer, or of ``word`` to None."""
+    return lambda text: None if text.lower() == word else int(text)
+
+
+# key -> (parser from the stripped text to the final value, default text,
+# (rule, check) on the parsed value or None).  Every float must also be
+# finite.  None from "auto" selects the TB count; None from "protocol"
+# takes the protocol's value.
+_SCHEMA: dict[str, tuple[Callable[[str], Any], str, tuple[str, Callable[[Any], bool]] | None]] = {
+    "geometry.altitude_km": (float, "600", None),
+    "geometry.payload": (_one_of(Payload), "transparent", None),
+    "geometry.service_elevation_deg": (float, "30", None),
+    "geometry.feeder_elevation_deg": (float, "10", None),
+    "link.eirp_dbm": (float, "23", None),
+    "link.g_over_t_db": (float, "-4.9", None),
+    "link.bandwidth_hz": (float, "180000", None),
+    "link.carrier_ghz": (float, "2", None),
+    "link.loss_atm_db": (float, "0.07", None),
+    "link.loss_shadow_db": (float, "3", None),
+    "link.loss_scint_db": (float, "2.2", None),
+    "link.loss_polar_db": (float, "0", None),
+    "protocol": (_one_of(PROTOCOLS), "lte-m", None),
+    "protocol.extended_harq": (_parse_bool, "false", None),
+    "tbs_bits": (int, "504", None),
+    "target_bler": (float, "0.1", ("must lie in (0, 1]", lambda v: 0 < v <= 1)),
+    "direction": (_one_of(Direction), "ul", None),
+    "mode": (_one_of(SchedulingMode), "proposed", None),
+    "cycle.n_tbphc": (_int_or("auto"), "auto", ("must be >= 1", lambda v: v is None or v >= 1)),
+    "cycle.rep_pdcch": (int, "1", None),
+    "cycle.rep_pucch": (int, "1", None),
+    "cycle.n_dg2d": (int, "1", None),
+    "cycle.n_switch": (_int_or("protocol"), "protocol", None),
+    "cycle.dd2a_min": (_int_or("protocol"), "protocol", None),
+    "cycle.ug2d_min": (_int_or("protocol"), "protocol", None),
+    "cycle.grant_mode": (_one_of(GrantMode), "stbg", None),
+    "cycle.ack_bundling": (_parse_bool, "false", None),
+    "cycle.n_bundle": (int, "1", ("must be >= 1", lambda v: v >= 1)),
+    "cycle.n_a2g": (int, "0", None),
+    "cycle.max_harq": (_int_or("protocol"), "protocol", None),
+    "power.efficiency_mops_per_mw": (float, "144", None),
+    "power.op_rate_per_s": (float, str(DEFAULT_OP_RATE_PER_S), None),
+    "monte_carlo.n_cycles": (int, "0", ("must be >= 0", lambda v: v >= 0)),
+    "monte_carlo.seed": (int, "1", None),
+    "monte_carlo.bler_per_attempt": (
+        _parse_float_list,
+        "",
+        ("must list probabilities in [0, 1]", lambda v: all(0 <= p <= 1 for p in v)),
+    ),
 }
+_DEFAULTS = {key: parse(default) for key, (parse, default, _) in _SCHEMA.items()}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -197,109 +222,77 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
     """Build a validated ScenarioConfig from raw string values."""
-    for key in raw:
-        if key not in _SCHEMA:
+    values = dict(_DEFAULTS)
+    for key, text in raw.items():
+        entry = _SCHEMA.get(key)
+        if entry is None:
             raise ConfigError(f"unknown configuration key {key!r}")
-    values: dict[str, object] = {}
-    for key, (cast, default) in _SCHEMA.items():
-        text = raw.get(key, default)
+        parse, _, rule = entry
+        text = text.strip()
         try:
-            values[key] = cast(text)
-        except ConfigError:
-            raise
+            value = parse(text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
+        if parse is float and not isfinite(value):
+            raise ConfigError(f"bad value for {key}: {text!r} is not a finite number")
+        if rule is not None and not rule[1](value):
+            raise ConfigError(f"bad value for {key}: {text!r} {rule[0]}")
+        values[key] = value
 
-    protocol_name = values["protocol"]
-    if protocol_name not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {protocol_name!r} (expected lte-m or nb-iot)")
-    protocol = PROTOCOLS[protocol_name]
-    extended = bool(values["protocol.extended_harq"])
-
+    protocol = values["protocol"]
+    extended = values["protocol.extended_harq"]
     def protocol_default(key: str, fallback: int) -> int:
-        text = values[key]
-        if text == "protocol":
-            return fallback
-        try:
-            return int(text)  # type: ignore[arg-type]
-        except ValueError:
-            raise ConfigError(f"bad value for {key}: {text!r}") from None
+        value = values[key]
+        return fallback if value is None else value
 
-    payload_name = values["geometry.payload"]
-    try:
-        payload = Payload(payload_name)
-    except ValueError:
-        raise ConfigError(f"unknown payload {payload_name!r}") from None
     try:
         geometry = OrbitGeometry(
-            altitude_km=values["geometry.altitude_km"],  # type: ignore[arg-type]
-            payload=payload,
-            service_elevation_deg=values["geometry.service_elevation_deg"],  # type: ignore[arg-type]
-            feeder_elevation_deg=values["geometry.feeder_elevation_deg"],  # type: ignore[arg-type]
+            altitude_km=values["geometry.altitude_km"],
+            payload=values["geometry.payload"],
+            service_elevation_deg=values["geometry.service_elevation_deg"],
+            feeder_elevation_deg=values["geometry.feeder_elevation_deg"],
         )
         link = LinkBudgetParams(
-            eirp_dbm=values["link.eirp_dbm"],  # type: ignore[arg-type]
-            g_over_t_db=values["link.g_over_t_db"],  # type: ignore[arg-type]
-            bandwidth_hz=values["link.bandwidth_hz"],  # type: ignore[arg-type]
-            carrier_ghz=values["link.carrier_ghz"],  # type: ignore[arg-type]
-            loss_atm_db=values["link.loss_atm_db"],  # type: ignore[arg-type]
-            loss_shadow_db=values["link.loss_shadow_db"],  # type: ignore[arg-type]
-            loss_scint_db=values["link.loss_scint_db"],  # type: ignore[arg-type]
-            loss_polar_db=values["link.loss_polar_db"],  # type: ignore[arg-type]
+            eirp_dbm=values["link.eirp_dbm"],
+            g_over_t_db=values["link.g_over_t_db"],
+            bandwidth_hz=values["link.bandwidth_hz"],
+            carrier_ghz=values["link.carrier_ghz"],
+            loss_atm_db=values["link.loss_atm_db"],
+            loss_shadow_db=values["link.loss_shadow_db"],
+            loss_scint_db=values["link.loss_scint_db"],
+            loss_polar_db=values["link.loss_polar_db"],
         )
     except InvalidInputError as exc:
         raise ConfigError(str(exc)) from None
 
-    direction_name = values["direction"]
-    if direction_name not in ("ul", "dl"):
-        raise ConfigError(f"direction must be ul or dl, got {direction_name!r}")
-    mode_name = values["mode"]
-    if mode_name not in ("legacy", "proposed"):
-        raise ConfigError(f"mode must be legacy or proposed, got {mode_name!r}")
-    grant_name = values["cycle.grant_mode"]
-    if grant_name not in ("stbg", "mtbg"):
-        raise ConfigError(f"grant mode must be stbg or mtbg, got {grant_name!r}")
-
-    n_tbphc_text = values["cycle.n_tbphc"]
-    if n_tbphc_text == "auto":
-        n_tbphc = None
-    else:
-        try:
-            n_tbphc = int(n_tbphc_text)  # type: ignore[arg-type]
-        except ValueError:
-            raise ConfigError(f"cycle.n_tbphc must be an integer or 'auto'") from None
-        if n_tbphc < 1:
-            raise ConfigError("cycle.n_tbphc must be >= 1")
-
-    mode = SchedulingMode(mode_name)
     max_harq_default = protocol.max_harq_extended if extended else protocol.max_harq
     return ScenarioConfig(
         geometry=geometry,
         link=link,
         protocol=protocol,
         extended_harq=extended,
-        tbs_bits=int(values["tbs_bits"]),  # type: ignore[arg-type]
-        target_bler=float(values["target_bler"]),  # type: ignore[arg-type]
-        direction=Direction(direction_name),
-        mode=mode,
-        n_tbphc=n_tbphc,
-        rep_pdcch=int(values["cycle.rep_pdcch"]),  # type: ignore[arg-type]
-        rep_pucch=int(values["cycle.rep_pucch"]),  # type: ignore[arg-type]
-        n_dg2d=int(values["cycle.n_dg2d"]),  # type: ignore[arg-type]
+        tbs_bits=values["tbs_bits"],
+        target_bler=values["target_bler"],
+        direction=values["direction"],
+        mode=values["mode"],
+        n_tbphc=values["cycle.n_tbphc"],
+        rep_pdcch=values["cycle.rep_pdcch"],
+        rep_pucch=values["cycle.rep_pucch"],
+        n_dg2d=values["cycle.n_dg2d"],
         n_switch=protocol_default("cycle.n_switch", protocol.n_switch),
         dd2a_min=protocol_default("cycle.dd2a_min", protocol.dd2a_min),
         ug2d_min=protocol_default("cycle.ug2d_min", protocol.ug2d_min),
-        grant_mode=GrantMode(grant_name),
-        ack_bundling=bool(values["cycle.ack_bundling"]),
-        n_bundle=int(values["cycle.n_bundle"]),  # type: ignore[arg-type]
-        n_a2g=int(values["cycle.n_a2g"]),  # type: ignore[arg-type]
+        grant_mode=values["cycle.grant_mode"],
+        ack_bundling=values["cycle.ack_bundling"],
+        n_bundle=values["cycle.n_bundle"],
+        n_a2g=values["cycle.n_a2g"],
         max_harq=protocol_default("cycle.max_harq", max_harq_default),
-        power_efficiency_mops_per_mw=float(values["power.efficiency_mops_per_mw"]),  # type: ignore[arg-type]
-        power_op_rate_per_s=float(values["power.op_rate_per_s"]),  # type: ignore[arg-type]
+        power_efficiency_mops_per_mw=values["power.efficiency_mops_per_mw"],
+        power_op_rate_per_s=values["power.op_rate_per_s"],
         monte_carlo=MonteCarloSettings(
-            n_cycles=int(values["monte_carlo.n_cycles"]),  # type: ignore[arg-type]
-            seed=int(values["monte_carlo.seed"]),  # type: ignore[arg-type]
-            bler_per_attempt=values["monte_carlo.bler_per_attempt"],  # type: ignore[arg-type]
+            n_cycles=values["monte_carlo.n_cycles"],
+            seed=values["monte_carlo.seed"],
+            bler_per_attempt=values["monte_carlo.bler_per_attempt"],
         ),
     )
 
@@ -312,7 +305,9 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
 
 
 def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
-    """Rewrite ``key = value`` lines in place, appending keys not present."""
+    """Rewrite ``key = value`` lines, appending keys not present.  The new
+    text goes to a temp file in the same directory that then replaces the
+    profile, so a failed write leaves the profile as it was."""
     path = Path(path)
     lines = path.read_text().splitlines()
     remaining = dict(updates)
@@ -327,7 +322,17 @@ def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
         out.append(line)
     for key, value in remaining.items():
         out.append(f"{key} = {value}")
-    path.write_text("\n".join(out) + "\n")
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write("\n".join(out) + "\n")
+            f.flush()
+            os.fsync(f.fileno())
+        shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +365,8 @@ def _required_harq(config: ScenarioConfig, n_rep: int, n_tbphc: int, rtt_ms: flo
 
 
 def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
-    """Resolve the TB count per cycle: the configured value (validated
-    against the HARQ budget) or the largest feasible one."""
-    if config.mode is SchedulingMode.LEGACY_FIXED:
-        return 1
+    """Resolve the TB count per variable-delay cycle: the configured value
+    (validated against the HARQ budget) or the largest feasible one."""
     if config.n_tbphc is not None:
         needed = _required_harq(config, n_rep, config.n_tbphc, rtt_ms)
         if needed > config.max_harq:
@@ -395,6 +398,36 @@ def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
     return best
 
 
+class ResolvedScenario(NamedTuple):
+    """A config's operating point and the cycle laid out at it."""
+
+    rtt_ms: float
+    snr_db: float
+    n_rep: int
+    n_tbphc: int
+    params: CycleParams
+
+
+def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
+    """Follow the chain geometry -> link budget -> repetition count -> TB
+    count per cycle -> cycle parameters.
+
+    A legacy config keeps its configured TB count (one under ``auto``), so
+    multi-TB conflict attempts can still be rendered.  Raises
+    InfeasibleLinkError when no tabulated repetition count reaches the
+    target BLER at the operating SNR.
+    """
+    rtt_ms = round_trip_time(config.geometry)
+    distance_m = slant_range(config.geometry.altitude_km, config.geometry.service_elevation_deg) * 1000.0
+    snr = snr_db(config.link, distance_m)
+    n_rep = select_repetitions(table, config.tbs_bits, snr, config.target_bler)
+    if config.mode is SchedulingMode.LEGACY_FIXED:
+        n_tbphc = config.n_tbphc or 1
+    else:
+        n_tbphc = select_tbphc(config, n_rep, rtt_ms)
+    return ResolvedScenario(rtt_ms, snr, n_rep, n_tbphc, build_cycle_params(config, n_rep, n_tbphc))
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """One scenario outcome, flattened for CSV emission."""
@@ -414,7 +447,6 @@ class ScenarioResult:
     throughput_bps: float
     gain_pct: float
     power_nw: float
-    report: MetricsReport
     goodput: GoodputResult | None = None
 
 
@@ -447,7 +479,8 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
     """Full pipeline for one scenario.
 
     Raises InfeasibleLinkError when no tabulated repetition count reaches
-    the target BLER at the operating SNR.
+    the target BLER at the operating SNR, and MinDelayViolationError when
+    the variable-delay cycle misses a mandatory minimum delay.
     """
     table = table if table is not None else bler_mod.default_table()
     if config.mode is SchedulingMode.LEGACY_FIXED and config.n_tbphc not in (None, 1):
@@ -455,13 +488,9 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
             "legacy fixed-delay scheduling carries one TB per cycle; use the timeline "
             "command to inspect multi-TB attempts"
         )
-    rtt_ms = round_trip_time(config.geometry)
-    distance_m = slant_range(config.geometry.altitude_km, config.geometry.service_elevation_deg) * 1000.0
-    snr = snr_db(config.link, distance_m)
-    n_rep = select_repetitions(table, config.tbs_bits, snr, config.target_bler)
-    n_tbphc = select_tbphc(config, n_rep, rtt_ms)
-    params = build_cycle_params(config, n_rep, n_tbphc)
-
+    rtt_ms, snr, n_rep, n_tbphc, params = resolve(config, table)
+    suf = suf_closed_form(params, config.direction, config.mode)
+    gain = 0.0
     if config.mode is SchedulingMode.PROPOSED_VARIABLE:
         timeline = build_proposed_cycle(params, config.direction)
         expected = cycle_length_closed_form(params, config.direction, config.mode)
@@ -469,28 +498,17 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
             raise AssertionError(
                 f"cycle layout ({len(timeline)} SFs) diverged from closed form ({expected} SFs)"
             )
-    suf = suf_closed_form(params, config.direction, config.mode)
-    rate = throughput(suf, config.tbs_bits, SF_SECONDS)
-    if config.mode is SchedulingMode.PROPOSED_VARIABLE:
         baseline_params = build_cycle_params(config, n_rep, 1)
         baseline_suf = suf_closed_form(baseline_params, config.direction, SchedulingMode.LEGACY_FIXED)
         gain = suf / baseline_suf - 1.0
-    else:
-        gain = 0.0
-    required = _required_harq(config, n_rep, n_tbphc, rtt_ms)
+    rate = throughput(suf, config.tbs_bits, SF_SECONDS)
+    required = harq_for_tbphc(params, rtt_ms, SF_MS, config.n_a2g)
     profile = ProcessorProfile(
         efficiency_mops_per_mw=config.power_efficiency_mops_per_mw,
         op_rate_per_s=config.power_op_rate_per_s,
         op_count=DELAY_OP_COUNTS[_power_scheme(config)],
     )
     power_w = delay_power(profile)
-    report = MetricsReport(
-        suf=suf,
-        throughput_bps=rate,
-        gain_vs_baseline=gain,
-        required_harq=required,
-        power_cost_w=power_w,
-    )
     goodput = None
     mc = config.monte_carlo
     if mc.n_cycles > 0 and config.mode is SchedulingMode.PROPOSED_VARIABLE:
@@ -519,7 +537,6 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
         throughput_bps=rate,
         gain_pct=100.0 * gain,
         power_nw=power_w * 1e9,
-        report=report,
         goodput=goodput,
     )
 

@@ -27,9 +27,7 @@ from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, MinDelayViolationError
-from .harq import CycleParams, Direction, GrantMode, delay_plan, fixed_positions
-
-SF_MS = 1.0  # one subframe is one millisecond
+from .harq import SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, delay_plan, fixed_positions
 
 
 class Activity(Enum):
@@ -284,13 +282,13 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
     if direction is Direction.DL:
         # the last TB's delay is the switch gap plus its wait for the
         # feedback of every earlier TB (or bundle group)
-        pad = max(0, params.dd2a_min - (plan.delays[-1] - params.n_switch))
+        pad = max(0, params.dd2a_min - (plan[-1] - params.n_switch))
         start = n_grants * p + params.n_dg2d
         placed_acks = set()
         for j, r in enumerate(params.pdsch_reps, 1):
             claims.append((start, r, SlotUse(Activity.RX_PDSCH, j, j)))
             data_end = start + r - 1
-            realized = plan.delays[j - 1] + pad
+            realized = plan[j - 1] + pad
             if realized < params.dd2a_min:
                 raise MinDelayViolationError(
                     f"TB {j} data-to-feedback delay {realized} < minimum {params.dd2a_min}"
@@ -310,7 +308,7 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
             # cycle keeps the same clock, idling where those grants would
             # sit, so the anchor is the same in both modes
             anchor = j * p - 1
-            realized = plan.delays[j - 1] + pad
+            realized = plan[j - 1] + pad
             if realized < params.ug2d_min:
                 raise MinDelayViolationError(
                     f"TB {j} grant-to-data delay {realized} < minimum {params.ug2d_min}"
@@ -387,10 +385,11 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
                 grant_end[tb] = stop - 1
 
     for j in sorted(data_end):
+        group = (j - 1) // params.n_bundle
         if j in ack_start:
             ack = ack_start[j]
-        elif (j - 1) // params.n_bundle < len(ack_runs):
-            ack = ack_runs[(j - 1) // params.n_bundle][0]
+        elif group < len(ack_runs):
+            ack = ack_runs[group][0]
         else:
             continue
         if ack - data_end[j] - 1 < params.dd2a_min:
@@ -472,7 +471,7 @@ def monte_carlo_goodput(
     n_cycles: int,
     seed: int,
     tbs_bits: int,
-    t_tb_s: float = 0.001,
+    t_tb_s: float = SF_SECONDS,
 ) -> GoodputResult:
     """Run ``n_cycles`` of the variable-delay schedule with per-attempt
     error probabilities.

@@ -64,6 +64,24 @@ def test_run_bad_key_exit_code(tmp_path, ltem_copy):
     assert run_cli("run", ltem_copy) == 3
 
 
+def test_run_non_finite_value_exit_code(ltem_copy, capsys):
+    ltem_copy.write_text(ltem_copy.read_text() + "geometry.altitude_km = nan\n")
+    assert run_cli("run", ltem_copy) == 3
+    assert "geometry.altitude_km" in capsys.readouterr().err
+
+
+def test_run_min_delay_violation_exit_code(tmp_path, capsys):
+    # 4 data SFs per TB at zenith against 8 grant SFs: the pad lifts TB 1's
+    # grant-to-data delay to the minimum but leaves TB 2's at 4 + 2 < 8
+    config = tmp_path / "short_delay.cfg"
+    config.write_text(
+        "protocol = nb-iot\nprotocol.extended_harq = true\n"
+        "geometry.service_elevation_deg = 90\ncycle.rep_pdcch = 8\n"
+    )
+    assert run_cli("run", config) == 2
+    assert "infeasible: TB 2 grant-to-data delay 6 < minimum 8" in capsys.readouterr().err
+
+
 def test_sweep_rows_and_determinism(tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = [

@@ -256,8 +256,8 @@ def test_delay_plan_dispatch_and_floor():
         Direction.DL,
     )
     for plan in (dl, ul, bundled):
-        assert len(plan.delays) == 3
-        assert all(d >= 2 for d in plan.delays)  # every delay swallows the switch gap
+        assert len(plan) == 3
+        assert all(d >= 2 for d in plan)  # every delay swallows the switch gap
     with pytest.raises(InvalidInputError):
         delay_plan(CycleParams(n_tbphc=2, ack_bundling=True), Direction.UL)
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ntn_harq.errors import ConfigError, InfeasibleLinkError
@@ -123,6 +125,27 @@ def test_mapping_rejects_bad_values():
         config_from_mapping({"protocol": "lora"})
     with pytest.raises(ConfigError):
         config_from_mapping({"geometry.altitude_km": "-5"})
+    # caught when parsed, by an error that names the key
+    for key, value in [
+        ("geometry.altitude_km", "nan"),
+        ("geometry.service_elevation_deg", "NaN"),
+        ("link.bandwidth_hz", "nan"),
+        ("link.eirp_dbm", "inf"),
+        ("link.loss_shadow_db", "-inf"),
+        ("target_bler", "nan"),
+        ("target_bler", "2"),
+        ("target_bler", "0"),
+        ("cycle.n_tbphc", "0"),
+        ("cycle.n_bundle", "0"),
+        ("monte_carlo.n_cycles", "-1"),
+        ("monte_carlo.bler_per_attempt", "0.1,1.5"),
+        ("monte_carlo.bler_per_attempt", "-0.1"),
+        ("monte_carlo.bler_per_attempt", "0.1,nan"),
+        ("cycle.grant_mode", "sometimes"),
+        ("cycle.ack_bundling", "maybe"),
+    ]:
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            config_from_mapping({key: value})
 
 
 def test_legacy_multi_tb_rejected_at_run(table):
@@ -153,6 +176,20 @@ def test_update_config_file(tmp_path):
     assert config.n_a2g == 2
     # untouched keys survive
     assert config.mode is SchedulingMode.PROPOSED_VARIABLE
+
+
+def test_update_config_file_failed_replace_keeps_profile(tmp_path, monkeypatch):
+    path = tmp_path / "case.cfg"
+    path.write_text("mode = proposed\ncycle.rep_pdcch = 1\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        update_config_file(path, {"cycle.rep_pdcch": "5"})
+    assert path.read_text() == "mode = proposed\ncycle.rep_pdcch = 1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["case.cfg"]  # no temp file left
 
 
 # --- sweep ------------------------------------------------------------------
