@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .errors import CurveNotFoundError, InfeasibleLinkError, InvalidInputError
 
@@ -123,18 +123,19 @@ def _validate_cross_rep(table: BlerTable) -> None:
                     )
 
 
-def load_bler_table(source: str | Path | TextIO | Iterable[str]) -> BlerTable:
+def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
     """Parse a ``tbs,n_rep,snr_db,bler`` CSV into a validated BlerTable.
 
-    ``source`` may be a path, an open file, or an iterable of lines.
-    Lines starting with ``#`` and blank lines are ignored.
+    ``source`` may be the path of a UTF-8 file, or an iterable of lines
+    such as an open file.  Lines starting with ``#`` and blank lines are
+    ignored.
     """
+    lines = source
     if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text().splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = source
+        try:
+            lines = Path(source).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{source} is not UTF-8 text ({exc})") from None
     rows: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
@@ -148,6 +149,8 @@ def load_bler_table(source: str | Path | TextIO | Iterable[str]) -> BlerTable:
             snr, bler = float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise InvalidInputError(f"line {lineno}: {exc}") from None
+        if not (math.isfinite(snr) and math.isfinite(bler)):
+            raise InvalidInputError(f"line {lineno}: SNR and BLER must be finite, got {line!r}")
         rows.setdefault((tbs, n_rep), []).append((snr, bler))
     curves = {}
     for (tbs, n_rep), points in rows.items():

@@ -30,7 +30,7 @@ from .scenario import (
     ScenarioConfig,
     calibrate,
     load_config,
-    parse_config_text,
+    read_config,
     resolve,
     results_to_csv,
     run_scenario,
@@ -194,7 +194,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    raw = parse_config_text(Path(args.config).read_text())
+    raw = read_config(args.config)
     axes = []
     for spec in args.axis or []:
         if "=" not in spec:
@@ -245,34 +245,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="HARQ scheduling and throughput analysis for IoT links over LEO satellites",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("config")
+    inputs.add_argument("--bler-table")
+    outputs = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    outputs.add_argument("--out")
 
-    run_p = sub.add_parser("run", help="run one scenario and emit a CSV row")
-    run_p.add_argument("config")
-    run_p.add_argument("--bler-table", default=None)
-    run_p.add_argument("--out", default=None)
+    run_p = sub.add_parser("run", parents=[outputs], help="run one scenario and emit a CSV row")
     run_p.set_defaults(func=_cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="run a parameter sweep and emit CSV")
-    sweep_p.add_argument("config")
+    sweep_p = sub.add_parser("sweep", parents=[outputs], help="run a parameter sweep and emit CSV")
     sweep_p.add_argument("--axis", action="append", metavar="KEY=V1,V2,...")
-    sweep_p.add_argument("--bler-table", default=None)
-    sweep_p.add_argument("--out", default=None)
     sweep_p.set_defaults(func=_cmd_sweep)
 
-    tl_p = sub.add_parser("timeline", help="render one cycle as text or SVG")
-    tl_p.add_argument("config")
+    tl_p = sub.add_parser("timeline", parents=[outputs], help="render one cycle as text or SVG")
     tl_p.add_argument("--perspective", choices=("ue", "bs"), default="ue")
     tl_p.add_argument("--format", choices=("text", "svg", "csv"), default="text")
-    tl_p.add_argument("--bler-table", default=None)
-    tl_p.add_argument("--out", default=None)
     tl_p.set_defaults(func=_cmd_timeline)
 
     cal_p = sub.add_parser(
         "calibrate",
+        parents=[inputs],
         help="fit rep_pdcch and n_a2g to the protocol's reference gain and store them",
     )
-    cal_p.add_argument("config")
-    cal_p.add_argument("--bler-table", default=None)
     cal_p.add_argument("--dry-run", action="store_true", help="print the pair without rewriting the config")
     cal_p.set_defaults(func=_cmd_calibrate)
     return parser
@@ -286,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleLinkError, MinDelayViolationError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, InvalidInputError, FileNotFoundError) as exc:
+    except (ConfigError, InvalidInputError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CurveNotFoundError as exc:

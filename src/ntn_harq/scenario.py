@@ -10,8 +10,9 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from itertools import product
 from math import isfinite
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
@@ -87,7 +88,6 @@ class ScenarioConfig:
     geometry: OrbitGeometry
     link: LinkBudgetParams
     protocol: ProtocolProfile
-    extended_harq: bool
     tbs_bits: int
     target_bler: float
     direction: Direction
@@ -155,19 +155,24 @@ def _int_or(word: str) -> Callable[[str], int | None]:
     return lambda text: None if text.lower() == word else int(text)
 
 
+# (rule, check) pairs; None ("auto", "protocol") passes the integer rules
+_AT_LEAST_0 = ("must be >= 0", lambda v: v is None or v >= 0)
+_AT_LEAST_1 = ("must be >= 1", lambda v: v is None or v >= 1)
+_POSITIVE = ("must be > 0", lambda v: v > 0)
+
 # key -> (parser from the stripped text to the final value, default text,
 # (rule, check) on the parsed value or None).  Every float must also be
 # finite.  None from "auto" selects the TB count; None from "protocol"
 # takes the protocol's value.
 _SCHEMA: dict[str, tuple[Callable[[str], Any], str, tuple[str, Callable[[Any], bool]] | None]] = {
-    "geometry.altitude_km": (float, "600", None),
+    "geometry.altitude_km": (float, "600", ("must lie in (0, 35786] (GEO)", lambda v: 0 < v <= 35786)),
     "geometry.payload": (_one_of(Payload), "transparent", None),
     "geometry.service_elevation_deg": (float, "30", None),
     "geometry.feeder_elevation_deg": (float, "10", None),
     "link.eirp_dbm": (float, "23", None),
     "link.g_over_t_db": (float, "-4.9", None),
     "link.bandwidth_hz": (float, "180000", None),
-    "link.carrier_ghz": (float, "2", None),
+    "link.carrier_ghz": (float, "2", ("must lie in [0.1, 100]", lambda v: 0.1 <= v <= 100)),
     "link.loss_atm_db": (float, "0.07", None),
     "link.loss_shadow_db": (float, "3", None),
     "link.loss_scint_db": (float, "2.2", None),
@@ -178,21 +183,21 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str, tuple[str, Callable[[Any], b
     "target_bler": (float, "0.1", ("must lie in (0, 1]", lambda v: 0 < v <= 1)),
     "direction": (_one_of(Direction), "ul", None),
     "mode": (_one_of(SchedulingMode), "proposed", None),
-    "cycle.n_tbphc": (_int_or("auto"), "auto", ("must be >= 1", lambda v: v is None or v >= 1)),
-    "cycle.rep_pdcch": (int, "1", None),
-    "cycle.rep_pucch": (int, "1", None),
-    "cycle.n_dg2d": (int, "1", None),
-    "cycle.n_switch": (_int_or("protocol"), "protocol", None),
-    "cycle.dd2a_min": (_int_or("protocol"), "protocol", None),
-    "cycle.ug2d_min": (_int_or("protocol"), "protocol", None),
+    "cycle.n_tbphc": (_int_or("auto"), "auto", _AT_LEAST_1),
+    "cycle.rep_pdcch": (int, "1", _AT_LEAST_1),
+    "cycle.rep_pucch": (int, "1", _AT_LEAST_1),
+    "cycle.n_dg2d": (int, "1", _AT_LEAST_0),
+    "cycle.n_switch": (_int_or("protocol"), "protocol", _AT_LEAST_0),
+    "cycle.dd2a_min": (_int_or("protocol"), "protocol", _AT_LEAST_0),
+    "cycle.ug2d_min": (_int_or("protocol"), "protocol", _AT_LEAST_0),
     "cycle.grant_mode": (_one_of(GrantMode), "stbg", None),
     "cycle.ack_bundling": (_parse_bool, "false", None),
-    "cycle.n_bundle": (int, "1", ("must be >= 1", lambda v: v >= 1)),
-    "cycle.n_a2g": (int, "0", None),
+    "cycle.n_bundle": (int, "1", _AT_LEAST_1),
+    "cycle.n_a2g": (int, "0", _AT_LEAST_0),
     "cycle.max_harq": (_int_or("protocol"), "protocol", None),
-    "power.efficiency_mops_per_mw": (float, "144", None),
-    "power.op_rate_per_s": (float, str(DEFAULT_OP_RATE_PER_S), None),
-    "monte_carlo.n_cycles": (int, "0", ("must be >= 0", lambda v: v >= 0)),
+    "power.efficiency_mops_per_mw": (float, "144", _POSITIVE),
+    "power.op_rate_per_s": (float, str(DEFAULT_OP_RATE_PER_S), _POSITIVE),
+    "monte_carlo.n_cycles": (int, "0", _AT_LEAST_0),
     "monte_carlo.seed": (int, "1", None),
     "monte_carlo.bler_per_attempt": (
         _parse_float_list,
@@ -270,7 +275,6 @@ def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
         geometry=geometry,
         link=link,
         protocol=protocol,
-        extended_harq=extended,
         tbs_bits=values["tbs_bits"],
         target_bler=values["target_bler"],
         direction=values["direction"],
@@ -297,8 +301,17 @@ def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
     )
 
 
+def read_config(path: str | Path) -> dict[str, str]:
+    """The raw map of a config file, which must be UTF-8 text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc})") from None
+    return parse_config_text(text)
+
+
 def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> ScenarioConfig:
-    raw = parse_config_text(Path(path).read_text())
+    raw = read_config(path)
     if overrides:
         raw.update(overrides)
     return config_from_mapping(raw)
@@ -404,7 +417,6 @@ class ResolvedScenario(NamedTuple):
     rtt_ms: float
     snr_db: float
     n_rep: int
-    n_tbphc: int
     params: CycleParams
 
 
@@ -425,7 +437,7 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
         n_tbphc = config.n_tbphc or 1
     else:
         n_tbphc = select_tbphc(config, n_rep, rtt_ms)
-    return ResolvedScenario(rtt_ms, snr, n_rep, n_tbphc, build_cycle_params(config, n_rep, n_tbphc))
+    return ResolvedScenario(rtt_ms, snr, n_rep, build_cycle_params(config, n_rep, n_tbphc))
 
 
 @dataclass(frozen=True)
@@ -450,23 +462,7 @@ class ScenarioResult:
     goodput: GoodputResult | None = None
 
 
-CSV_COLUMNS = (
-    "scenario_id",
-    "altitude_km",
-    "payload",
-    "elevation_deg",
-    "rtt_ms",
-    "snr_db",
-    "tbs_bits",
-    "n_rep",
-    "mode",
-    "n_tbphc",
-    "n_harq_required",
-    "suf",
-    "throughput_bps",
-    "gain_pct",
-    "power_nw",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ScenarioResult) if f.name != "goodput")
 
 
 def _power_scheme(config: ScenarioConfig) -> str:
@@ -488,7 +484,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
             "legacy fixed-delay scheduling carries one TB per cycle; use the timeline "
             "command to inspect multi-TB attempts"
         )
-    rtt_ms, snr, n_rep, n_tbphc, params = resolve(config, table)
+    rtt_ms, snr, n_rep, params = resolve(config, table)
     suf = suf_closed_form(params, config.direction, config.mode)
     gain = 0.0
     if config.mode is SchedulingMode.PROPOSED_VARIABLE:
@@ -531,7 +527,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
         tbs_bits=config.tbs_bits,
         n_rep=n_rep,
         mode=config.mode.value,
-        n_tbphc=n_tbphc,
+        n_tbphc=params.n_tbphc,
         n_harq_required=required,
         suf=suf,
         throughput_bps=rate,
@@ -560,25 +556,17 @@ def sweep(
     table: BlerTable | None = None,
 ) -> list[ScenarioResult]:
     """Cartesian product over axis values, one result per combination in
-    row-major order of the given axes."""
+    row-major order of the given axes; a key on two axes takes the later
+    axis's value."""
     for key, _ in axes:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown sweep parameter {key!r}")
     table = table if table is not None else bler_mod.default_table()
-    results = []
-
-    def expand(prefix: dict[str, str], remaining: list[tuple[str, list[str]]]) -> None:
-        if not remaining:
-            raw = dict(base_raw)
-            raw.update(prefix)
-            results.append(run_scenario(config_from_mapping(raw), table))
-            return
-        key, options = remaining[0]
-        for option in options:
-            expand({**prefix, key: option}, remaining[1:])
-
-    expand({}, axes)
-    return results
+    keys = [key for key, _ in axes]
+    return [
+        run_scenario(config_from_mapping({**base_raw, **dict(zip(keys, values))}), table)
+        for values in product(*(options for _, options in axes))
+    ]
 
 
 # ---------------------------------------------------------------------------

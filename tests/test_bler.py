@@ -138,6 +138,19 @@ def test_loader_rejects_malformed_line():
         make_table(["a,b,c,d"])
 
 
+@pytest.mark.parametrize("row", ["504,1,nan,0.5", "504,1,-inf,0.5", "504,1,-6,nan", "504,1,inf,inf"])
+def test_loader_rejects_non_finite_values(row):
+    with pytest.raises(InvalidInputError, match="line 3: SNR and BLER must be finite"):
+        make_table(["# tbs,n_rep,snr_db,bler", "504,1,-8,0.9", row])
+
+
+def test_loader_reads_an_open_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("100,1,-6,0.2\n100,1,-4,0.02\n")
+    with path.open() as f:
+        assert load_bler_table(f) == load_bler_table(path)
+
+
 def test_loader_accepts_comments_and_blanks():
     table = make_table(["# comment", "", "100,1,-6,0.2", "100,1,-4,0.02"])
     assert table.reps_for(100) == [1]

@@ -7,6 +7,7 @@ from ntn_harq.cli import main
 
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 LTEM = PROFILES / "leo600_ltem_ul.cfg"
+PACKAGED_TABLE = Path(__file__).resolve().parent.parent / "src" / "ntn_harq" / "data" / "bler_pusch_ntn_tdla.csv"
 
 
 @pytest.fixture
@@ -52,6 +53,56 @@ def test_run_with_monte_carlo(tmp_path, ltem_copy):
 
 def test_run_missing_file_is_config_error(tmp_path):
     assert run_cli("run", tmp_path / "nope.cfg") == 3
+
+
+@pytest.mark.parametrize("key, value", [
+    ("geometry.altitude_km", "1e300"),
+    ("link.carrier_ghz", "1e300"),
+    ("link.carrier_ghz", "1e-300"),
+    ("cycle.n_a2g", "-1"),
+    ("cycle.rep_pdcch", "0"),
+])
+def test_run_out_of_range_value_names_key(ltem_copy, capsys, key, value):
+    ltem_copy.write_text(ltem_copy.read_text() + f"{key} = {value}\n")
+    assert run_cli("run", ltem_copy) == 3
+    assert f"config error: bad value for {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, kind", [
+    (None, "directory"),
+    (None, "latin-1"),
+    ("--bler-table", "directory"),
+    ("--bler-table", "latin-1"),
+    ("--out", "directory"),
+])
+def test_unreadable_path_is_config_error(tmp_path, capsys, flag, kind):
+    bad = tmp_path
+    if kind == "latin-1":
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("# caf\xe9\n".encode("latin-1"))
+    assert run_cli(*(["run", bad] if flag is None else ["run", LTEM, flag, bad])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--axis", "geometry.altitude_km=600,1200"],
+    ["timeline", "--format", "svg"],
+    ["calibrate", "--dry-run"],
+], ids=lambda command: command[0])
+def test_bler_table_option(tmp_path, ltem_copy, capsys, command):
+    name, *flags = command
+    copy = tmp_path / "copy.csv"
+    shutil.copy(PACKAGED_TABLE, copy)
+    assert run_cli(name, ltem_copy, *flags) == 0
+    default = capsys.readouterr().out
+    assert run_cli(name, ltem_copy, *flags, "--bler-table", copy) == 0
+    assert capsys.readouterr().out == default
+    nan_table = tmp_path / "nan.csv"
+    nan_table.write_text(PACKAGED_TABLE.read_text() + "504,1,nan,0.5\n")
+    assert run_cli(name, ltem_copy, *flags, "--bler-table", nan_table) == 3
+    assert "SNR and BLER must be finite" in capsys.readouterr().err
 
 
 def test_run_infeasible_link_exit_code(tmp_path, ltem_copy):

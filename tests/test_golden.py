@@ -1,8 +1,9 @@
 """Byte-identity of CLI outputs against copies recorded in ``tests/golden/``.
 
-The copies pin the ``run`` CSV of every shipped profile, every timeline
-format and view of a large auto-sized downlink cycle, and a legacy
-multi-TB attempt with its conflict annotations.  Regenerate them only
+The copies pin the ``run`` CSV of every shipped profile, the ``sweep`` CSV
+over three axes, over a key repeated across two axes and with no axis,
+every timeline format and view of a large auto-sized downlink cycle, and a
+legacy multi-TB attempt with its conflict annotations.  Regenerate them only
 when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -26,13 +27,33 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 LARGE_DL = {"cycle.n_tbphc": "auto", "cycle.max_harq": "1024"}
 # twelve repetitions against the 3-SF fixed delay double-book every TB
 LEGACY_DL = {"mode": "legacy", "cycle.n_tbphc": "8"}
+SWEEPS = {
+    "three_axes": (
+        "leo600_ltem_ul",
+        ["geometry.altitude_km=600,1200", "direction=ul,dl", "cycle.rep_pdcch=1,2,4"],
+    ),
+    # the later axis of a repeated key sets its value
+    "repeated_key": (
+        "leo600_ltem_ul",
+        ["cycle.rep_pdcch=1,2", "geometry.service_elevation_deg=30,60", "cycle.rep_pdcch=3,4"],
+    ),
+    "no_axes": ("leo1200_nbiot_ul", []),
+}
+
+
+def _cli(*args: str) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(args)) == 0
+    return out.getvalue()
 
 
 def _run_csv(profile: str) -> str:
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main(["run", str(PROFILES / f"{profile}.cfg")]) == 0
-    return out.getvalue()
+    return _cli("run", str(PROFILES / f"{profile}.cfg"))
+
+
+def _sweep_csv(profile: str, axes: list[str]) -> str:
+    return _cli("sweep", str(PROFILES / f"{profile}.cfg"), *(f"--axis={a}" for a in axes))
 
 
 def _timeline(overrides: dict[str, str], view: str, fmt: str) -> str:
@@ -44,6 +65,7 @@ def _timeline(overrides: dict[str, str], view: str, fmt: str) -> str:
 
 CASES = {
     **{f"run.{p.stem}.csv": (_run_csv, p.stem) for p in sorted(PROFILES.glob("*.cfg"))},
+    **{f"sweep.{label}.csv": (_sweep_csv, *args) for label, args in SWEEPS.items()},
     **{
         f"timeline.{label}.{view}.{fmt}": (_timeline, overrides, view, fmt)
         for label, overrides in (("large_dl", LARGE_DL), ("legacy_dl", LEGACY_DL))

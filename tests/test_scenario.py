@@ -143,9 +143,41 @@ def test_mapping_rejects_bad_values():
         ("monte_carlo.bler_per_attempt", "0.1,nan"),
         ("cycle.grant_mode", "sometimes"),
         ("cycle.ack_bundling", "maybe"),
+        ("cycle.rep_pdcch", "0"),
+        ("cycle.rep_pucch", "0"),
+        ("cycle.n_dg2d", "-1"),
+        ("cycle.n_switch", "-1"),
+        ("cycle.dd2a_min", "-1"),
+        ("cycle.ug2d_min", "-1"),
+        ("cycle.n_a2g", "-1"),
+        ("power.efficiency_mops_per_mw", "0"),
+        ("power.op_rate_per_s", "-1000"),
+        ("geometry.altitude_km", "0"),
+        ("geometry.altitude_km", "35787"),
+        ("geometry.altitude_km", "1e300"),
+        ("link.carrier_ghz", "0.09"),
+        ("link.carrier_ghz", "101"),
+        ("link.carrier_ghz", "1e300"),
+        ("link.carrier_ghz", "1e-300"),
     ]:
         with pytest.raises(ConfigError, match=f"bad value for {key}"):
             config_from_mapping({key: value})
+
+
+def test_mapping_accepts_range_edges():
+    config = config_from_mapping({
+        "geometry.altitude_km": "35786",
+        "link.carrier_ghz": "100",
+        "cycle.n_dg2d": "0",
+        "cycle.n_a2g": "0",
+        "cycle.n_switch": "protocol",
+        "cycle.dd2a_min": "0",
+        "cycle.ug2d_min": "protocol",
+    })
+    assert (config.geometry.altitude_km, config.link.carrier_ghz) == (35786, 100)
+    assert (config.n_dg2d, config.n_a2g, config.dd2a_min) == (0, 0, 0)
+    assert (config.n_switch, config.ug2d_min) == (1, 3)  # the LTE-M values
+    assert config_from_mapping({"link.carrier_ghz": "0.1"}).link.carrier_ghz == 0.1
 
 
 def test_legacy_multi_tb_rejected_at_run(table):
