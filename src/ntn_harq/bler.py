@@ -17,35 +17,28 @@ from typing import Iterable
 from .errors import CurveNotFoundError, InfeasibleLinkError, InvalidInputError
 
 DEFAULT_TABLE_RESOURCE = "bler_pusch_ntn_tdla.csv"
-
-
-@dataclass(frozen=True)
-class BlerCurve:
-    """One BLER-vs-SNR waterfall for a fixed (TBS, repetitions) pair."""
-
-    tbs: int
-    n_rep: int
-    points: tuple[tuple[float, float], ...]  # (snr_db, bler), ascending snr
+Points = tuple[tuple[float, float], ...]  # (snr_db, bler), ascending snr
 
 
 @dataclass(frozen=True)
 class BlerTable:
-    """Immutable set of BLER curves keyed by (TBS, repetitions)."""
+    """Immutable set of BLER curves: TBS -> repetition count, ascending ->
+    the curve's points."""
 
-    curves: dict[tuple[int, int], BlerCurve]
+    curves: dict[int, dict[int, Points]]
 
     def reps_for(self, tbs: int) -> list[int]:
         """Available repetition counts for a TBS, ascending."""
-        return sorted(n for (t, n) in self.curves if t == tbs)
+        return list(self.curves.get(tbs, ()))
 
-    def curve(self, tbs: int, n_rep: int) -> BlerCurve:
+    def curve(self, tbs: int, n_rep: int) -> Points:
         try:
-            return self.curves[(tbs, n_rep)]
+            return self.curves[tbs][n_rep]
         except KeyError:
             raise CurveNotFoundError(f"no BLER curve for tbs={tbs}, n_rep={n_rep}") from None
 
 
-def _interp_log(points: tuple[tuple[float, float], ...], snr: float) -> float:
+def _interp_log(points: Points, snr: float) -> float:
     if snr <= points[0][0]:
         return points[0][1]
     if snr >= points[-1][0]:
@@ -59,7 +52,7 @@ def _interp_log(points: tuple[tuple[float, float], ...], snr: float) -> float:
 
 def bler_at(table: BlerTable, tbs: int, n_rep: int, snr: float) -> float:
     """Interpolated BLER for one curve, clamped outside the tabulated range."""
-    return _interp_log(table.curve(tbs, n_rep).points, snr)
+    return _interp_log(table.curve(tbs, n_rep), snr)
 
 
 def select_repetitions(table: BlerTable, tbs: int, snr: float, target_bler: float) -> int:
@@ -86,40 +79,35 @@ def spectral_efficiency(tbs: int, n_rep: int) -> float:
     return tbs / n_rep
 
 
-def _validate_curve(curve: BlerCurve) -> None:
-    if len(curve.points) < 1:
-        raise InvalidInputError(f"empty curve for tbs={curve.tbs}, n_rep={curve.n_rep}")
-    snrs = [s for s, _ in curve.points]
-    blers = [b for _, b in curve.points]
+def _validate_curve(tbs: int, n_rep: int, points: Points) -> None:
+    snrs = [s for s, _ in points]
+    blers = [b for _, b in points]
     if any(s1 <= s0 for s0, s1 in zip(snrs, snrs[1:])):
         raise InvalidInputError(
-            f"SNR points must strictly increase (tbs={curve.tbs}, n_rep={curve.n_rep})"
+            f"SNR points must strictly increase (tbs={tbs}, n_rep={n_rep})"
         )
     if any(not 0.0 < b <= 1.0 for b in blers):
         raise InvalidInputError(
-            f"BLER values must lie in (0, 1] (tbs={curve.tbs}, n_rep={curve.n_rep})"
+            f"BLER values must lie in (0, 1] (tbs={tbs}, n_rep={n_rep})"
         )
     if any(b1 > b0 for b0, b1 in zip(blers, blers[1:])):
         raise InvalidInputError(
-            f"BLER must be non-increasing in SNR (tbs={curve.tbs}, n_rep={curve.n_rep})"
+            f"BLER must be non-increasing in SNR (tbs={tbs}, n_rep={n_rep})"
         )
 
 
 def _validate_cross_rep(table: BlerTable) -> None:
     # More redundancy must never raise the BLER.  Piecewise log-linear
     # curves only need checking at the union of their breakpoints.
-    by_tbs: dict[int, list[BlerCurve]] = {}
-    for curve in table.curves.values():
-        by_tbs.setdefault(curve.tbs, []).append(curve)
-    for tbs, curves in by_tbs.items():
-        curves.sort(key=lambda c: c.n_rep)
-        for low, high in zip(curves, curves[1:]):
-            grid = sorted({s for s, _ in low.points} | {s for s, _ in high.points})
+    for tbs, by_rep in table.curves.items():
+        curves = list(by_rep.items())
+        for (n_low, low), (n_high, high) in zip(curves, curves[1:]):
+            grid = sorted({s for s, _ in low} | {s for s, _ in high})
             for snr in grid:
-                if _interp_log(high.points, snr) > _interp_log(low.points, snr) + 1e-12:
+                if _interp_log(high, snr) > _interp_log(low, snr) + 1e-12:
                     raise InvalidInputError(
                         f"BLER not non-increasing in n_rep at tbs={tbs}, snr={snr} "
-                        f"(n_rep {low.n_rep} -> {high.n_rep})"
+                        f"(n_rep {n_low} -> {n_high})"
                     )
 
 
@@ -130,14 +118,17 @@ def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
     such as an open file.  Lines starting with ``#`` and blank lines are
     ignored.
     """
-    lines = source
     if isinstance(source, (str, Path)):
         try:
             lines = Path(source).read_text(encoding="utf-8").splitlines()
         except UnicodeDecodeError as exc:
             raise InvalidInputError(f"{source} is not UTF-8 text ({exc})") from None
-    rows: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for lineno, raw in enumerate(lines, 1):
+        try:
+            return load_bler_table(lines)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{source}: {exc}") from None
+    rows: dict[int, dict[int, list[tuple[float, float]]]] = {}
+    for lineno, raw in enumerate(source, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -151,12 +142,14 @@ def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
             raise InvalidInputError(f"line {lineno}: {exc}") from None
         if not (math.isfinite(snr) and math.isfinite(bler)):
             raise InvalidInputError(f"line {lineno}: SNR and BLER must be finite, got {line!r}")
-        rows.setdefault((tbs, n_rep), []).append((snr, bler))
-    curves = {}
-    for (tbs, n_rep), points in rows.items():
-        curve = BlerCurve(tbs=tbs, n_rep=n_rep, points=tuple(sorted(points)))
-        _validate_curve(curve)
-        curves[(tbs, n_rep)] = curve
+        rows.setdefault(tbs, {}).setdefault(n_rep, []).append((snr, bler))
+    curves = {
+        tbs: {n_rep: tuple(sorted(by_rep[n_rep])) for n_rep in sorted(by_rep)}
+        for tbs, by_rep in rows.items()
+    }
+    for tbs, by_rep in curves.items():
+        for n_rep, points in by_rep.items():
+            _validate_curve(tbs, n_rep, points)
     table = BlerTable(curves=curves)
     _validate_cross_rep(table)
     return table

@@ -52,11 +52,11 @@ EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 
 _CHANNEL_ROWS = (
-    ("PDCCH", Activity.RX_PDCCH),
-    ("PDSCH", Activity.RX_PDSCH),
-    ("PUCCH", Activity.TX_PUCCH),
-    ("PUSCH", Activity.TX_PUSCH),
-    ("switch", Activity.SWITCH),
+    ("PDCCH", Activity.RX_PDCCH, "#4c78a8"),
+    ("PDSCH", Activity.RX_PDSCH, "#72b7b2"),
+    ("PUCCH", Activity.TX_PUCCH, "#f58518"),
+    ("PUSCH", Activity.TX_PUSCH, "#e45756"),
+    ("switch", Activity.SWITCH, "#b0b0b0"),
 )
 
 
@@ -82,7 +82,7 @@ def render_timeline_text(timeline: SubframeTimeline, conflicts: ConflictReport |
     n = len(timeline)
     header = "sf".ljust(8) + (f"%{width}d" * n) % tuple(range(timeline.origin, timeline.origin + n))
     rows = []
-    for label, activity in _CHANNEL_ROWS:
+    for label, activity, _ in _CHANNEL_ROWS:
         cells = []
         for first, stop, uses in timeline.segments:
             mark = ""
@@ -105,30 +105,23 @@ def render_timeline_svg(timeline: SubframeTimeline, conflicts: ConflictReport | 
     cell_w, cell_h, left, top = 18, 22, 70, 24
     width = left + len(timeline) * cell_w + 10
     height = top + len(_CHANNEL_ROWS) * cell_h + 40
-    fills = {
-        Activity.RX_PDCCH: "#4c78a8",
-        Activity.RX_PDSCH: "#72b7b2",
-        Activity.TX_PUCCH: "#f58518",
-        Activity.TX_PUSCH: "#e45756",
-        Activity.SWITCH: "#b0b0b0",
-    }
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="10">'
     ]
-    for row, (label, _) in enumerate(_CHANNEL_ROWS):
+    for row, (label, _, _) in enumerate(_CHANNEL_ROWS):
         y = top + row * cell_h
         parts.append(f'<text x="4" y="{y + 14}">{label}</text>')
     label = f'" y="{top - 8}">'
     for first, stop, uses in timeline.segments:
         # markup of each cell in this run's columns, after its x attribute
         cells = []
-        for row, (_, activity) in enumerate(_CHANNEL_ROWS):
+        for row, (_, activity, fill) in enumerate(_CHANNEL_ROWS):
             y = top + row * cell_h
             for use in uses:
                 if use.activity is activity:
                     cells.append((
-                        f'" y="{y}" width="{cell_w - 1}" height="{cell_h - 1}" fill="{fills[activity]}"/>',
+                        f'" y="{y}" width="{cell_w - 1}" height="{cell_h - 1}" fill="{fill}"/>',
                         None if use.tb_index is None else f'" y="{y + 14}" fill="white">{use.tb_index}</text>',
                     ))
         for i in range(first, stop):

@@ -109,11 +109,6 @@ def required_harq_count(rtt_ms: float, t_tb_ms: float, rep_data: int) -> int:
     return math.ceil(rtt_ms / (rep_data * t_tb_ms))
 
 
-def _check_position(params: CycleParams, j: int) -> None:
-    if not 1 <= j <= params.n_tbphc:
-        raise InvalidInputError(f"TB position {j} outside [1, {params.n_tbphc}]")
-
-
 def feedback_wait(n_before: int, n_bundle: int, rep_pucch: int) -> int:
     """Feedback subframes sent ahead of a DL TB's own: one block for each
     of the ``n_before`` earlier TBs, or for each earlier group of
@@ -121,57 +116,31 @@ def feedback_wait(n_before: int, n_bundle: int, rep_pucch: int) -> int:
     return n_before // n_bundle * rep_pucch
 
 
-def _dl_delays(params: CycleParams, n_bundle: int) -> tuple[int, ...]:
-    """Every DL TB's data-to-feedback delay with ``n_bundle`` TBs per
-    feedback block (1 when unbundled), in one pass."""
-    remaining = sum(params.pdsch_reps)
+def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
+    """Every TB's variable delay in one cycle, in transmission order.
+
+    DL data-to-feedback (DD2A) of TB j: the data blocks of the later TBs,
+    plus the feedback of the earlier TBs, plus the switching gap.  Bundled
+    DD2A (``ack_bundling``) counts one feedback block per earlier group of
+    ``n_bundle`` TBs.  UL grant-to-data (UG2D) of TB j: the grant blocks
+    of the later TBs, plus the data of the earlier TBs, plus the switching
+    gap.
+    """
     delays = []
-    for before, r in enumerate(params.pdsch_reps):
-        remaining -= r
-        delays.append(remaining + feedback_wait(before, n_bundle, params.rep_pucch) + params.n_switch)
-    return tuple(delays)
-
-
-def _ul_delays(params: CycleParams) -> tuple[int, ...]:
-    """Every UL TB's grant-to-data delay, in one pass."""
+    if direction is Direction.DL:
+        n_bundle = params.n_bundle if params.ack_bundling else 1
+        remaining = sum(params.pdsch_reps)
+        for before, r in enumerate(params.pdsch_reps):
+            remaining -= r
+            delays.append(remaining + feedback_wait(before, n_bundle, params.rep_pucch) + params.n_switch)
+        return tuple(delays)
+    if params.ack_bundling:
+        raise InvalidInputError("feedback bundling applies to downlink cycles only")
     earlier = 0
-    delays = []
     for j, r in enumerate(params.pusch_reps, 1):
         delays.append((params.n_tbphc - j) * params.rep_pdcch + earlier + params.n_switch)
         earlier += r
     return tuple(delays)
-
-
-def dd2a_variable(params: CycleParams, j: int) -> int:
-    """Data-to-feedback delay of the j-th DL TB: remaining data blocks,
-    plus the feedback of all earlier TBs, plus the switching gap."""
-    _check_position(params, j)
-    return _dl_delays(params, 1)[j - 1]
-
-
-def ug2d_variable(params: CycleParams, j: int) -> int:
-    """Grant-to-data delay of the j-th UL TB: remaining grant blocks,
-    plus all earlier TBs' data, plus the switching gap."""
-    _check_position(params, j)
-    return _ul_delays(params)[j - 1]
-
-
-def dd2a_bundled(params: CycleParams, j: int) -> int:
-    """DL data-to-feedback delay when feedback is bundled: earlier TBs
-    contribute one feedback block per bundle group instead of one each."""
-    _check_position(params, j)
-    return _dl_delays(params, params.n_bundle)[j - 1]
-
-
-def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
-    """All per-TB delays for one cycle under the configured scheme
-    (data-to-feedback in the DL, grant-to-data in the UL), indexed by
-    transmission order."""
-    if direction is Direction.DL:
-        return _dl_delays(params, params.n_bundle if params.ack_bundling else 1)
-    if params.ack_bundling:
-        raise InvalidInputError("feedback bundling applies to downlink cycles only")
-    return _ul_delays(params)
 
 
 def harq_for_tbphc(params: CycleParams, rtt_ms: float, t_tb_ms: float, ack_proc_sf: int) -> int:

@@ -89,8 +89,6 @@ def cycle_length_closed_form(
                 + sw
             )
         return p + params.pusch_reps[0] + params.ug2d_min + sw
-    if mode is not SchedulingMode.PROPOSED_VARIABLE:
-        raise InvalidInputError(f"unknown scheduling mode: {mode}")
     if direction is Direction.DL:
         data = sum(params.pdsch_reps)
         grants = p if params.grant_mode is GrantMode.MTBG else n * p

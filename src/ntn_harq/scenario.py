@@ -19,8 +19,8 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
-from .errors import ConfigError, InvalidInputError
-from .geometry import OrbitGeometry, Payload, round_trip_time, slant_range
+from .errors import ConfigError
+from .geometry import MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, OrbitGeometry, Payload, round_trip_time, slant_range
 from .harq import SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, harq_for_tbphc
 from .linkbudget import LinkBudgetParams, snr_db
 from .metrics import (
@@ -36,6 +36,7 @@ from .metrics import (
 from .scheduler import GoodputResult, build_proposed_cycle, monte_carlo_goodput
 
 MAX_AUTO_TBPHC = 512
+MAX_SUBFRAMES = 100_000  # bound on each cycle.* subframe count, far from int-to-float overflow
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,13 @@ def _int_or(word: str) -> Callable[[str], int | None]:
     return lambda text: None if text.lower() == word else int(text)
 
 
+def _between(low: float, high: float) -> tuple[str, Callable[[Any], bool]]:
+    """The (rule, check) pair of the closed range [low, high]."""
+    return (f"must lie in [{low:g}, {high:g}]", lambda v: v is None or low <= v <= high)
+
+
 # (rule, check) pairs; None ("auto", "protocol") passes the integer rules
-_AT_LEAST_0 = ("must be >= 0", lambda v: v is None or v >= 0)
+_AT_LEAST_0 = ("must be >= 0", lambda v: v >= 0)
 _AT_LEAST_1 = ("must be >= 1", lambda v: v is None or v >= 1)
 _POSITIVE = ("must be > 0", lambda v: v > 0)
 
@@ -167,34 +173,36 @@ _POSITIVE = ("must be > 0", lambda v: v > 0)
 _SCHEMA: dict[str, tuple[Callable[[str], Any], str, tuple[str, Callable[[Any], bool]] | None]] = {
     "geometry.altitude_km": (float, "600", ("must lie in (0, 35786] (GEO)", lambda v: 0 < v <= 35786)),
     "geometry.payload": (_one_of(Payload), "transparent", None),
-    "geometry.service_elevation_deg": (float, "30", None),
-    "geometry.feeder_elevation_deg": (float, "10", None),
+    "geometry.service_elevation_deg": (float, "30", _between(MIN_ELEVATION_DEG, MAX_ELEVATION_DEG)),
+    "geometry.feeder_elevation_deg": (float, "10", _between(MIN_ELEVATION_DEG, MAX_ELEVATION_DEG)),
     "link.eirp_dbm": (float, "23", None),
     "link.g_over_t_db": (float, "-4.9", None),
-    "link.bandwidth_hz": (float, "180000", None),
-    "link.carrier_ghz": (float, "2", ("must lie in [0.1, 100]", lambda v: 0.1 <= v <= 100)),
-    "link.loss_atm_db": (float, "0.07", None),
-    "link.loss_shadow_db": (float, "3", None),
-    "link.loss_scint_db": (float, "2.2", None),
-    "link.loss_polar_db": (float, "0", None),
+    "link.bandwidth_hz": (float, "180000", _POSITIVE),
+    "link.carrier_ghz": (float, "2", _between(0.1, 100)),
+    "link.loss_atm_db": (float, "0.07", _AT_LEAST_0),
+    "link.loss_shadow_db": (float, "3", _AT_LEAST_0),
+    "link.loss_scint_db": (float, "2.2", _AT_LEAST_0),
+    "link.loss_polar_db": (float, "0", _AT_LEAST_0),
     "protocol": (_one_of(PROTOCOLS), "lte-m", None),
     "protocol.extended_harq": (_parse_bool, "false", None),
     "tbs_bits": (int, "504", None),
     "target_bler": (float, "0.1", ("must lie in (0, 1]", lambda v: 0 < v <= 1)),
     "direction": (_one_of(Direction), "ul", None),
     "mode": (_one_of(SchedulingMode), "proposed", None),
-    "cycle.n_tbphc": (_int_or("auto"), "auto", _AT_LEAST_1),
-    "cycle.rep_pdcch": (int, "1", _AT_LEAST_1),
-    "cycle.rep_pucch": (int, "1", _AT_LEAST_1),
-    "cycle.n_dg2d": (int, "1", _AT_LEAST_0),
-    "cycle.n_switch": (_int_or("protocol"), "protocol", _AT_LEAST_0),
-    "cycle.dd2a_min": (_int_or("protocol"), "protocol", _AT_LEAST_0),
-    "cycle.ug2d_min": (_int_or("protocol"), "protocol", _AT_LEAST_0),
+    # an explicit count shares the auto count's cap: each CycleParams holds
+    # n-entry repetition tuples, so cost grows with n before any check runs
+    "cycle.n_tbphc": (_int_or("auto"), "auto", _between(1, MAX_AUTO_TBPHC)),
+    "cycle.rep_pdcch": (int, "1", _between(1, MAX_SUBFRAMES)),
+    "cycle.rep_pucch": (int, "1", _between(1, MAX_SUBFRAMES)),
+    "cycle.n_dg2d": (int, "1", _between(0, MAX_SUBFRAMES)),
+    "cycle.n_switch": (_int_or("protocol"), "protocol", _between(0, MAX_SUBFRAMES)),
+    "cycle.dd2a_min": (_int_or("protocol"), "protocol", _between(0, MAX_SUBFRAMES)),
+    "cycle.ug2d_min": (_int_or("protocol"), "protocol", _between(0, MAX_SUBFRAMES)),
     "cycle.grant_mode": (_one_of(GrantMode), "stbg", None),
     "cycle.ack_bundling": (_parse_bool, "false", None),
     "cycle.n_bundle": (int, "1", _AT_LEAST_1),
-    "cycle.n_a2g": (int, "0", _AT_LEAST_0),
-    "cycle.max_harq": (_int_or("protocol"), "protocol", None),
+    "cycle.n_a2g": (int, "0", _between(0, MAX_SUBFRAMES)),
+    "cycle.max_harq": (_int_or("protocol"), "protocol", _AT_LEAST_1),
     "power.efficiency_mops_per_mw": (float, "144", _POSITIVE),
     "power.op_rate_per_s": (float, str(DEFAULT_OP_RATE_PER_S), _POSITIVE),
     "monte_carlo.n_cycles": (int, "0", _AT_LEAST_0),
@@ -250,14 +258,15 @@ def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
         value = values[key]
         return fallback if value is None else value
 
-    try:
-        geometry = OrbitGeometry(
+    max_harq_default = protocol.max_harq_extended if extended else protocol.max_harq
+    return ScenarioConfig(
+        geometry=OrbitGeometry(
             altitude_km=values["geometry.altitude_km"],
             payload=values["geometry.payload"],
             service_elevation_deg=values["geometry.service_elevation_deg"],
             feeder_elevation_deg=values["geometry.feeder_elevation_deg"],
-        )
-        link = LinkBudgetParams(
+        ),
+        link=LinkBudgetParams(
             eirp_dbm=values["link.eirp_dbm"],
             g_over_t_db=values["link.g_over_t_db"],
             bandwidth_hz=values["link.bandwidth_hz"],
@@ -266,14 +275,7 @@ def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
             loss_shadow_db=values["link.loss_shadow_db"],
             loss_scint_db=values["link.loss_scint_db"],
             loss_polar_db=values["link.loss_polar_db"],
-        )
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from None
-
-    max_harq_default = protocol.max_harq_extended if extended else protocol.max_harq
-    return ScenarioConfig(
-        geometry=geometry,
-        link=link,
+        ),
         protocol=protocol,
         tbs_bits=values["tbs_bits"],
         target_bler=values["target_bler"],
@@ -307,7 +309,10 @@ def read_config(path: str | Path) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text ({exc})") from None
-    return parse_config_text(text)
+    try:
+        return parse_config_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> ScenarioConfig:

@@ -105,6 +105,20 @@ def test_bler_table_option(tmp_path, ltem_copy, capsys, command):
     assert "SNR and BLER must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_file", ["config", "table"])
+def test_error_inside_a_file_names_the_file(tmp_path, ltem_copy, capsys, bad_file):
+    table = tmp_path / "table.csv"
+    if bad_file == "config":
+        ltem_copy.write_text(ltem_copy.read_text() + "cycle.bogus = 1\n")
+        table.write_text(PACKAGED_TABLE.read_text())
+        expected = f"config error: {ltem_copy}: line "
+    else:
+        table.write_text("504,1,-6,2\n")
+        expected = f"config error: {table}: BLER values must lie in (0, 1]"
+    assert run_cli("run", ltem_copy, "--bler-table", table) == 3
+    assert expected in capsys.readouterr().err
+
+
 def test_run_infeasible_link_exit_code(tmp_path, ltem_copy):
     ltem_copy.write_text(ltem_copy.read_text() + "link.eirp_dbm = -40\n")
     assert run_cli("run", ltem_copy) == 2

@@ -1,16 +1,15 @@
+from dataclasses import replace
+
 import pytest
 
 from ntn_harq.errors import InvalidInputError
 from ntn_harq.harq import (
     CycleParams,
     Direction,
-    dd2a_bundled,
-    dd2a_variable,
     delay_plan,
     fixed_positions,
     harq_for_tbphc,
     required_harq_count,
-    ug2d_variable,
 )
 
 
@@ -110,13 +109,13 @@ def test_harq_for_tbphc_monotone():
 
 def test_dd2a_single_tb_leaves_only_switch():
     params = CycleParams(n_tbphc=1, rep_pdsch=9, rep_pucch=3, n_switch=1)
-    assert dd2a_variable(params, 1) == 1
+    assert delay_plan(params, Direction.DL) == (1,)
 
 
 @pytest.mark.parametrize("j,expected", [(1, 13), (2, 10), (3, 7), (4, 4)])
 def test_dd2a_uniform_example(j, expected):
     params = CycleParams(n_tbphc=4, rep_pdsch=4, rep_pucch=1, n_switch=1)
-    assert dd2a_variable(params, j) == expected
+    assert delay_plan(params, Direction.DL)[j - 1] == expected
 
 
 def test_dd2a_matches_packed_layout_oracle():
@@ -127,19 +126,19 @@ def test_dd2a_matches_packed_layout_oracle():
                     params = CycleParams(
                         n_tbphc=n, rep_pdsch=r, rep_pucch=pucch, n_switch=sw
                     )
-                    got = [dd2a_variable(params, j) for j in range(1, n + 1)]
+                    got = list(delay_plan(params, Direction.DL))
                     assert got == packed_dl_delays([r] * n, pucch, sw)
 
 
 @pytest.mark.parametrize("j,expected", [(1, 5), (3, 27)])
 def test_ug2d_uniform_example(j, expected):
     params = CycleParams(n_tbphc=5, rep_pdcch=1, rep_pusch=12, n_switch=1)
-    assert ug2d_variable(params, j) == expected
+    assert delay_plan(params, Direction.UL)[j - 1] == expected
 
 
 def test_ug2d_single_tb():
     params = CycleParams(n_tbphc=1, n_switch=1)
-    assert ug2d_variable(params, 1) == 1
+    assert delay_plan(params, Direction.UL) == (1,)
 
 
 def test_ug2d_matches_packed_layout_oracle():
@@ -150,14 +149,14 @@ def test_ug2d_matches_packed_layout_oracle():
                     params = CycleParams(
                         n_tbphc=n, rep_pdcch=p, rep_pusch=r, n_switch=sw
                     )
-                    got = [ug2d_variable(params, j) for j in range(1, n + 1)]
+                    got = list(delay_plan(params, Direction.UL))
                     assert got == packed_ul_delays(n, p, [r] * n, sw)
 
 
 def test_bundled_reduces_to_unbundled_at_bundle_one():
     params = CycleParams(n_tbphc=4, rep_pdsch=4, rep_pucch=1, n_switch=1, n_bundle=1)
-    for j in range(1, 5):
-        assert dd2a_bundled(params, j) == dd2a_variable(params, j)
+    bundled = replace(params, ack_bundling=True)
+    assert delay_plan(bundled, Direction.DL) == delay_plan(params, Direction.DL)
 
 
 @pytest.mark.parametrize(
@@ -166,9 +165,10 @@ def test_bundled_reduces_to_unbundled_at_bundle_one():
 )
 def test_bundled_examples(n_bundle, j, expected):
     params = CycleParams(
-        n_tbphc=4, rep_pdsch=4, rep_pucch=1, n_switch=1, n_bundle=n_bundle
+        n_tbphc=4, rep_pdsch=4, rep_pucch=1, n_switch=1, n_bundle=n_bundle,
+        ack_bundling=True,
     )
-    assert dd2a_bundled(params, j) == expected
+    assert delay_plan(params, Direction.DL)[j - 1] == expected
 
 
 def test_bundled_never_exceeds_unbundled():
@@ -176,16 +176,18 @@ def test_bundled_never_exceeds_unbundled():
         params = CycleParams(
             n_tbphc=6, rep_pdsch=4, rep_pucch=2, n_switch=1, n_bundle=n_bundle
         )
-        for j in range(1, 7):
-            assert dd2a_bundled(params, j) <= dd2a_variable(params, j)
+        bundled = delay_plan(replace(params, ack_bundling=True), Direction.DL)
+        for b, u in zip(bundled, delay_plan(params, Direction.DL)):
+            assert b <= u
 
 
 def test_bundled_matches_packed_layout_oracle():
     for n_bundle in (1, 2, 4):
         params = CycleParams(
-            n_tbphc=5, rep_pdsch=3, rep_pucch=2, n_switch=2, n_bundle=n_bundle
+            n_tbphc=5, rep_pdsch=3, rep_pucch=2, n_switch=2, n_bundle=n_bundle,
+            ack_bundling=True,
         )
-        got = [dd2a_bundled(params, j) for j in range(1, 6)]
+        got = list(delay_plan(params, Direction.DL))
         assert got == packed_dl_delays([3] * 5, 2, 2, n_bundle=n_bundle)
 
 
@@ -197,29 +199,26 @@ def test_per_tb_reduces_to_uniform():
     listed = CycleParams(
         n_tbphc=4, rep_pdsch=[4, 4, 4, 4], rep_pusch=[6, 6, 6, 6], rep_pucch=2, n_switch=1
     )
-    for j in range(1, 5):
-        assert dd2a_variable(listed, j) == dd2a_variable(uniform, j)
-        assert ug2d_variable(listed, j) == ug2d_variable(uniform, j)
-        assert dd2a_bundled(listed, j) == dd2a_bundled(uniform, j)
+    assert delay_plan(listed, Direction.DL) == delay_plan(uniform, Direction.DL)
+    assert delay_plan(listed, Direction.UL) == delay_plan(uniform, Direction.UL)
+    assert delay_plan(replace(listed, ack_bundling=True), Direction.DL) == delay_plan(
+        replace(uniform, ack_bundling=True), Direction.DL
+    )
 
 
 def test_per_tb_dd2a_counts_remaining_blocks():
     params = CycleParams(n_tbphc=3, rep_pdsch=[2, 5, 7], rep_pucch=1, n_switch=1)
     # j=1 waits for TBs 2 and 3 (5+7) plus no earlier feedback plus switch
-    assert dd2a_variable(params, 1) == 5 + 7 + 0 + 1
-    assert dd2a_variable(params, 2) == 7 + 1 + 1
-    assert dd2a_variable(params, 3) == 0 + 2 + 1
-    assert [dd2a_variable(params, j) for j in (1, 2, 3)] == packed_dl_delays(
+    assert delay_plan(params, Direction.DL) == (5 + 7 + 0 + 1, 7 + 1 + 1, 0 + 2 + 1)
+    assert list(delay_plan(params, Direction.DL)) == packed_dl_delays(
         [2, 5, 7], 1, 1
     )
 
 
 def test_per_tb_ug2d_counts_earlier_blocks():
     params = CycleParams(n_tbphc=3, rep_pdcch=2, rep_pusch=[3, 4, 5], n_switch=2)
-    assert ug2d_variable(params, 1) == 2 * 2 + 0 + 2
-    assert ug2d_variable(params, 2) == 1 * 2 + 3 + 2
-    assert ug2d_variable(params, 3) == 0 + 3 + 4 + 2
-    assert [ug2d_variable(params, j) for j in (1, 2, 3)] == packed_ul_delays(
+    assert delay_plan(params, Direction.UL) == (2 * 2 + 0 + 2, 1 * 2 + 3 + 2, 0 + 3 + 4 + 2)
+    assert list(delay_plan(params, Direction.UL)) == packed_ul_delays(
         3, 2, [3, 4, 5], 2
     )
 
@@ -233,7 +232,8 @@ def test_dl_feedback_positions_are_contiguous():
     for r, pucch in [(4, 1), (4, 2), (1, 3)]:
         params = CycleParams(n_tbphc=5, rep_pdsch=r, rep_pucch=pucch, n_switch=1)
         values = {
-            dd2a_variable(params, j) + j * r - (j - 1) * pucch for j in range(1, 6)
+            d + j * r - (j - 1) * pucch
+            for j, d in enumerate(delay_plan(params, Direction.DL), 1)
         }
         assert len(values) == 1
         assert values.pop() == 5 * r + 1
@@ -242,9 +242,8 @@ def test_dl_feedback_positions_are_contiguous():
 def test_ul_delay_increments():
     for p, r in [(1, 12), (2, 5), (3, 1)]:
         params = CycleParams(n_tbphc=6, rep_pdcch=p, rep_pusch=r, n_switch=1)
-        deltas = {
-            ug2d_variable(params, j + 1) - ug2d_variable(params, j) for j in range(1, 6)
-        }
+        plan = delay_plan(params, Direction.UL)
+        deltas = {b - a for a, b in zip(plan, plan[1:])}
         assert deltas == {r - p}
 
 
@@ -275,13 +274,3 @@ def test_cycle_params_validation():
     with pytest.raises(InvalidInputError):
         CycleParams(n_bundle=0)
 
-
-def test_position_bounds_checked():
-    params = CycleParams(n_tbphc=3)
-    for bad in (0, 4):
-        with pytest.raises(InvalidInputError):
-            dd2a_variable(params, bad)
-        with pytest.raises(InvalidInputError):
-            ug2d_variable(params, bad)
-        with pytest.raises(InvalidInputError):
-            dd2a_bundled(params, bad)

@@ -159,6 +159,22 @@ def test_mapping_rejects_bad_values():
         ("link.carrier_ghz", "101"),
         ("link.carrier_ghz", "1e300"),
         ("link.carrier_ghz", "1e-300"),
+        ("geometry.service_elevation_deg", "5"),
+        ("geometry.service_elevation_deg", "90.5"),
+        ("geometry.feeder_elevation_deg", "9.9"),
+        ("link.bandwidth_hz", "0"),
+        ("link.bandwidth_hz", "-1"),
+        ("link.loss_atm_db", "-1"),
+        ("link.loss_shadow_db", "-0.1"),
+        ("link.loss_scint_db", "-1"),
+        ("link.loss_polar_db", "-1"),
+        ("cycle.max_harq", "-3"),
+        ("cycle.max_harq", "0"),
+        ("cycle.n_tbphc", "513"),
+        ("cycle.n_tbphc", "1000000"),
+        ("cycle.rep_pdcch", "99999999999999999999"),
+        ("cycle.rep_pucch", "100001"),
+        ("cycle.n_a2g", "9" * 400),
     ]:
         with pytest.raises(ConfigError, match=f"bad value for {key}"):
             config_from_mapping({key: value})
@@ -173,10 +189,20 @@ def test_mapping_accepts_range_edges():
         "cycle.n_switch": "protocol",
         "cycle.dd2a_min": "0",
         "cycle.ug2d_min": "protocol",
+        "cycle.n_tbphc": "512",
+        "cycle.rep_pdcch": "100000",
+        "cycle.max_harq": "1",
+        "geometry.service_elevation_deg": "90",
+        "geometry.feeder_elevation_deg": "10",
+        "link.loss_atm_db": "0",
     })
     assert (config.geometry.altitude_km, config.link.carrier_ghz) == (35786, 100)
     assert (config.n_dg2d, config.n_a2g, config.dd2a_min) == (0, 0, 0)
     assert (config.n_switch, config.ug2d_min) == (1, 3)  # the LTE-M values
+    assert (config.n_tbphc, config.rep_pdcch, config.max_harq) == (512, 100000, 1)
+    assert (config.geometry.service_elevation_deg, config.geometry.feeder_elevation_deg) == (90, 10)
+    assert config.link.loss_atm_db == 0
+    assert config_from_mapping({"cycle.max_harq": "protocol"}).max_harq == 8
     assert config_from_mapping({"link.carrier_ghz": "0.1"}).link.carrier_ghz == 0.1
 
 
