@@ -17,6 +17,7 @@ from .errors import InvalidInputError
 
 SF_MS = 1.0  # one subframe lasts one millisecond
 SF_SECONDS = SF_MS / 1000.0
+MAX_SUBFRAMES = 100_000  # bound on a configured or tabulated subframe count, far from int-to-float overflow
 
 
 class Direction(Enum):
@@ -91,7 +92,7 @@ class CycleParams:
         return self.rep_pusch  # type: ignore[return-value]
 
 
-def fixed_positions(direction: Direction, anchor_sf: int, fixed_delay: int) -> int:
+def fixed_positions(anchor_sf: int, fixed_delay: int) -> int:
     """Position scheduled a fixed delay after its anchor subframe.
 
     DL: feedback position from the last data subframe.  UL: first data
@@ -144,15 +145,21 @@ def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
 
 
 def harq_for_tbphc(params: CycleParams, rtt_ms: float, t_tb_ms: float, ack_proc_sf: int) -> int:
-    """HARQ processes needed to sustain ``n_tbphc`` TBs per cycle across
-    the round trip, including the scheduler's feedback-processing time
-    (``ack_proc_sf`` subframes) before a process can be re-granted."""
+    """HARQ processes needed to sustain the cycle ``params`` lays out."""
+    return harq_processes(params, params.n_tbphc, sum(params.pdsch_reps), rtt_ms, t_tb_ms, ack_proc_sf)
+
+
+def harq_processes(
+    params: CycleParams, n_tbphc: int, data_sf: int, rtt_ms: float, t_tb_ms: float, ack_proc_sf: int
+) -> int:
+    """HARQ processes needed to sustain ``n_tbphc`` TBs per cycle, whose data
+    blocks fill ``data_sf`` subframes, across the round trip plus the
+    scheduler's feedback-processing time (``ack_proc_sf`` subframes) before
+    a process can be re-granted.  Only the grant, feedback and switch terms
+    are read from ``params``, so a one-TB template sizes any TB count."""
     if rtt_ms < 0 or t_tb_ms <= 0 or ack_proc_sf < 0:
         raise InvalidInputError("rtt and ack processing must be >= 0, TB duration positive")
-    n = params.n_tbphc
-    data_and_feedback = sum(params.pdsch_reps) + n * params.rep_pucch
-    cycle_ms = t_tb_ms * (
-        params.rep_pdcch + params.n_dg2d + data_and_feedback
-    ) + 2.0 * params.n_switch * t_tb_ms
+    cycle_sf = params.rep_pdcch + params.n_dg2d + data_sf + n_tbphc * params.rep_pucch
+    cycle_ms = t_tb_ms * cycle_sf + 2.0 * params.n_switch * t_tb_ms
     wait_ms = rtt_ms + ack_proc_sf * t_tb_ms
-    return math.ceil(n * (1.0 + wait_ms / cycle_ms))
+    return math.ceil(n_tbphc * (1.0 + wait_ms / cycle_ms))

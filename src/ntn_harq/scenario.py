@@ -21,7 +21,7 @@ from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
 from .errors import ConfigError
 from .geometry import MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, OrbitGeometry, Payload, round_trip_time, slant_range
-from .harq import SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, harq_for_tbphc
+from .harq import MAX_SUBFRAMES, SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
 from .linkbudget import LinkBudgetParams, snr_db
 from .metrics import (
     DEFAULT_OP_RATE_PER_S,
@@ -36,7 +36,6 @@ from .metrics import (
 from .scheduler import GoodputResult, build_proposed_cycle, monte_carlo_goodput
 
 MAX_AUTO_TBPHC = 512
-MAX_SUBFRAMES = 100_000  # bound on each cycle.* subframe count, far from int-to-float overflow
 
 
 @dataclass(frozen=True)
@@ -94,15 +93,7 @@ class ScenarioConfig:
     direction: Direction
     mode: SchedulingMode
     n_tbphc: int | None  # None selects the largest feasible value
-    rep_pdcch: int
-    rep_pucch: int
-    n_dg2d: int
-    n_switch: int
-    dd2a_min: int
-    ug2d_min: int
-    grant_mode: GrantMode
-    ack_bundling: bool
-    n_bundle: int
+    cycle: CycleParams  # the cycle.* settings; one TB of one repetition until resolved
     n_a2g: int
     max_harq: int
     power_efficiency_mops_per_mw: float
@@ -282,15 +273,17 @@ def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
         direction=values["direction"],
         mode=values["mode"],
         n_tbphc=values["cycle.n_tbphc"],
-        rep_pdcch=values["cycle.rep_pdcch"],
-        rep_pucch=values["cycle.rep_pucch"],
-        n_dg2d=values["cycle.n_dg2d"],
-        n_switch=protocol_default("cycle.n_switch", protocol.n_switch),
-        dd2a_min=protocol_default("cycle.dd2a_min", protocol.dd2a_min),
-        ug2d_min=protocol_default("cycle.ug2d_min", protocol.ug2d_min),
-        grant_mode=values["cycle.grant_mode"],
-        ack_bundling=values["cycle.ack_bundling"],
-        n_bundle=values["cycle.n_bundle"],
+        cycle=CycleParams(
+            rep_pdcch=values["cycle.rep_pdcch"],
+            rep_pucch=values["cycle.rep_pucch"],
+            n_switch=protocol_default("cycle.n_switch", protocol.n_switch),
+            n_dg2d=values["cycle.n_dg2d"],
+            dd2a_min=protocol_default("cycle.dd2a_min", protocol.dd2a_min),
+            ug2d_min=protocol_default("cycle.ug2d_min", protocol.ug2d_min),
+            n_bundle=values["cycle.n_bundle"],
+            grant_mode=values["cycle.grant_mode"],
+            ack_bundling=values["cycle.ack_bundling"],
+        ),
         n_a2g=values["cycle.n_a2g"],
         max_harq=protocol_default("cycle.max_harq", max_harq_default),
         power_efficiency_mops_per_mw=values["power.efficiency_mops_per_mw"],
@@ -357,46 +350,24 @@ def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
 # pipeline
 
 
-def build_cycle_params(config: ScenarioConfig, n_rep: int, n_tbphc: int) -> CycleParams:
-    # The data-channel repetition count is mirrored into both data fields
-    # so the HARQ sizing relation (written in DL terms) sees the scenario's
-    # actual data occupancy for either direction.
-    return CycleParams(
-        n_tbphc=n_tbphc,
-        rep_pdcch=config.rep_pdcch,
-        rep_pdsch=n_rep,
-        rep_pusch=n_rep,
-        rep_pucch=config.rep_pucch,
-        n_switch=config.n_switch,
-        n_dg2d=config.n_dg2d,
-        dd2a_min=config.dd2a_min,
-        ug2d_min=config.ug2d_min,
-        n_bundle=config.n_bundle,
-        grant_mode=config.grant_mode,
-        ack_bundling=config.ack_bundling,
-    )
-
-
-def _required_harq(config: ScenarioConfig, n_rep: int, n_tbphc: int, rtt_ms: float) -> int:
-    params = build_cycle_params(config, n_rep, n_tbphc)
-    return harq_for_tbphc(params, rtt_ms, SF_MS, config.n_a2g)
-
-
 def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
     """Resolve the TB count per variable-delay cycle: the configured value
-    (validated against the HARQ budget) or the largest feasible one."""
+    (validated against the HARQ budget) or the largest feasible one.  Each
+    candidate n is sized on the template's scalars, building no cycle."""
+    def needed(n: int) -> int:
+        return harq_processes(config.cycle, n, n * n_rep, rtt_ms, SF_MS, config.n_a2g)
+
     if config.n_tbphc is not None:
-        needed = _required_harq(config, n_rep, config.n_tbphc, rtt_ms)
-        if needed > config.max_harq:
+        if (count := needed(config.n_tbphc)) > config.max_harq:
             raise ConfigError(
-                f"cycle.n_tbphc={config.n_tbphc} needs {needed} HARQ processes, more than "
+                f"cycle.n_tbphc={config.n_tbphc} needs {count} HARQ processes, more than "
                 f"the configured maximum of {config.max_harq}; the HARQ-process sizing "
                 f"relation caps how many TBs one cycle may carry"
             )
         return config.n_tbphc
 
     def fits(n: int) -> bool:
-        return _required_harq(config, n_rep, n, rtt_ms) <= config.max_harq
+        return needed(n) <= config.max_harq
 
     # the HARQ count needed grows with n: double n while it fits, then
     # bisect between the last n that fits and the first that does not
@@ -442,7 +413,10 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
         n_tbphc = config.n_tbphc or 1
     else:
         n_tbphc = select_tbphc(config, n_rep, rtt_ms)
-    return ResolvedScenario(rtt_ms, snr, n_rep, build_cycle_params(config, n_rep, n_tbphc))
+    # both data fields carry the count: the HARQ sizing relation reads the
+    # DL one in either direction
+    params = replace(config.cycle, n_tbphc=n_tbphc, rep_pdsch=n_rep, rep_pusch=n_rep)
+    return ResolvedScenario(rtt_ms, snr, n_rep, params)
 
 
 @dataclass(frozen=True)
@@ -473,7 +447,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(ScenarioResult) if f.name != "goodput
 def _power_scheme(config: ScenarioConfig) -> str:
     if config.direction is Direction.UL:
         return "ug2d"
-    return "dd2a_bundled" if config.ack_bundling else "dd2a"
+    return "dd2a_bundled" if config.cycle.ack_bundling else "dd2a"
 
 
 def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> ScenarioResult:
@@ -499,7 +473,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
             raise AssertionError(
                 f"cycle layout ({len(timeline)} SFs) diverged from closed form ({expected} SFs)"
             )
-        baseline_params = build_cycle_params(config, n_rep, 1)
+        baseline_params = replace(config.cycle, rep_pdsch=n_rep, rep_pusch=n_rep)
         baseline_suf = suf_closed_form(baseline_params, config.direction, SchedulingMode.LEGACY_FIXED)
         gain = suf / baseline_suf - 1.0
     rate = throughput(suf, config.tbs_bits, SF_SECONDS)
@@ -605,8 +579,8 @@ def calibrate(config: ScenarioConfig, table: BlerTable | None = None) -> Calibra
     best: tuple[float, int, int, float] | None = None
     for p in range(1, 9):
         for a in range(0, 5):
-            candidate = replace(config, rep_pdcch=p, n_a2g=a, n_tbphc=None,
-                                mode=SchedulingMode.PROPOSED_VARIABLE)
+            candidate = replace(config, cycle=replace(config.cycle, rep_pdcch=p), n_a2g=a,
+                                n_tbphc=None, mode=SchedulingMode.PROPOSED_VARIABLE)
             result = run_scenario(candidate, table)
             distance = abs(result.gain_pct - target)
             key = (distance, p, a, result.gain_pct)

@@ -222,14 +222,14 @@ def _legacy_claims(params: CycleParams, direction: Direction) -> list[tuple[int,
             ends.append(start + r - 1)
             start += r
         for j, data_end in enumerate(ends, 1):
-            ack = fixed_positions(direction, data_end, params.dd2a_min)
+            ack = fixed_positions(data_end, params.dd2a_min)
             claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
     else:
         reps = params.pusch_reps
         grant_start = 0
         for j, r in enumerate(reps, 1):
             claims.append((grant_start, p, SlotUse(Activity.RX_PDCCH, j, j)))
-            data = fixed_positions(direction, grant_start + p - 1, params.ug2d_min)
+            data = fixed_positions(grant_start + p - 1, params.ug2d_min)
             claims.append((data, r, SlotUse(Activity.TX_PUSCH, j, j)))
             # grants are paced at the data period so the granted blocks
             # land back to back
@@ -293,7 +293,7 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
                 raise MinDelayViolationError(
                     f"TB {j} data-to-feedback delay {realized} < minimum {params.dd2a_min}"
                 )
-            ack = fixed_positions(direction, data_end, realized)
+            ack = fixed_positions(data_end, realized)
             if params.ack_bundling:
                 if ack not in placed_acks:  # one block acknowledges the bundle
                     claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH)))
@@ -313,7 +313,7 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
                 raise MinDelayViolationError(
                     f"TB {j} grant-to-data delay {realized} < minimum {params.ug2d_min}"
                 )
-            claims.append((fixed_positions(direction, anchor, realized), r, SlotUse(Activity.TX_PUSCH, j, j)))
+            claims.append((fixed_positions(anchor, realized), r, SlotUse(Activity.TX_PUSCH, j, j)))
 
     timeline, conflicts = _lay_out(claims, params.n_switch)
     if conflicts:  # construction guarantees this never happens

@@ -199,7 +199,7 @@ def test_criterion_5_conflict_oracle():
     report = build_legacy_cycle(params, Direction.DL)
     assert isinstance(report, ConflictReport)
     tb1_end = 1 + 1 + 4 - 1
-    expected_sf = fixed_positions(Direction.DL, tb1_end, 3)
+    expected_sf = fixed_positions(tb1_end, 3)
     assert report.conflicts[0].sf_index == expected_sf == 9
     assert set(report.conflicts[0].activities) == {"RxPDSCH", "TxPUCCH"}
     _ok("5 conflict oracle", f"{checked} legacy layouts match the overlap condition; canonical case at SF {expected_sf}")

@@ -50,15 +50,15 @@ def packed_ul_delays(n, p, reps, sw):
 
 
 @pytest.mark.parametrize(
-    "direction,anchor,delay,expected",
+    "anchor,delay,expected",
     [
-        (Direction.DL, 10, 3, 14),
-        (Direction.UL, 0, 0, 1),
-        (Direction.UL, 7, 8, 16),
+        (10, 3, 14),
+        (0, 0, 1),
+        (7, 8, 16),
     ],
 )
-def test_fixed_positions(direction, anchor, delay, expected):
-    assert fixed_positions(direction, anchor, delay) == expected
+def test_fixed_positions(anchor, delay, expected):
+    assert fixed_positions(anchor, delay) == expected
 
 
 # --- HARQ counts --------------------------------------------------------

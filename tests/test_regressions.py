@@ -1,6 +1,7 @@
 """Regression tests for fixed defects and for the bisected TB-count search."""
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from ntn_harq.linkbudget import snr_db
 from ntn_harq.scenario import (
     MAX_AUTO_TBPHC,
     SF_MS,
-    build_cycle_params,
     config_from_mapping,
     parse_config_text,
     select_tbphc,
@@ -46,10 +46,12 @@ def test_tbs_without_bler_curve_is_config_error(tmp_path, capsys):
 
 
 def linear_select_tbphc(config, n_rep: int, rtt_ms: float) -> int:
-    """The largest n_tbphc within the HARQ budget, by trying n = 1, 2, ..."""
+    """The largest n_tbphc within the HARQ budget, by trying n = 1, 2, ...
+    on each fully built cycle."""
     best = None
     for n in range(1, MAX_AUTO_TBPHC + 1):
-        if harq_for_tbphc(build_cycle_params(config, n_rep, n), rtt_ms, SF_MS, config.n_a2g) > config.max_harq:
+        params = replace(config.cycle, n_tbphc=n, rep_pdsch=n_rep, rep_pusch=n_rep)
+        if harq_for_tbphc(params, rtt_ms, SF_MS, config.n_a2g) > config.max_harq:
             break
         best = n
     if best is None:

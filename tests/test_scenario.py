@@ -197,9 +197,9 @@ def test_mapping_accepts_range_edges():
         "link.loss_atm_db": "0",
     })
     assert (config.geometry.altitude_km, config.link.carrier_ghz) == (35786, 100)
-    assert (config.n_dg2d, config.n_a2g, config.dd2a_min) == (0, 0, 0)
-    assert (config.n_switch, config.ug2d_min) == (1, 3)  # the LTE-M values
-    assert (config.n_tbphc, config.rep_pdcch, config.max_harq) == (512, 100000, 1)
+    assert (config.cycle.n_dg2d, config.n_a2g, config.cycle.dd2a_min) == (0, 0, 0)
+    assert (config.cycle.n_switch, config.cycle.ug2d_min) == (1, 3)  # the LTE-M values
+    assert (config.n_tbphc, config.cycle.rep_pdcch, config.max_harq) == (512, 100000, 1)
     assert (config.geometry.service_elevation_deg, config.geometry.feeder_elevation_deg) == (90, 10)
     assert config.link.loss_atm_db == 0
     assert config_from_mapping({"cycle.max_harq": "protocol"}).max_harq == 8
@@ -216,13 +216,13 @@ def test_legacy_multi_tb_rejected_at_run(table):
 
 def test_protocol_defaults_applied():
     ltem = config_from_mapping({})
-    assert (ltem.ug2d_min, ltem.n_switch, ltem.max_harq) == (3, 1, 8)
+    assert (ltem.cycle.ug2d_min, ltem.cycle.n_switch, ltem.max_harq) == (3, 1, 8)
     nbiot = config_from_mapping({"protocol": "nb-iot"})
-    assert (nbiot.ug2d_min, nbiot.n_switch, nbiot.max_harq) == (8, 2, 2)
+    assert (nbiot.cycle.ug2d_min, nbiot.cycle.n_switch, nbiot.max_harq) == (8, 2, 2)
     nbiot_ext = config_from_mapping(NBIOT_EXT)
     assert nbiot_ext.max_harq == 4
     override = config_from_mapping({"protocol": "nb-iot", "cycle.n_switch": "1"})
-    assert override.n_switch == 1
+    assert override.cycle.n_switch == 1
 
 
 def test_update_config_file(tmp_path):
@@ -230,7 +230,7 @@ def test_update_config_file(tmp_path):
     path.write_text("mode = proposed\ncycle.rep_pdcch = 1\n")
     update_config_file(path, {"cycle.rep_pdcch": "5", "cycle.n_a2g": "2"})
     config = load_config(path)
-    assert config.rep_pdcch == 5
+    assert config.cycle.rep_pdcch == 5
     assert config.n_a2g == 2
     # untouched keys survive
     assert config.mode is SchedulingMode.PROPOSED_VARIABLE

@@ -66,7 +66,7 @@ def test_legacy_overlap_instance():
     assert isinstance(report, ConflictReport)
     # independent position arithmetic: TB1 data ends after grant+gap+reps
     tb1_end = 1 + 1 + 4 - 1
-    expected_sf = fixed_positions(Direction.DL, tb1_end, 3)
+    expected_sf = fixed_positions(tb1_end, 3)
     tb2_last = 1 + 1 + 2 * 4 - 1
     assert expected_sf == tb2_last == 9
     assert len(report.conflicts) == 1
