@@ -15,9 +15,11 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CurveNotFoundError, InfeasibleLinkError, InvalidInputError
+from .harq import MAX_SUBFRAMES
 
 DEFAULT_TABLE_RESOURCE = "bler_pusch_ntn_tdla.csv"
 Points = tuple[tuple[float, float], ...]  # (snr_db, bler), ascending snr
+MAX_TBS_BITS = 100_000  # far above any LTE-M or NB-IoT transport block
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,8 @@ def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
 
     ``source`` may be the path of a UTF-8 file, or an iterable of lines
     such as an open file.  Lines starting with ``#`` and blank lines are
-    ignored.
+    ignored.  TB sizes must lie in [1, ``MAX_TBS_BITS``] and repetition
+    counts in [1, ``MAX_SUBFRAMES``].
     """
     if isinstance(source, (str, Path)):
         try:
@@ -142,6 +145,10 @@ def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
             raise InvalidInputError(f"line {lineno}: {exc}") from None
         if not (math.isfinite(snr) and math.isfinite(bler)):
             raise InvalidInputError(f"line {lineno}: SNR and BLER must be finite, got {line!r}")
+        if not (1 <= tbs <= MAX_TBS_BITS and 1 <= n_rep <= MAX_SUBFRAMES):
+            raise InvalidInputError(
+                f"line {lineno}: tbs must lie in [1, {MAX_TBS_BITS}] and n_rep in [1, {MAX_SUBFRAMES}], got {line!r}"
+            )
         rows.setdefault(tbs, {}).setdefault(n_rep, []).append((snr, bler))
     curves = {
         tbs: {n_rep: tuple(sorted(by_rep[n_rep])) for n_rep in sorted(by_rep)}

@@ -9,7 +9,8 @@ Subcommands:
              protocol's reference throughput gain and store them
 
 Exit status: 0 success, 2 infeasible link or a schedule that misses a
-minimum delay, 3 configuration error.
+minimum delay (for sweep: at one point or more, the others still
+emitted), 3 configuration error.
 """
 from __future__ import annotations
 
@@ -176,6 +177,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     table = _load_table(args.bler_table)
     result = run_scenario(config, table)
+    if result.goodput is None and config.monte_carlo.n_cycles > 0:
+        print("note: legacy mode ignores monte_carlo.* (Monte Carlo goodput needs mode = proposed)",
+              file=sys.stderr)
     text = results_to_csv([result])
     if result.goodput is not None:
         text += (
@@ -195,9 +199,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         key, values = spec.split("=", 1)
         axes.append((key.strip(), [v.strip() for v in values.split(",") if v.strip()]))
     table = _load_table(args.bler_table)
-    results = sweep(raw, axes, table)
-    _emit(results_to_csv(results), args.out)
-    return EXIT_OK
+    results, infeasible = sweep(raw, axes, table)
+    text = results_to_csv(results) + "".join(f"# infeasible {sid}: {reason}\n" for sid, reason in infeasible)
+    _emit(text, args.out)
+    return EXIT_INFEASIBLE if infeasible else EXIT_OK
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:

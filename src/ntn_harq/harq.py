@@ -32,14 +32,15 @@ class GrantMode(Enum):
 
 def _as_rep_tuple(value: int | Sequence[int], n_tbphc: int, name: str) -> tuple[int, ...]:
     if isinstance(value, int):
-        reps = (value,) * n_tbphc
+        reps, valid = (value,) * n_tbphc, value >= 1  # one check, not n
     else:
         reps = tuple(int(v) for v in value)
         if len(reps) != n_tbphc:
             raise InvalidInputError(
                 f"{name} list must have one entry per TB ({n_tbphc}), got {len(reps)}"
             )
-    if any(r < 1 for r in reps):
+        valid = all(r >= 1 for r in reps)
+    if not valid:
         raise InvalidInputError(f"{name} repetitions must be >= 1, got {reps}")
     return reps
 

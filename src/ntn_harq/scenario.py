@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleLinkError, MinDelayViolationError
 from .geometry import MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, OrbitGeometry, Payload, round_trip_time, slant_range
 from .harq import MAX_SUBFRAMES, SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
 from .linkbudget import LinkBudgetParams, snr_db
@@ -176,7 +176,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str, tuple[str, Callable[[Any], b
     "link.loss_polar_db": (float, "0", _AT_LEAST_0),
     "protocol": (_one_of(PROTOCOLS), "lte-m", None),
     "protocol.extended_harq": (_parse_bool, "false", None),
-    "tbs_bits": (int, "504", None),
+    "tbs_bits": (int, "504", _between(1, bler_mod.MAX_TBS_BITS)),
     "target_bler": (float, "0.1", ("must lie in (0, 1]", lambda v: 0 < v <= 1)),
     "direction": (_one_of(Direction), "ul", None),
     "mode": (_one_of(SchedulingMode), "proposed", None),
@@ -533,19 +533,30 @@ def sweep(
     base_raw: Mapping[str, str],
     axes: list[tuple[str, list[str]]],
     table: BlerTable | None = None,
-) -> list[ScenarioResult]:
-    """Cartesian product over axis values, one result per combination in
-    row-major order of the given axes; a key on two axes takes the later
-    axis's value."""
-    for key, _ in axes:
+) -> tuple[list[ScenarioResult], list[tuple[str, str]]]:
+    """Cartesian product over axis values in row-major order of the given
+    axes; a key on two axes takes the later axis's value.
+
+    Every axis value is parsed before any point runs.  Returns one result
+    per feasible point, and the ``(scenario_id, reason)`` of each point
+    whose link is infeasible or whose cycle misses a minimum delay; the
+    sweep goes on past those.
+    """
+    for key, options in axes:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown sweep parameter {key!r}")
+        for text in options:
+            config_from_mapping({key: text})  # each value alone: a bad one fails before any point runs
     table = table if table is not None else bler_mod.default_table()
     keys = [key for key, _ in axes]
-    return [
-        run_scenario(config_from_mapping({**base_raw, **dict(zip(keys, values))}), table)
-        for values in product(*(options for _, options in axes))
-    ]
+    results, infeasible = [], []
+    for values in product(*(options for _, options in axes)):
+        config = config_from_mapping({**base_raw, **dict(zip(keys, values))})
+        try:
+            results.append(run_scenario(config, table))
+        except (InfeasibleLinkError, MinDelayViolationError) as exc:
+            infeasible.append((config.scenario_id, str(exc)))
+    return results, infeasible
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,25 @@ def test_loader_rejects_non_finite_values(row):
         make_table(["# tbs,n_rep,snr_db,bler", "504,1,-8,0.9", row])
 
 
+@pytest.mark.parametrize("row", [
+    "144,0,-30,0.01",
+    "144,-1,-30,0.01",
+    "144,100001,-30,0.01",
+    "144,100000000000000000000,-30,0.01",
+    "0,1,-30,0.01",
+    "-5,1,-30,0.01",
+    "100001,1,-30,0.01",
+])
+def test_loader_rejects_out_of_range_sizes_and_reps(row):
+    with pytest.raises(InvalidInputError, match=f"line 2: tbs must lie in .* got '{row}'"):
+        make_table(["# tbs,n_rep,snr_db,bler", row])
+
+
+def test_loader_accepts_range_edges():
+    table = make_table(["1,1,-30,0.01", "100000,100000,-30,0.01"])
+    assert (table.reps_for(1), table.reps_for(100000)) == ([1], [100000])
+
+
 def test_loader_reads_an_open_file(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("100,1,-6,0.2\n100,1,-4,0.02\n")

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ntn_harq import scenario
 from ntn_harq.cli import main
 
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
@@ -119,6 +120,19 @@ def test_error_inside_a_file_names_the_file(tmp_path, ltem_copy, capsys, bad_fil
     assert expected in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_rep", ["0", "100000000000000000000"])
+def test_run_table_repetitions_out_of_range(tmp_path, ltem_copy, capsys, n_rep):
+    # a one-row table for the config's TB size: the loader names the line
+    # instead of a later check naming neither file nor line (0) or an
+    # OverflowError traceback (20 digits)
+    table = tmp_path / "table.csv"
+    table.write_text(f"144,{n_rep},-30,0.01\n")
+    ltem_copy.write_text(ltem_copy.read_text() + "tbs_bits = 144\n")
+    assert run_cli("run", ltem_copy, "--bler-table", table) == 3
+    expected = f"config error: {table}: line 1: tbs must lie in [1, 100000] and n_rep in [1, 100000]"
+    assert expected in capsys.readouterr().err
+
+
 def test_run_infeasible_link_exit_code(tmp_path, ltem_copy):
     ltem_copy.write_text(ltem_copy.read_text() + "link.eirp_dbm = -40\n")
     assert run_cli("run", ltem_copy) == 2
@@ -163,6 +177,39 @@ def test_sweep_rows_and_determinism(tmp_path):
 
 def test_sweep_bad_axis(tmp_path):
     assert run_cli("sweep", LTEM, "--axis", "nonsense=1,2") == 3
+
+
+def test_sweep_reports_infeasible_points_and_goes_on(capsys):
+    assert run_cli("sweep", LTEM, "--axis", "geometry.altitude_km=600,3000,1200") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("scenario_id,altitude_km")
+    assert [line.split(",")[1] for line in lines[1:3]] == ["600", "1200"]
+    assert lines[3:] == [
+        "# infeasible leo3000-transparent-lte-m-ul-proposed-tbs504: "
+        "no repetition count reaches BLER 0.1 at -12.4 dB for tbs=504"
+    ]
+
+
+def test_sweep_bad_axis_value_exits_before_any_point_runs(monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a point ran before every axis value was parsed")
+
+    monkeypatch.setattr(scenario, "run_scenario", no_run)
+    axes = ["--axis", "mode=legacy,proposed", "--axis", "geometry.altitude_km=600,-3"]
+    assert run_cli("sweep", LTEM, *axes) == 3
+    assert "bad value for geometry.altitude_km: '-3'" in capsys.readouterr().err
+
+
+def test_run_says_legacy_mode_ignores_monte_carlo(ltem_copy, capsys):
+    ltem_copy.write_text(ltem_copy.read_text() + "mode = legacy\n")
+    assert run_cli("run", ltem_copy) == 0
+    plain = capsys.readouterr()
+    ltem_copy.write_text(ltem_copy.read_text() + "monte_carlo.n_cycles = 10\n")
+    assert run_cli("run", ltem_copy) == 0
+    noted = capsys.readouterr()
+    assert noted.out == plain.out
+    assert plain.err == ""
+    assert noted.err == "note: legacy mode ignores monte_carlo.* (Monte Carlo goodput needs mode = proposed)\n"
 
 
 def test_timeline_text_ue(capsys):

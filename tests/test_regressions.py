@@ -5,6 +5,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntn_harq.bler import select_repetitions
 from ntn_harq.cli import main
@@ -59,13 +61,7 @@ def linear_select_tbphc(config, n_rep: int, rtt_ms: float) -> int:
     return best
 
 
-@pytest.mark.parametrize("extended", ["false", "true"])
-@pytest.mark.parametrize("max_harq", [1, 8, 64, 1024])
-@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.stem)
-def test_select_tbphc_bisection_matches_linear_scan(profile, max_harq, extended, table):
-    raw = parse_config_text(profile.read_text())
-    raw.update({"cycle.n_tbphc": "auto", "cycle.max_harq": str(max_harq), "protocol.extended_harq": extended})
-    config = config_from_mapping(raw)
+def assert_select_tbphc_matches_linear_scan(config, table):
     rtt_ms = round_trip_time(config.geometry)
     distance_m = slant_range(config.geometry.altitude_km, config.geometry.service_elevation_deg) * 1000.0
     n_rep = select_repetitions(table, config.tbs_bits, snr_db(config.link, distance_m), config.target_bler)
@@ -76,3 +72,27 @@ def test_select_tbphc_bisection_matches_linear_scan(profile, max_harq, extended,
             select_tbphc(config, n_rep, rtt_ms)
     else:
         assert select_tbphc(config, n_rep, rtt_ms) == expected
+
+
+@pytest.mark.parametrize("extended", ["false", "true"])
+@pytest.mark.parametrize("max_harq", [1, 8, 64, 1024])
+@pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.stem)
+def test_select_tbphc_bisection_matches_linear_scan(profile, max_harq, extended, table):
+    raw = parse_config_text(profile.read_text())
+    raw.update({"cycle.n_tbphc": "auto", "cycle.max_harq": str(max_harq), "protocol.extended_harq": extended})
+    assert_select_tbphc_matches_linear_scan(config_from_mapping(raw), table)
+
+
+# the default LTE-M uplink link closes from 160 km up to about 1400 km
+@settings(max_examples=200, deadline=None)
+@given(raw=st.fixed_dictionaries({
+    "geometry.altitude_km": st.integers(160, 1300).map(str),
+    "cycle.rep_pdcch": st.integers(1, 8).map(str),
+    "cycle.rep_pucch": st.integers(1, 8).map(str),
+    "cycle.n_dg2d": st.integers(0, 4).map(str),
+    "cycle.n_switch": st.integers(0, 4).map(str),
+    "cycle.n_a2g": st.integers(0, 8).map(str),
+    "cycle.max_harq": st.one_of(st.integers(1, 64), st.sampled_from([256, 1024])).map(str),
+}))
+def test_select_tbphc_matches_linear_scan_on_generated_configs(raw, table):
+    assert_select_tbphc_matches_linear_scan(config_from_mapping(raw), table)

@@ -175,6 +175,10 @@ def test_mapping_rejects_bad_values():
         ("cycle.rep_pdcch", "99999999999999999999"),
         ("cycle.rep_pucch", "100001"),
         ("cycle.n_a2g", "9" * 400),
+        ("tbs_bits", "-5"),
+        ("tbs_bits", "0"),
+        ("tbs_bits", "100001"),
+        ("tbs_bits", "9" * 400),
     ]:
         with pytest.raises(ConfigError, match=f"bad value for {key}"):
             config_from_mapping({key: value})
@@ -254,14 +258,14 @@ def test_update_config_file_failed_replace_keeps_profile(tmp_path, monkeypatch):
 
 
 def test_sweep_empty_axes_equals_run(table):
-    rows = sweep({}, [], table)
+    rows, _ = sweep({}, [], table)
     single = run_scenario(config_from_mapping({}), table)
     assert len(rows) == 1
     assert rows[0] == single
 
 
 def test_sweep_altitude_by_mode(table):
-    rows = sweep(
+    rows, _ = sweep(
         {},
         [("geometry.altitude_km", ["600", "1200"]), ("mode", ["legacy", "proposed"])],
         table,
@@ -281,7 +285,7 @@ def test_sweep_altitude_by_mode(table):
 
 
 def test_sweep_tbphc_throughput_monotone(table):
-    rows = sweep(
+    rows, _ = sweep(
         {"cycle.max_harq": "32"},
         [("cycle.n_tbphc", [str(n) for n in range(1, 9)])],
         table,
@@ -290,14 +294,25 @@ def test_sweep_tbphc_throughput_monotone(table):
     assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
 
 
+def test_sweep_goes_on_past_infeasible_points(table):
+    axes = [("geometry.altitude_km", ["3000", "600"]), ("mode", ["legacy", "proposed"])]
+    rows, infeasible = sweep({}, axes, table)
+    assert [(r.altitude_km, r.mode) for r in rows] == [(600.0, "legacy"), (600.0, "proposed")]
+    assert [sid for sid, _ in infeasible] == [
+        "leo3000-transparent-lte-m-ul-legacy-tbs504",
+        "leo3000-transparent-lte-m-ul-proposed-tbs504",
+    ]
+    assert all(reason.startswith("no repetition count reaches BLER 0.1") for _, reason in infeasible)
+
+
 def test_sweep_unknown_axis(table):
     with pytest.raises(ConfigError):
         sweep({}, [("cycle.bogus", ["1"])], table)
 
 
 def test_csv_deterministic(table):
-    rows = sweep({}, [("geometry.altitude_km", ["600", "1200"])], table)
-    again = sweep({}, [("geometry.altitude_km", ["600", "1200"])], table)
+    rows, _ = sweep({}, [("geometry.altitude_km", ["600", "1200"])], table)
+    again, _ = sweep({}, [("geometry.altitude_km", ["600", "1200"])], table)
     assert results_to_csv(rows) == results_to_csv(again)
     header = results_to_csv(rows).splitlines()[0]
     assert header == (
