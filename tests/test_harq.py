@@ -271,6 +271,8 @@ def test_cycle_params_validation():
         CycleParams(n_tbphc=2, rep_pdsch=[4])  # wrong list length
     with pytest.raises(InvalidInputError):
         CycleParams(rep_pdsch=0)
+    with pytest.raises(InvalidInputError, match=r"rep_pusch repetitions must be >= 1, got \(3, 0\)"):
+        CycleParams(n_tbphc=2, rep_pusch=[3, 0])
     with pytest.raises(InvalidInputError):
         CycleParams(n_bundle=0)
 
