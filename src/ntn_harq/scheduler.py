@@ -480,6 +480,13 @@ def monte_carlo_goodput(
     last entry repeats for later attempts).  Failed TBs are rescheduled
     into fresh TB slots of subsequent cycles ahead of new traffic, so the
     cycle geometry stays identical to the analytical model.
+
+    Draw order: one ``random()`` from ``random.Random(seed)`` per TB slot.
+    A cycle first retries every TB that failed in the cycle before, in the
+    order they failed, then fills its remaining slots with fresh TBs.  A
+    cycle fails at most ``n_tbphc`` TBs, so the retry queue never holds
+    more than ``n_tbphc`` entries and memory stays O(``n_tbphc``) for any
+    ``n_cycles``.  The same arguments give the same result.
     """
     if not bler_per_attempt:
         raise InvalidInputError("bler_per_attempt must not be empty")
@@ -487,30 +494,29 @@ def monte_carlo_goodput(
         raise InvalidInputError("attempt error probabilities must lie in [0, 1]")
     if n_cycles < 1:
         raise InvalidInputError("n_cycles must be >= 1")
-    cycle = build_proposed_cycle(params, direction)
-    cycle_len = len(cycle)
+    cycle_len = len(build_proposed_cycle(params, direction))
     n_slots = params.n_tbphc
-    rng = random.Random(seed)
-    pending: list[int] = []  # attempt indices of TBs awaiting retransmission
-    successes = 0
-    attempts = 0
+    last = len(bler_per_attempt) - 1
+    # attempt index -> index of the next attempt; indices stop at the last
+    # entry, whose probability every later attempt shares
+    next_attempt = [min(k + 1, last) for k in range(last + 1)]
+    p_fresh, fresh_retry = bler_per_attempt[0], next_attempt[0]
+    draw = random.Random(seed).random
+    failed: list[int] = []  # attempt indices of the TBs the last cycle failed
     retransmissions = 0
     for _ in range(n_cycles):
-        failed: list[int] = []
-        for _ in range(n_slots):
-            if pending:
-                attempt = pending.pop(0)
-                retransmissions += 1
-            else:
-                attempt = 0
-            attempts += 1
-            p_fail = bler_per_attempt[min(attempt, len(bler_per_attempt) - 1)]
-            if rng.random() < p_fail:
-                failed.append(attempt + 1)
-            else:
-                successes += 1
-        pending.extend(failed)
+        retries, failed = failed, []
+        retransmissions += len(retries)
+        for attempt in retries:
+            if draw() < bler_per_attempt[attempt]:
+                failed.append(next_attempt[attempt])
+        for _ in range(n_slots - len(retries)):
+            if draw() < p_fresh:
+                failed.append(fresh_retry)
+    attempts = n_cycles * n_slots
+    # every failure is retried once or still queued at the end
+    successes = attempts - retransmissions - len(failed)
     success_per_slot = successes / (n_cycles * cycle_len)
     goodput = success_per_slot * (tbs_bits / t_tb_s)
-    rate = retransmissions / attempts if attempts else 0.0
+    rate = retransmissions / attempts
     return GoodputResult(goodput_bps=goodput, retransmission_rate=rate)
