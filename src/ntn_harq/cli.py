@@ -10,7 +10,8 @@ Subcommands:
 
 Exit status: 0 success, 2 infeasible link or a schedule that misses a
 minimum delay (for sweep: at one point or more, the others still
-emitted), 3 configuration error.
+emitted; a point that fails its HARQ budget counts too), 3 configuration
+error.
 """
 from __future__ import annotations
 

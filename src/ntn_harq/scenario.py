@@ -539,8 +539,9 @@ def sweep(
 
     Every axis value is parsed before any point runs.  Returns one result
     per feasible point, and the ``(scenario_id, reason)`` of each point
-    whose link is infeasible or whose cycle misses a minimum delay; the
-    sweep goes on past those.
+    whose link is infeasible, whose cycle misses a minimum delay or whose
+    settings fail a check that depends on the point (such as the HARQ
+    budget at its round trip); the sweep goes on past those.
     """
     for key, options in axes:
         if key not in _SCHEMA:
@@ -554,7 +555,7 @@ def sweep(
         config = config_from_mapping({**base_raw, **dict(zip(keys, values))})
         try:
             results.append(run_scenario(config, table))
-        except (InfeasibleLinkError, MinDelayViolationError) as exc:
+        except (InfeasibleLinkError, MinDelayViolationError, ConfigError) as exc:
             infeasible.append((config.scenario_id, str(exc)))
     return results, infeasible
 

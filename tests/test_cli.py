@@ -190,6 +190,27 @@ def test_sweep_reports_infeasible_points_and_goes_on(capsys):
     ]
 
 
+def test_sweep_reports_harq_budget_points_and_goes_on(ltem_copy, capsys):
+    ltem_copy.write_text(ltem_copy.read_text() + "cycle.n_tbphc = 6\n")
+    assert run_cli("sweep", ltem_copy, "--axis", "geometry.altitude_km=600,300,1200") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[1:3]] == ["600", "1200"]
+    assert lines[3:] == [
+        "# infeasible leo300-transparent-lte-m-ul-proposed-tbs504: cycle.n_tbphc=6 needs 10 HARQ "
+        "processes, more than the configured maximum of 8; the HARQ-process sizing relation caps "
+        "how many TBs one cycle may carry"
+    ]
+
+    assert run_cli("sweep", LTEM, "--axis", "cycle.max_harq=8,1") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split(",")[-6:-4] == ["6", "8"]  # n_tbphc, n_harq_required
+    assert lines[2:] == [
+        "# infeasible leo600-transparent-lte-m-ul-proposed-tbs504: even one TB per cycle needs "
+        "more than 1 HARQ processes under the HARQ-process sizing relation; raise cycle.max_harq "
+        "or enable protocol.extended_harq"
+    ]
+
+
 def test_sweep_bad_axis_value_exits_before_any_point_runs(monkeypatch, capsys):
     def no_run(*args):
         raise AssertionError("a point ran before every axis value was parsed")
