@@ -201,7 +201,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         axes.append((key.strip(), [v.strip() for v in values.split(",") if v.strip()]))
     table = _load_table(args.bler_table)
     results, infeasible = sweep(raw, axes, table)
-    text = results_to_csv(results) + "".join(f"# infeasible {sid}: {reason}\n" for sid, reason in infeasible)
+    text = results_to_csv(results) + "".join(f"# infeasible {label}: {reason}\n" for label, reason in infeasible)
     _emit(text, args.out)
     return EXIT_INFEASIBLE if infeasible else EXIT_OK
 

@@ -12,6 +12,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 from math import isfinite
 from pathlib import Path
@@ -36,6 +37,17 @@ from .metrics import (
 from .scheduler import GoodputResult, build_proposed_cycle, monte_carlo_goodput
 
 MAX_AUTO_TBPHC = 512
+
+# Bounds of the caches that build each distinct per-point input once:
+# parsed values per (key, text), section objects per class and field
+# values, and completed cycles per (template, n_tbphc, n_rep).  A sweep
+# over seven axes needs about 40 values, 40 sections and 250 cycles.
+# Full of large entries they retain under 6 MB: 0.8 MB of values (texts of
+# config-line length), 0.5 MB of sections and 4.4 MB of 512-TB cycles,
+# each of which holds two 512-entry tuples.
+_VALUE_CACHE_SIZE = 1024
+_SECTION_CACHE_SIZE = 1024
+_CYCLE_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -224,24 +236,45 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
+@lru_cache(maxsize=_VALUE_CACHE_SIZE)
+def _parse_value(key: str, text: str) -> Any:
+    """The checked value of one raw ``key = text`` pair.  Every value is
+    immutable, so one parse serves every config that repeats the pair."""
+    entry = _SCHEMA.get(key)
+    if entry is None:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    parse, _, rule = entry
+    text = text.strip()
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from None
+    if parse is float and not isfinite(value):
+        raise ConfigError(f"bad value for {key}: {text!r} is not a finite number")
+    if rule is not None and not rule[1](value):
+        raise ConfigError(f"bad value for {key}: {text!r} {rule[0]}")
+    return value
+
+
+@lru_cache(maxsize=_SECTION_CACHE_SIZE)
+def _section(cls: type, **field_values: Any) -> Any:
+    """The frozen ``cls(**field_values)``, built once per distinct values."""
+    return cls(**field_values)
+
+
+@lru_cache(maxsize=_CYCLE_CACHE_SIZE)
+def _completed_cycle(template: CycleParams, n_tbphc: int, n_rep: int) -> CycleParams:
+    """``template`` for ``n_tbphc`` TBs of ``n_rep`` repetitions each.  Both
+    data fields carry the count: the HARQ sizing relation reads the DL one
+    in either direction."""
+    return replace(template, n_tbphc=n_tbphc, rep_pdsch=n_rep, rep_pusch=n_rep)
+
+
 def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
     """Build a validated ScenarioConfig from raw string values."""
     values = dict(_DEFAULTS)
     for key, text in raw.items():
-        entry = _SCHEMA.get(key)
-        if entry is None:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        parse, _, rule = entry
-        text = text.strip()
-        try:
-            value = parse(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from None
-        if parse is float and not isfinite(value):
-            raise ConfigError(f"bad value for {key}: {text!r} is not a finite number")
-        if rule is not None and not rule[1](value):
-            raise ConfigError(f"bad value for {key}: {text!r} {rule[0]}")
-        values[key] = value
+        values[key] = _parse_value(key, text)
 
     protocol = values["protocol"]
     extended = values["protocol.extended_harq"]
@@ -251,13 +284,15 @@ def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
 
     max_harq_default = protocol.max_harq_extended if extended else protocol.max_harq
     return ScenarioConfig(
-        geometry=OrbitGeometry(
+        geometry=_section(
+            OrbitGeometry,
             altitude_km=values["geometry.altitude_km"],
             payload=values["geometry.payload"],
             service_elevation_deg=values["geometry.service_elevation_deg"],
             feeder_elevation_deg=values["geometry.feeder_elevation_deg"],
         ),
-        link=LinkBudgetParams(
+        link=_section(
+            LinkBudgetParams,
             eirp_dbm=values["link.eirp_dbm"],
             g_over_t_db=values["link.g_over_t_db"],
             bandwidth_hz=values["link.bandwidth_hz"],
@@ -273,7 +308,8 @@ def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
         direction=values["direction"],
         mode=values["mode"],
         n_tbphc=values["cycle.n_tbphc"],
-        cycle=CycleParams(
+        cycle=_section(
+            CycleParams,
             rep_pdcch=values["cycle.rep_pdcch"],
             rep_pucch=values["cycle.rep_pucch"],
             n_switch=protocol_default("cycle.n_switch", protocol.n_switch),
@@ -288,7 +324,8 @@ def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
         max_harq=protocol_default("cycle.max_harq", max_harq_default),
         power_efficiency_mops_per_mw=values["power.efficiency_mops_per_mw"],
         power_op_rate_per_s=values["power.op_rate_per_s"],
-        monte_carlo=MonteCarloSettings(
+        monte_carlo=_section(
+            MonteCarloSettings,
             n_cycles=values["monte_carlo.n_cycles"],
             seed=values["monte_carlo.seed"],
             bler_per_attempt=values["monte_carlo.bler_per_attempt"],
@@ -316,11 +353,12 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
 
 
 def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
-    """Rewrite ``key = value`` lines, appending keys not present.  The new
+    """Rewrite ``key = value`` lines, appending keys not present.  The
+    profile is read and written as UTF-8, like ``read_config``.  The new
     text goes to a temp file in the same directory that then replaces the
     profile, so a failed write leaves the profile as it was."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     remaining = dict(updates)
     out = []
     for line in lines:
@@ -335,7 +373,7 @@ def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
         out.append(f"{key} = {value}")
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write("\n".join(out) + "\n")
             f.flush()
             os.fsync(f.fileno())
@@ -413,9 +451,7 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
         n_tbphc = config.n_tbphc or 1
     else:
         n_tbphc = select_tbphc(config, n_rep, rtt_ms)
-    # both data fields carry the count: the HARQ sizing relation reads the
-    # DL one in either direction
-    params = replace(config.cycle, n_tbphc=n_tbphc, rep_pdsch=n_rep, rep_pusch=n_rep)
+    params = _completed_cycle(config.cycle, n_tbphc, n_rep)
     return ResolvedScenario(rtt_ms, snr, n_rep, params)
 
 
@@ -473,7 +509,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
             raise AssertionError(
                 f"cycle layout ({len(timeline)} SFs) diverged from closed form ({expected} SFs)"
             )
-        baseline_params = replace(config.cycle, rep_pdsch=n_rep, rep_pusch=n_rep)
+        baseline_params = _completed_cycle(config.cycle, config.cycle.n_tbphc, n_rep)
         baseline_suf = suf_closed_form(baseline_params, config.direction, SchedulingMode.LEGACY_FIXED)
         gain = suf / baseline_suf - 1.0
     rate = throughput(suf, config.tbs_bits, SF_SECONDS)
@@ -538,10 +574,12 @@ def sweep(
     axes; a key on two axes takes the later axis's value.
 
     Every axis value is parsed before any point runs.  Returns one result
-    per feasible point, and the ``(scenario_id, reason)`` of each point
-    whose link is infeasible, whose cycle misses a minimum delay or whose
+    per feasible point, and the ``(label, reason)`` of each point whose
+    link is infeasible, whose cycle misses a minimum delay or whose
     settings fail a check that depends on the point (such as the HARQ
-    budget at its round trip); the sweep goes on past those.
+    budget at its round trip); the sweep goes on past those.  A label is
+    the point's ``scenario_id`` followed by one ``key=value`` per axis, in
+    axis order, so points with distinct axis values never share one.
     """
     for key, options in axes:
         if key not in _SCHEMA:
@@ -556,7 +594,8 @@ def sweep(
         try:
             results.append(run_scenario(config, table))
         except (InfeasibleLinkError, MinDelayViolationError, ConfigError) as exc:
-            infeasible.append((config.scenario_id, str(exc)))
+            label = " ".join([config.scenario_id, *(f"{k}={v}" for k, v in zip(keys, values))])
+            infeasible.append((label, str(exc)))
     return results, infeasible
 
 

@@ -51,3 +51,12 @@ def test_render_timeline_returns_text_and_status(table):
     text, status = cli.render_timeline(config, "bs", "text", table)
     assert isinstance(text, str) and text.startswith("sf")
     assert status == 0
+
+
+def test_traced_names_are_not_cache_wrappers(tracing):
+    # on a cache hit a cached function skips its body, so its span and the
+    # spans of the layers it calls would stop counting every call's work
+    for layer, names in tracing.TRACED.items():
+        module = importlib.import_module(f"ntn_harq.{layer}")
+        for name in names:
+            assert not hasattr(getattr(module, name), "cache_info"), f"ntn_harq.{layer}.{name}"

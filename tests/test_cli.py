@@ -185,7 +185,7 @@ def test_sweep_reports_infeasible_points_and_goes_on(capsys):
     assert lines[0].startswith("scenario_id,altitude_km")
     assert [line.split(",")[1] for line in lines[1:3]] == ["600", "1200"]
     assert lines[3:] == [
-        "# infeasible leo3000-transparent-lte-m-ul-proposed-tbs504: "
+        "# infeasible leo3000-transparent-lte-m-ul-proposed-tbs504 geometry.altitude_km=3000: "
         "no repetition count reaches BLER 0.1 at -12.4 dB for tbs=504"
     ]
 
@@ -196,18 +196,31 @@ def test_sweep_reports_harq_budget_points_and_goes_on(ltem_copy, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[1] for line in lines[1:3]] == ["600", "1200"]
     assert lines[3:] == [
-        "# infeasible leo300-transparent-lte-m-ul-proposed-tbs504: cycle.n_tbphc=6 needs 10 HARQ "
-        "processes, more than the configured maximum of 8; the HARQ-process sizing relation caps "
-        "how many TBs one cycle may carry"
+        "# infeasible leo300-transparent-lte-m-ul-proposed-tbs504 geometry.altitude_km=300: "
+        "cycle.n_tbphc=6 needs 10 HARQ processes, more than the configured maximum of 8; "
+        "the HARQ-process sizing relation caps how many TBs one cycle may carry"
     ]
 
     assert run_cli("sweep", LTEM, "--axis", "cycle.max_harq=8,1") == 2
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split(",")[-6:-4] == ["6", "8"]  # n_tbphc, n_harq_required
     assert lines[2:] == [
-        "# infeasible leo600-transparent-lte-m-ul-proposed-tbs504: even one TB per cycle needs "
-        "more than 1 HARQ processes under the HARQ-process sizing relation; raise cycle.max_harq "
-        "or enable protocol.extended_harq"
+        "# infeasible leo600-transparent-lte-m-ul-proposed-tbs504 cycle.max_harq=1: "
+        "even one TB per cycle needs more than 1 HARQ processes under the HARQ-process sizing "
+        "relation; raise cycle.max_harq or enable protocol.extended_harq"
+    ]
+
+
+def test_sweep_infeasible_labels_carry_each_axis_value(capsys):
+    # the scenario_id leaves out the elevation, so only the axis values
+    # tell these two points apart
+    axes = ["--axis", "geometry.service_elevation_deg=10,20", "--axis", "geometry.altitude_km=2000"]
+    assert run_cli("sweep", LTEM, *axes) == 2
+    labels = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert labels == [
+        "# infeasible leo2000-transparent-lte-m-ul-proposed-tbs504 "
+        f"geometry.service_elevation_deg={e} geometry.altitude_km=2000"
+        for e in (10, 20)
     ]
 
 

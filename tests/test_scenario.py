@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from ntn_harq.scenario import (
 )
 
 NBIOT_EXT = {"protocol": "nb-iot", "protocol.extended_harq": "true"}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_defaults_run_ltem_leo600(table):
@@ -254,6 +258,21 @@ def test_update_config_file_failed_replace_keeps_profile(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["case.cfg"]  # no temp file left
 
 
+def test_update_config_file_keeps_utf8_bytes_under_an_ascii_locale(tmp_path):
+    # with the locale's encoding (ASCII here) the comments below did not decode
+    path = tmp_path / "case.cfg"
+    before = "# Höhe über Grund, ½ Grad\nmode = proposed  # ✓\ncycle.rep_pdcch = 1\n"
+    path.write_bytes(before.encode("utf-8"))
+    code = (
+        "import sys; from ntn_harq.scenario import update_config_file; "
+        "update_config_file(sys.argv[1], {'cycle.rep_pdcch': '5'})"
+    )
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONPATH": str(SRC)}
+    subprocess.run([sys.executable, "-X", "utf8=0", "-c", code, str(path)], env=env, check=True)
+    after = before.replace("cycle.rep_pdcch = 1", "cycle.rep_pdcch = 5")
+    assert path.read_bytes() == after.encode("utf-8")
+
+
 # --- sweep ------------------------------------------------------------------
 
 
@@ -298,9 +317,9 @@ def test_sweep_goes_on_past_infeasible_points(table):
     axes = [("geometry.altitude_km", ["3000", "600"]), ("mode", ["legacy", "proposed"])]
     rows, infeasible = sweep({}, axes, table)
     assert [(r.altitude_km, r.mode) for r in rows] == [(600.0, "legacy"), (600.0, "proposed")]
-    assert [sid for sid, _ in infeasible] == [
-        "leo3000-transparent-lte-m-ul-legacy-tbs504",
-        "leo3000-transparent-lte-m-ul-proposed-tbs504",
+    assert [label for label, _ in infeasible] == [
+        "leo3000-transparent-lte-m-ul-legacy-tbs504 geometry.altitude_km=3000 mode=legacy",
+        "leo3000-transparent-lte-m-ul-proposed-tbs504 geometry.altitude_km=3000 mode=proposed",
     ]
     assert all(reason.startswith("no repetition count reaches BLER 0.1") for _, reason in infeasible)
 
