@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -25,9 +26,17 @@ MAX_TBS_BITS = 100_000  # far above any LTE-M or NB-IoT transport block
 @dataclass(frozen=True)
 class BlerTable:
     """Immutable set of BLER curves: TBS -> repetition count, ascending ->
-    the curve's points."""
+    the curve's points.  Equality is structural, and the hash follows the
+    content, whatever the order the curves were inserted in."""
 
     curves: dict[int, dict[int, Points]]
+
+    @cached_property
+    def _content_hash(self) -> int:
+        return hash(frozenset((tbs, frozenset(by_rep.items())) for tbs, by_rep in self.curves.items()))
+
+    def __hash__(self) -> int:
+        return self._content_hash
 
     def reps_for(self, tbs: int) -> list[int]:
         """Available repetition counts for a TBS, ascending."""

@@ -10,8 +10,9 @@ Subcommands:
 
 Exit status: 0 success, 2 infeasible link or a schedule that misses a
 minimum delay (for sweep: at one point or more, the others still
-emitted; a point that fails its HARQ budget counts too), 3 configuration
-error.
+emitted; a point that fails its HARQ budget, has no BLER curve for its
+TB size or sets feedback bundling on an uplink cycle counts too), 3
+configuration error.
 """
 from __future__ import annotations
 
@@ -29,7 +30,9 @@ from .errors import (
 )
 from .metrics import SchedulingMode
 from .scenario import (
+    MAX_AUTO_TBPHC,
     ScenarioConfig,
+    auto_tbphc_capped,
     calibrate,
     load_config,
     read_config,
@@ -71,6 +74,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _load_table(path: str | None):
     return load_bler_table(path) if path else default_table()
+
+
+def _note_auto_cap(config: ScenarioConfig, table) -> None:
+    if auto_tbphc_capped(config, resolve(config, table)):
+        print(f"note: auto cycle.n_tbphc stops at its cap of {MAX_AUTO_TBPHC} TBs per cycle, "
+              f"although the HARQ budget of {config.max_harq} processes admits more",
+              file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +188,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     table = _load_table(args.bler_table)
     result = run_scenario(config, table)
+    _note_auto_cap(config, table)
     if result.goodput is None and config.monte_carlo.n_cycles > 0:
         print("note: legacy mode ignores monte_carlo.* (Monte Carlo goodput needs mode = proposed)",
               file=sys.stderr)
@@ -210,6 +221,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     table = _load_table(args.bler_table)
     text, status = render_timeline(config, args.perspective, args.format, table)
+    _note_auto_cap(config, table)
     _emit(text, args.out)
     return status
 

@@ -20,7 +20,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
-from .errors import ConfigError, InfeasibleLinkError, MinDelayViolationError
+from .errors import ConfigError, CurveNotFoundError, InfeasibleLinkError, MinDelayViolationError
 from .geometry import MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, OrbitGeometry, Payload, round_trip_time, slant_range
 from .harq import MAX_SUBFRAMES, SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
 from .linkbudget import LinkBudgetParams, snr_db
@@ -48,6 +48,15 @@ MAX_AUTO_TBPHC = 512
 _VALUE_CACHE_SIZE = 1024
 _SECTION_CACHE_SIZE = 1024
 _CYCLE_CACHE_SIZE = 512
+# Bounds of the caches that resolve each distinct operating point once:
+# (RTT, SNR) per (geometry, link), the repetition count per (table, TBS,
+# SNR, target BLER), and the checked layout per (cycle, direction).  The
+# same sweep needs 28, 40 and 354.  Full they retain about 0.8 MB, 0.2 MB
+# (a table is referenced, not copied) and 4.4 MB of 512-TB cycles, which
+# are the completed-cycle cache's own entries when they come from resolve.
+_LINK_CACHE_SIZE = 1024
+_REPETITION_CACHE_SIZE = 1024
+_LAYOUT_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -388,15 +397,17 @@ def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
 # pipeline
 
 
+def _harq_needed(config: ScenarioConfig, n_tbphc: int, n_rep: int, rtt_ms: float) -> int:
+    """HARQ processes that ``n_tbphc`` TBs of ``n_rep`` repetitions need."""
+    return harq_processes(config.cycle, n_tbphc, n_tbphc * n_rep, rtt_ms, SF_MS, config.n_a2g)
+
+
 def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
     """Resolve the TB count per variable-delay cycle: the configured value
     (validated against the HARQ budget) or the largest feasible one.  Each
     candidate n is sized on the template's scalars, building no cycle."""
-    def needed(n: int) -> int:
-        return harq_processes(config.cycle, n, n * n_rep, rtt_ms, SF_MS, config.n_a2g)
-
     if config.n_tbphc is not None:
-        if (count := needed(config.n_tbphc)) > config.max_harq:
+        if (count := _harq_needed(config, config.n_tbphc, n_rep, rtt_ms)) > config.max_harq:
             raise ConfigError(
                 f"cycle.n_tbphc={config.n_tbphc} needs {count} HARQ processes, more than "
                 f"the configured maximum of {config.max_harq}; the HARQ-process sizing "
@@ -405,7 +416,7 @@ def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
         return config.n_tbphc
 
     def fits(n: int) -> bool:
-        return needed(n) <= config.max_harq
+        return _harq_needed(config, n, n_rep, rtt_ms) <= config.max_harq
 
     # the HARQ count needed grows with n: double n while it fits, then
     # bisect between the last n that fits and the first that does not
@@ -434,25 +445,56 @@ class ResolvedScenario(NamedTuple):
     params: CycleParams
 
 
+@lru_cache(maxsize=_LINK_CACHE_SIZE)
+def _link_point(geometry: OrbitGeometry, link: LinkBudgetParams) -> tuple[float, float]:
+    """The round trip in ms and the operating SNR in dB of one pass
+    geometry and link budget."""
+    rtt_ms = round_trip_time(geometry)
+    distance_m = slant_range(geometry.altitude_km, geometry.service_elevation_deg) * 1000.0
+    return rtt_ms, snr_db(link, distance_m)
+
+
+@lru_cache(maxsize=_REPETITION_CACHE_SIZE)
+def _repetitions(table: BlerTable, tbs_bits: int, snr: float, target_bler: float) -> int:
+    """``select_repetitions`` once per distinct table content and point."""
+    return select_repetitions(table, tbs_bits, snr, target_bler)
+
+
 def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
     """Follow the chain geometry -> link budget -> repetition count -> TB
     count per cycle -> cycle parameters.
 
     A legacy config keeps its configured TB count (one under ``auto``), so
-    multi-TB conflict attempts can still be rendered.  Raises
-    InfeasibleLinkError when no tabulated repetition count reaches the
-    target BLER at the operating SNR.
+    multi-TB conflict attempts can still be rendered.  Raises ConfigError
+    when feedback bundling is set on an uplink cycle, CurveNotFoundError
+    when the table has no curve for the TB size, and InfeasibleLinkError
+    when no tabulated repetition count reaches the target BLER at the
+    operating SNR.
     """
-    rtt_ms = round_trip_time(config.geometry)
-    distance_m = slant_range(config.geometry.altitude_km, config.geometry.service_elevation_deg) * 1000.0
-    snr = snr_db(config.link, distance_m)
-    n_rep = select_repetitions(table, config.tbs_bits, snr, config.target_bler)
+    if config.cycle.ack_bundling and config.direction is Direction.UL:
+        raise ConfigError(
+            "cycle.ack_bundling = true needs direction = dl: feedback bundling "
+            "applies to downlink cycles only"
+        )
+    rtt_ms, snr = _link_point(config.geometry, config.link)
+    n_rep = _repetitions(table, config.tbs_bits, snr, config.target_bler)
     if config.mode is SchedulingMode.LEGACY_FIXED:
         n_tbphc = config.n_tbphc or 1
     else:
         n_tbphc = select_tbphc(config, n_rep, rtt_ms)
     params = _completed_cycle(config.cycle, n_tbphc, n_rep)
     return ResolvedScenario(rtt_ms, snr, n_rep, params)
+
+
+def auto_tbphc_capped(config: ScenarioConfig, resolved: ResolvedScenario) -> bool:
+    """Whether auto sizing stopped at ``MAX_AUTO_TBPHC`` TBs per cycle
+    although the HARQ budget admits more."""
+    return (
+        config.n_tbphc is None
+        and config.mode is SchedulingMode.PROPOSED_VARIABLE
+        and resolved.params.n_tbphc == MAX_AUTO_TBPHC
+        and _harq_needed(config, MAX_AUTO_TBPHC + 1, resolved.n_rep, resolved.rtt_ms) <= config.max_harq
+    )
 
 
 @dataclass(frozen=True)
@@ -486,6 +528,19 @@ def _power_scheme(config: ScenarioConfig) -> str:
     return "dd2a_bundled" if config.cycle.ack_bundling else "dd2a"
 
 
+@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _check_layout(params: CycleParams, direction: Direction) -> None:
+    """Lay out the proposed cycle and check its length against the closed
+    form.  The layout is a pure function of these frozen inputs, so each
+    distinct cycle is laid out and checked once."""
+    timeline = build_proposed_cycle(params, direction)
+    expected = cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
+    if len(timeline) != expected:
+        raise AssertionError(
+            f"cycle layout ({len(timeline)} SFs) diverged from closed form ({expected} SFs)"
+        )
+
+
 def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> ScenarioResult:
     """Full pipeline for one scenario.
 
@@ -503,12 +558,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
     suf = suf_closed_form(params, config.direction, config.mode)
     gain = 0.0
     if config.mode is SchedulingMode.PROPOSED_VARIABLE:
-        timeline = build_proposed_cycle(params, config.direction)
-        expected = cycle_length_closed_form(params, config.direction, config.mode)
-        if len(timeline) != expected:
-            raise AssertionError(
-                f"cycle layout ({len(timeline)} SFs) diverged from closed form ({expected} SFs)"
-            )
+        _check_layout(params, config.direction)
         baseline_params = _completed_cycle(config.cycle, config.cycle.n_tbphc, n_rep)
         baseline_suf = suf_closed_form(baseline_params, config.direction, SchedulingMode.LEGACY_FIXED)
         gain = suf / baseline_suf - 1.0
@@ -575,9 +625,10 @@ def sweep(
 
     Every axis value is parsed before any point runs.  Returns one result
     per feasible point, and the ``(label, reason)`` of each point whose
-    link is infeasible, whose cycle misses a minimum delay or whose
-    settings fail a check that depends on the point (such as the HARQ
-    budget at its round trip); the sweep goes on past those.  A label is
+    link is infeasible, whose cycle misses a minimum delay, whose TB size
+    has no BLER curve or whose settings fail a check that depends on the
+    point (such as the HARQ budget at its round trip, or feedback bundling
+    on an uplink point); the sweep goes on past those.  A label is
     the point's ``scenario_id`` followed by one ``key=value`` per axis, in
     axis order, so points with distinct axis values never share one.
     """
@@ -593,7 +644,7 @@ def sweep(
         config = config_from_mapping({**base_raw, **dict(zip(keys, values))})
         try:
             results.append(run_scenario(config, table))
-        except (InfeasibleLinkError, MinDelayViolationError, ConfigError) as exc:
+        except (InfeasibleLinkError, MinDelayViolationError, CurveNotFoundError, ConfigError) as exc:
             label = " ".join([config.scenario_id, *(f"{k}={v}" for k, v in zip(keys, values))])
             infeasible.append((label, str(exc)))
     return results, infeasible

@@ -224,6 +224,57 @@ def test_sweep_infeasible_labels_carry_each_axis_value(capsys):
     ]
 
 
+def test_sweep_reports_uplink_bundling_and_missing_curves_and_goes_on(ltem_copy, capsys):
+    ltem_copy.write_text(ltem_copy.read_text() + "cycle.ack_bundling = true\n")
+    assert run_cli("sweep", ltem_copy, "--axis", "direction=dl,ul") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("leo600-transparent-lte-m-dl-proposed-tbs504,")
+    assert lines[2:] == [
+        "# infeasible leo600-transparent-lte-m-ul-proposed-tbs504 direction=ul: "
+        "cycle.ack_bundling = true needs direction = dl: feedback bundling applies to downlink cycles only"
+    ]
+
+    assert run_cli("sweep", LTEM, "--axis", "tbs_bits=504,1000") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("leo600-transparent-lte-m-ul-proposed-tbs504,")
+    assert lines[2:] == [
+        "# infeasible leo600-transparent-lte-m-ul-proposed-tbs1000 tbs_bits=1000: no BLER curves for tbs=1000"
+    ]
+
+
+@pytest.mark.parametrize("mode", ["proposed", "legacy"])
+def test_run_uplink_bundling_names_both_keys(ltem_copy, capsys, mode):
+    ltem_copy.write_text(ltem_copy.read_text() + f"cycle.ack_bundling = true\nmode = {mode}\n")
+    assert run_cli("run", ltem_copy) == 3
+    assert capsys.readouterr().err == (
+        "config error: cycle.ack_bundling = true needs direction = dl: "
+        "feedback bundling applies to downlink cycles only\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "timeline"])
+def test_auto_tbphc_at_its_cap_says_so(tmp_path, capsys, command):
+    path = tmp_path / "dl.cfg"
+    shutil.copy(PROFILES / "leo600_ltem_dl.cfg", path)
+    assert run_cli(command, path) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    path.write_text(path.read_text() + "cycle.max_harq = 1024\n")
+    assert run_cli(command, path) == 0
+    capped = capsys.readouterr()
+    assert capped.err == (
+        "note: auto cycle.n_tbphc stops at its cap of 512 TBs per cycle, "
+        "although the HARQ budget of 1024 processes admits more\n"
+    )
+    if command == "run":
+        assert capped.out.splitlines()[1].split(",")[9] == "512"  # n_tbphc
+    # an explicit count, or a budget that 512 TBs use up, draws no note
+    for extra in ("cycle.n_tbphc = 512\n", "cycle.n_tbphc = auto\ncycle.max_harq = 514\n"):
+        path.write_text(path.read_text() + extra)
+        assert run_cli(command, path) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_sweep_bad_axis_value_exits_before_any_point_runs(monkeypatch, capsys):
     def no_run(*args):
         raise AssertionError("a point ran before every axis value was parsed")

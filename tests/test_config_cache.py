@@ -1,13 +1,18 @@
-"""The caches behind config parsing and cycle completion change no result.
+"""The caches behind config parsing, cycle completion and operating-point
+resolution change no result.
 
 ``scenario`` builds each distinct parsed value, section object and
-completed cycle once.  These tests hold the cached path to the same
-callables run without their caches, and check that errors are never
-cached and that equal keys of different meaning stay apart.
+completed cycle once, resolves each distinct link point and repetition
+count once, and lays out and checks each distinct proposed cycle once.
+These tests hold the cached path to the same callables run without their
+caches, and check that errors are never cached and that equal keys of
+different meaning stay apart.
 """
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntn_harq import scenario
+from ntn_harq.bler import BlerTable
 from ntn_harq.cli import main
 from ntn_harq.errors import (
     ConfigError,
@@ -23,10 +29,11 @@ from ntn_harq.errors import (
     InvalidInputError,
     MinDelayViolationError,
 )
-from ntn_harq.harq import CycleParams
-from ntn_harq.scenario import _SCHEMA, config_from_mapping, results_to_csv, run_scenario
+from ntn_harq.harq import CycleParams, Direction
+from ntn_harq.scenario import _SCHEMA, config_from_mapping, parse_config_text, results_to_csv, run_scenario
 
-CACHED = ("_parse_value", "_section", "_completed_cycle")
+CACHED = ("_parse_value", "_section", "_completed_cycle", "_link_point", "_repetitions", "_check_layout")
+PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 POINT_ERRORS = (ConfigError, CurveNotFoundError, InfeasibleLinkError, InvalidInputError, MinDelayViolationError)
 
 
@@ -115,3 +122,87 @@ def test_signed_zero_gives_one_output_whichever_parses_first(tmp_path, capsys, k
             outputs[text].add(capsys.readouterr().out)
     assert len(outputs["0"]) == 1 and outputs["0"] == outputs["-0"]
     assert "# monte_carlo goodput_bps=" in outputs["0"].pop()
+
+
+# one point of each kind of outcome per profile: rows, an infeasible link,
+# a TB size with no curve, uplink bundling, a HARQ budget that fails, and
+# the NB-IoT points whose cycle misses a minimum delay
+GRID = (
+    ("geometry.altitude_km", ("600", "3000")),
+    ("geometry.service_elevation_deg", ("30", "90")),
+    ("direction", ("ul", "dl")),
+    ("mode", ("legacy", "proposed")),
+    ("tbs_bits", ("504", "1000")),
+    ("cycle.ack_bundling", ("false", "true")),
+    ("cycle.rep_pdcch", ("1", "8")),
+    ("cycle.n_tbphc", ("auto", "7")),
+)
+
+
+@pytest.mark.parametrize("profile", sorted(p.stem for p in PROFILES.glob("*.cfg")))
+def test_grid_rows_and_errors_match_a_cache_free_reference(table, profile):
+    base = parse_config_text((PROFILES / f"{profile}.cfg").read_text())
+    raws = [
+        {**base, "protocol.extended_harq": "true", **dict(zip((k for k, _ in GRID), values))}
+        for values in itertools.product(*(options for _, options in GRID))
+    ]
+    clear_caches()
+    cached = [outcome(raw, table) for raw in raws]
+    with cache_free():
+        reference = [outcome(raw, table) for raw in raws]
+    assert cached == reference
+    kinds = {result[1] if len(result) == 3 else "row" for result in cached}
+    assert {"row", "InfeasibleLinkError", "CurveNotFoundError", "ConfigError"} <= kinds
+
+
+def test_point_errors_raise_on_every_call(table):
+    min_delay = {"protocol": "nb-iot", "protocol.extended_harq": "true",
+                 "geometry.service_elevation_deg": "90", "cycle.rep_pdcch": "8"}
+    cases = (
+        (min_delay, MinDelayViolationError),
+        ({"geometry.altitude_km": "3000"}, InfeasibleLinkError),
+        ({"tbs_bits": "1000"}, CurveNotFoundError),
+        ({"cycle.ack_bundling": "true"}, ConfigError),
+    )
+    for raw, error in cases:
+        config = config_from_mapping(raw)
+        for _ in range(2):
+            with pytest.raises(error):
+                run_scenario(config, table)
+
+
+def test_a_failed_layout_check_raises_on_every_call():
+    params = CycleParams(n_tbphc=3, rep_pusch=2)
+    scenario._check_layout.cache_clear()
+    with mock.patch.object(scenario, "cycle_length_closed_form", lambda *args: -1):
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="diverged from closed form"):
+                scenario._check_layout(params, Direction.UL)
+    assert scenario._check_layout.cache_info().currsize == 0
+    scenario._check_layout(params, Direction.UL)
+    assert scenario._check_layout.cache_info().currsize == 1
+
+
+def test_equal_tables_hash_equal_whatever_the_insertion_order(table):
+    reordered = BlerTable({
+        tbs: dict(reversed(list(by_rep.items())))
+        for tbs, by_rep in reversed(list(table.curves.items()))
+    })
+    assert list(reordered.curves) != list(table.curves)
+    assert reordered == table and hash(reordered) == hash(table)
+    tbs, by_rep = next(iter(table.curves.items()))
+    n_rep, points = next(iter(by_rep.items()))
+    (snr, bler), *rest = points
+    changed = BlerTable({**table.curves, tbs: {**by_rep, n_rep: ((snr, bler / 2), *rest)}})
+    assert changed != table
+
+
+def test_a_table_differing_in_one_point_selects_on_its_own_curve(table):
+    # the repetition cache is keyed on the table's content, so a table
+    # that differs in one point never reads another table's entry
+    config = config_from_mapping({})
+    assert run_scenario(config, table).n_rep == 12
+    curves = {tbs: dict(by_rep) for tbs, by_rep in table.curves.items()}
+    curves[504][8] = tuple((snr, bler / 10) for snr, bler in curves[504][8])
+    assert run_scenario(config, BlerTable(curves)).n_rep == 8
+    assert run_scenario(config, table).n_rep == 12
