@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -171,7 +171,9 @@ def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
     return table
 
 
+@cache
 def default_table() -> BlerTable:
-    """The packaged NTN TDL-A PUSCH table."""
+    """The packaged NTN TDL-A PUSCH table, read once per process.  Every
+    call returns the same table, so callers must not change its curves."""
     text = resources.files("ntn_harq").joinpath("data", DEFAULT_TABLE_RESOURCE).read_text()
     return load_bler_table(text.splitlines())

@@ -30,6 +30,7 @@ class Payload(Enum):
 
     TRANSPARENT = "transparent"
     REGENERATIVE = "regenerative"
+    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,13 @@ MAX_SUBFRAMES = 100_000  # bound on a configured or tabulated subframe count, fa
 class Direction(Enum):
     DL = "dl"
     UL = "ul"
+    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
 class GrantMode(Enum):
     STBG = "stbg"  # one control grant per transport block
     MTBG = "mtbg"  # one control grant schedules the whole cycle
+    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
 def _as_rep_tuple(value: int | Sequence[int], n_tbphc: int, name: str) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from .harq import CycleParams, Direction, GrantMode, feedback_wait
 class SchedulingMode(Enum):
     LEGACY_FIXED = "legacy"
     PROPOSED_VARIABLE = "proposed"
+    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
 @dataclass(frozen=True)

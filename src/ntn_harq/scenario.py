@@ -39,21 +39,22 @@ from .scheduler import GoodputResult, build_proposed_cycle, monte_carlo_goodput
 MAX_AUTO_TBPHC = 512
 
 # Bounds of the caches that build each distinct per-point input once:
-# parsed values per (key, text), section objects per class and field
-# values, and completed cycles per (template, n_tbphc, n_rep).  A sweep
-# over seven axes needs about 40 values, 40 sections and 250 cycles.
-# Full of large entries they retain under 6 MB: 0.8 MB of values (texts of
-# config-line length), 0.5 MB of sections and 4.4 MB of 512-TB cycles,
-# each of which holds two 512-entry tuples.
+# parsed values per (key, text), each of the five config sections
+# (geometry, link, cycle template, scalars, Monte Carlo) per the texts of
+# its keys, and completed cycles per (template, n_tbphc, n_rep).  A sweep
+# over seven axes needs about 40 values, 90 sections and 250 cycles.  Full
+# of large entries they retain under 12 MB: 0.8 MB of values and 5.8 MB of
+# sections (texts of config-line length), and 4.4 MB of 512-TB cycles.
 _VALUE_CACHE_SIZE = 1024
 _SECTION_CACHE_SIZE = 1024
 _CYCLE_CACHE_SIZE = 512
 # Bounds of the caches that resolve each distinct operating point once:
-# (RTT, SNR) per (geometry, link), the repetition count per (table, TBS,
-# SNR, target BLER), and the checked layout per (cycle, direction).  The
-# same sweep needs 28, 40 and 354.  Full they retain about 0.8 MB, 0.2 MB
-# (a table is referenced, not copied) and 4.4 MB of 512-TB cycles, which
-# are the completed-cycle cache's own entries when they come from resolve.
+# (RTT, SNR) per (geometry, link), the repetition count (or why none
+# reaches the target) per (table, TBS, SNR, target BLER), and the checked
+# layout per (cycle, direction).  The same sweep needs 28, 56 and 354.
+# Full they retain about 0.8 MB, 0.3 MB (a table is referenced, not
+# copied) and 4.4 MB of 512-TB cycles, which are the completed-cycle
+# cache's own entries when they come from resolve.
 _LINK_CACHE_SIZE = 1024
 _REPETITION_CACHE_SIZE = 1024
 _LAYOUT_CACHE_SIZE = 512
@@ -108,13 +109,13 @@ class MonteCarloSettings:
 class ScenarioConfig:
     geometry: OrbitGeometry
     link: LinkBudgetParams
+    cycle: CycleParams  # the cycle.* settings; one TB of one repetition until resolved
     protocol: ProtocolProfile
     tbs_bits: int
     target_bler: float
     direction: Direction
     mode: SchedulingMode
     n_tbphc: int | None  # None selects the largest feasible value
-    cycle: CycleParams  # the cycle.* settings; one TB of one repetition until resolved
     n_a2g: int
     max_harq: int
     power_efficiency_mops_per_mw: float
@@ -265,12 +266,6 @@ def _parse_value(key: str, text: str) -> Any:
     return value
 
 
-@lru_cache(maxsize=_SECTION_CACHE_SIZE)
-def _section(cls: type, **field_values: Any) -> Any:
-    """The frozen ``cls(**field_values)``, built once per distinct values."""
-    return cls(**field_values)
-
-
 @lru_cache(maxsize=_CYCLE_CACHE_SIZE)
 def _completed_cycle(template: CycleParams, n_tbphc: int, n_rep: int) -> CycleParams:
     """``template`` for ``n_tbphc`` TBs of ``n_rep`` repetitions each.  Both
@@ -279,67 +274,78 @@ def _completed_cycle(template: CycleParams, n_tbphc: int, n_rep: int) -> CyclePa
     return replace(template, n_tbphc=n_tbphc, rep_pdsch=n_rep, rep_pusch=n_rep)
 
 
-def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from raw string values."""
-    values = dict(_DEFAULTS)
+def _values(keys: tuple[str, ...], texts: tuple[str | None, ...]) -> dict[str, Any]:
+    """The checked value of each key, from its text or, where the text is
+    None, its default; named by the part of the key after its section."""
+    return {key.rpartition(".")[2]: _DEFAULTS[key] if text is None else _parse_value(key, text)
+            for key, text in zip(keys, texts)}
+
+
+# the keys of each section of a ScenarioConfig: together, the schema's keys.
+# The scalar keys but protocol.extended_harq follow ScenarioConfig's fields.
+_GEOMETRY_KEYS = tuple(key for key in _SCHEMA if key.startswith("geometry."))
+_LINK_KEYS = tuple(key for key in _SCHEMA if key.startswith("link."))
+_CYCLE_KEYS = ("protocol", "cycle.rep_pdcch", "cycle.rep_pucch", "cycle.n_switch", "cycle.n_dg2d", "cycle.dd2a_min",
+               "cycle.ug2d_min", "cycle.n_bundle", "cycle.grant_mode", "cycle.ack_bundling")
+_SCALAR_KEYS = ("protocol", "protocol.extended_harq", "tbs_bits", "target_bler", "direction", "mode", "cycle.n_tbphc",
+                "cycle.n_a2g", "cycle.max_harq", "power.efficiency_mops_per_mw", "power.op_rate_per_s")
+_MONTE_CARLO_KEYS = tuple(key for key in _SCHEMA if key.startswith("monte_carlo."))
+
+
+def _section_of(cls: type, keys: tuple[str, ...]) -> Callable[[tuple[str | None, ...]], Any]:
+    """A bounded cache of the ``cls`` built from each distinct texts of ``keys``."""
+    return lru_cache(maxsize=_SECTION_CACHE_SIZE)(lambda texts: cls(**_values(keys, texts)))
+
+
+_geometry_section = _section_of(OrbitGeometry, _GEOMETRY_KEYS)
+_link_section = _section_of(LinkBudgetParams, _LINK_KEYS)
+_monte_carlo_section = _section_of(MonteCarloSettings, _MONTE_CARLO_KEYS)
+
+
+@lru_cache(maxsize=_SECTION_CACHE_SIZE)
+def _cycle_section(texts: tuple[str | None, ...]) -> CycleParams:
+    """The cycle template; a ``protocol`` timing value takes the protocol's."""
+    values = _values(_CYCLE_KEYS, texts)
+    protocol = values.pop("protocol")
+    for name in ("n_switch", "dd2a_min", "ug2d_min"):
+        if values[name] is None:
+            values[name] = getattr(protocol, name)
+    return CycleParams(**values)
+
+
+@lru_cache(maxsize=_SECTION_CACHE_SIZE)
+def _scalar_section(texts: tuple[str | None, ...]) -> tuple[Any, ...]:
+    """The ScenarioConfig fields that hold one value each, in field order."""
+    values = _values(_SCALAR_KEYS, texts)
+    extended = values.pop("extended_harq")
+    if values["max_harq"] is None:
+        protocol = values["protocol"]
+        values["max_harq"] = protocol.max_harq_extended if extended else protocol.max_harq
+    return tuple(values.values())
+
+
+def _raise_first_bad_key(raw: Mapping[str, str]) -> None:
+    """Parse the texts in mapping order, so the first bad key raises."""
     for key, text in raw.items():
-        values[key] = _parse_value(key, text)
+        _parse_value(key, text)
 
-    protocol = values["protocol"]
-    extended = values["protocol.extended_harq"]
-    def protocol_default(key: str, fallback: int) -> int:
-        value = values[key]
-        return fallback if value is None else value
 
-    max_harq_default = protocol.max_harq_extended if extended else protocol.max_harq
-    return ScenarioConfig(
-        geometry=_section(
-            OrbitGeometry,
-            altitude_km=values["geometry.altitude_km"],
-            payload=values["geometry.payload"],
-            service_elevation_deg=values["geometry.service_elevation_deg"],
-            feeder_elevation_deg=values["geometry.feeder_elevation_deg"],
-        ),
-        link=_section(
-            LinkBudgetParams,
-            eirp_dbm=values["link.eirp_dbm"],
-            g_over_t_db=values["link.g_over_t_db"],
-            bandwidth_hz=values["link.bandwidth_hz"],
-            carrier_ghz=values["link.carrier_ghz"],
-            loss_atm_db=values["link.loss_atm_db"],
-            loss_shadow_db=values["link.loss_shadow_db"],
-            loss_scint_db=values["link.loss_scint_db"],
-            loss_polar_db=values["link.loss_polar_db"],
-        ),
-        protocol=protocol,
-        tbs_bits=values["tbs_bits"],
-        target_bler=values["target_bler"],
-        direction=values["direction"],
-        mode=values["mode"],
-        n_tbphc=values["cycle.n_tbphc"],
-        cycle=_section(
-            CycleParams,
-            rep_pdcch=values["cycle.rep_pdcch"],
-            rep_pucch=values["cycle.rep_pucch"],
-            n_switch=protocol_default("cycle.n_switch", protocol.n_switch),
-            n_dg2d=values["cycle.n_dg2d"],
-            dd2a_min=protocol_default("cycle.dd2a_min", protocol.dd2a_min),
-            ug2d_min=protocol_default("cycle.ug2d_min", protocol.ug2d_min),
-            n_bundle=values["cycle.n_bundle"],
-            grant_mode=values["cycle.grant_mode"],
-            ack_bundling=values["cycle.ack_bundling"],
-        ),
-        n_a2g=values["cycle.n_a2g"],
-        max_harq=protocol_default("cycle.max_harq", max_harq_default),
-        power_efficiency_mops_per_mw=values["power.efficiency_mops_per_mw"],
-        power_op_rate_per_s=values["power.op_rate_per_s"],
-        monte_carlo=_section(
-            MonteCarloSettings,
-            n_cycles=values["monte_carlo.n_cycles"],
-            seed=values["monte_carlo.seed"],
-            bler_per_attempt=values["monte_carlo.bler_per_attempt"],
-        ),
-    )
+def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
+    """Build a validated ScenarioConfig from raw string values.  Each
+    section is one cache lookup on the texts of its keys."""
+    if not raw.keys() <= _SCHEMA.keys():
+        _raise_first_bad_key(raw)  # raises: a key outside the schema is bad
+    try:
+        return ScenarioConfig(  # positional, in field order: the fastest call
+            _geometry_section(tuple(map(raw.get, _GEOMETRY_KEYS))),
+            _link_section(tuple(map(raw.get, _LINK_KEYS))),
+            _cycle_section(tuple(map(raw.get, _CYCLE_KEYS))),
+            *_scalar_section(tuple(map(raw.get, _SCALAR_KEYS))),
+            _monte_carlo_section(tuple(map(raw.get, _MONTE_CARLO_KEYS))),
+        )
+    except ConfigError:
+        _raise_first_bad_key(raw)
+        raise
 
 
 def read_config(path: str | Path) -> dict[str, str]:
@@ -455,9 +461,13 @@ def _link_point(geometry: OrbitGeometry, link: LinkBudgetParams) -> tuple[float,
 
 
 @lru_cache(maxsize=_REPETITION_CACHE_SIZE)
-def _repetitions(table: BlerTable, tbs_bits: int, snr: float, target_bler: float) -> int:
-    """``select_repetitions`` once per distinct table content and point."""
-    return select_repetitions(table, tbs_bits, snr, target_bler)
+def _repetitions(table: BlerTable, tbs_bits: int, snr: float, target_bler: float) -> int | str:
+    """``select_repetitions`` once per distinct table content and point, or
+    the reason no count reaches the target: a value, not an exception."""
+    try:
+        return select_repetitions(table, tbs_bits, snr, target_bler)
+    except InfeasibleLinkError as exc:
+        return str(exc)
 
 
 def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
@@ -478,6 +488,8 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
         )
     rtt_ms, snr = _link_point(config.geometry, config.link)
     n_rep = _repetitions(table, config.tbs_bits, snr, config.target_bler)
+    if isinstance(n_rep, str):
+        raise InfeasibleLinkError(n_rep)
     if config.mode is SchedulingMode.LEGACY_FIXED:
         n_tbphc = config.n_tbphc or 1
     else:
@@ -623,18 +635,21 @@ def sweep(
     """Cartesian product over axis values in row-major order of the given
     axes; a key on two axes takes the later axis's value.
 
-    Every axis value is parsed before any point runs.  Returns one result
-    per feasible point, and the ``(label, reason)`` of each point whose
-    link is infeasible, whose cycle misses a minimum delay, whose TB size
-    has no BLER curve or whose settings fail a check that depends on the
-    point (such as the HARQ budget at its round trip, or feedback bundling
-    on an uplink point); the sweep goes on past those.  A label is
-    the point's ``scenario_id`` followed by one ``key=value`` per axis, in
-    axis order, so points with distinct axis values never share one.
+    Every axis value is parsed before any point runs, and an axis with no
+    values is a ConfigError.  Returns one result per feasible point, and
+    the ``(label, reason)`` of each point whose link is infeasible, whose
+    cycle misses a minimum delay, whose TB size has no BLER curve or whose
+    settings fail a check that depends on the point (such as the HARQ
+    budget at its round trip, or feedback bundling on an uplink point);
+    the sweep goes on past those.  A label is the point's ``scenario_id``
+    followed by one ``key=value`` per axis, in axis order, so points with
+    distinct axis values never share one.
     """
     for key, options in axes:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown sweep parameter {key!r}")
+        if not options:
+            raise ConfigError(f"sweep axis {key} lists no values")
         for text in options:
             config_from_mapping({key: text})  # each value alone: a bad one fails before any point runs
     table = table if table is not None else bler_mod.default_table()

@@ -50,6 +50,7 @@ TX_ACTIVITIES = frozenset({Activity.TX_PUCCH, Activity.TX_PUSCH})
 class Perspective(Enum):
     UE = "UE"
     BS = "BS"
+    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
 class SlotUse(NamedTuple):

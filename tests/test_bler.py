@@ -1,9 +1,13 @@
 import math
+from pathlib import Path
 
 import pytest
 
+import ntn_harq
 from ntn_harq.bler import (
+    DEFAULT_TABLE_RESOURCE,
     bler_at,
+    default_table,
     load_bler_table,
     select_repetitions,
     spectral_efficiency,
@@ -168,6 +172,12 @@ def test_loader_reads_an_open_file(tmp_path):
     path.write_text("100,1,-6,0.2\n100,1,-4,0.02\n")
     with path.open() as f:
         assert load_bler_table(f) == load_bler_table(path)
+
+
+def test_default_table_is_read_once_and_equals_the_packaged_file():
+    packaged = Path(ntn_harq.__file__).parent / "data" / DEFAULT_TABLE_RESOURCE
+    assert default_table() is default_table()
+    assert default_table() == load_bler_table(packaged)
 
 
 def test_loader_accepts_comments_and_blanks():

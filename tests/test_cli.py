@@ -179,6 +179,14 @@ def test_sweep_bad_axis(tmp_path):
     assert run_cli("sweep", LTEM, "--axis", "nonsense=1,2") == 3
 
 
+@pytest.mark.parametrize("axis", ["mode=", "mode= , ", "mode=,"])
+def test_sweep_rejects_an_axis_with_no_values(capsys, axis):
+    assert run_cli("sweep", LTEM, "--axis", "geometry.altitude_km=600,1200", "--axis", axis) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sweep axis mode lists no values" in captured.err
+
+
 def test_sweep_reports_infeasible_points_and_goes_on(capsys):
     assert run_cli("sweep", LTEM, "--axis", "geometry.altitude_km=600,3000,1200") == 2
     lines = capsys.readouterr().out.splitlines()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -30,11 +31,17 @@ from ntn_harq.errors import (
     MinDelayViolationError,
 )
 from ntn_harq.harq import CycleParams, Direction
-from ntn_harq.scenario import _SCHEMA, config_from_mapping, parse_config_text, results_to_csv, run_scenario
+from ntn_harq.scenario import _SCHEMA, ScenarioConfig, config_from_mapping, parse_config_text, results_to_csv, run_scenario
 
-CACHED = ("_parse_value", "_section", "_completed_cycle", "_link_point", "_repetitions", "_check_layout")
+SECTIONS = ("_geometry_section", "_link_section", "_cycle_section", "_scalar_section", "_monte_carlo_section")
+CACHED = ("_parse_value", *SECTIONS, "_completed_cycle", "_link_point", "_repetitions", "_check_layout")
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 POINT_ERRORS = (ConfigError, CurveNotFoundError, InfeasibleLinkError, InvalidInputError, MinDelayViolationError)
+
+
+def cycle_texts(texts: dict[str, str]) -> tuple[str | None, ...]:
+    """The cycle section's key: each of its keys' texts, None if absent."""
+    return tuple(map(texts.get, scenario._CYCLE_KEYS))
 
 
 def clear_caches() -> None:
@@ -88,15 +95,50 @@ def test_cached_configs_and_rows_match_a_cache_free_reference(table, raw):
 
 
 def test_a_bad_value_raises_on_every_call():
+    scenario._cycle_section.cache_clear()
     for _ in range(2):
         with pytest.raises(ConfigError, match=r"bad value for cycle.rep_pdcch: '0' must lie in \[1, 100000\]"):
             config_from_mapping({"cycle.rep_pdcch": "0"})
         with pytest.raises(ConfigError, match="unknown configuration key 'cycle.bogus'"):
             config_from_mapping({"cycle.bogus": "1"})
-        with pytest.raises(InvalidInputError, match="n_tbphc must be >= 1"):
-            scenario._section(CycleParams, n_tbphc=0)
+        with pytest.raises(ConfigError, match="bad value for cycle.n_bundle: '0' must be >= 1"):
+            scenario._cycle_section(cycle_texts({"cycle.n_bundle": "0"}))
         with pytest.raises(InvalidInputError, match="rep_pdsch repetitions must be >= 1"):
             scenario._completed_cycle(CycleParams(), 2, 0)
+    assert scenario._cycle_section.cache_info().currsize == 0
+
+
+def test_the_sections_cover_the_schema():
+    keys = (scenario._GEOMETRY_KEYS, scenario._LINK_KEYS, scenario._CYCLE_KEYS, scenario._SCALAR_KEYS,
+            scenario._MONTE_CARLO_KEYS)
+    assert set().union(*keys) == _SCHEMA.keys()
+
+
+def test_the_scalar_keys_follow_the_config_fields():
+    names = [key.replace(".", "_").removeprefix("cycle_")
+             for key in scenario._SCALAR_KEYS if key != "protocol.extended_harq"]
+    assert names == [f.name for f in fields(ScenarioConfig)][3:-1]
+
+
+# two bad keys each, from sections the cache looks up in the other order
+# (geometry before cycle, link before Monte Carlo), and unknown keys
+TWO_BAD_KEYS = (
+    ("cycle.rep_pdcch", "0", "bad value for cycle.rep_pdcch"),
+    ("geometry.altitude_km", "-1", "bad value for geometry.altitude_km"),
+    ("monte_carlo.seed", "x", "bad value for monte_carlo.seed"),
+    ("link.bandwidth_hz", "0", "bad value for link.bandwidth_hz"),
+    ("cycle.bogus", "1", "unknown configuration key 'cycle.bogus'"),
+    ("mode", "fast", "bad value for mode"),
+)
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4), (1, 4), (4, 1)])
+def test_the_first_bad_key_in_mapping_order_names_the_error(first, second):
+    (key_a, text_a, error), (key_b, text_b, _) = TWO_BAD_KEYS[first], TWO_BAD_KEYS[second]
+    raw = {"cycle.n_tbphc": "auto", key_a: text_a, "tbs_bits": "144", key_b: text_b}
+    for _ in range(2):
+        with pytest.raises(ConfigError, match=f"^{error}"):
+            config_from_mapping(raw)
 
 
 def test_one_text_under_two_keys_is_parsed_per_key():
@@ -169,6 +211,21 @@ def test_point_errors_raise_on_every_call(table):
         for _ in range(2):
             with pytest.raises(error):
                 run_scenario(config, table)
+
+
+def test_an_infeasible_point_is_resolved_once_and_raises_a_fresh_error_each_time(table):
+    config = config_from_mapping({"geometry.altitude_km": "3000"})
+    scenario._repetitions.cache_clear()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(InfeasibleLinkError) as caught:
+            scenario.resolve(config, table)
+        errors.append(caught.value)
+    info = scenario._repetitions.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert errors[0] is not errors[1]
+    assert str(errors[0]) == str(errors[1])
+    assert str(errors[1]).startswith("no repetition count reaches BLER 0.1 at ")
 
 
 def test_a_failed_layout_check_raises_on_every_call():

@@ -329,6 +329,12 @@ def test_sweep_unknown_axis(table):
         sweep({}, [("cycle.bogus", ["1"])], table)
 
 
+def test_sweep_rejects_an_axis_with_no_values(table):
+    axes = [("geometry.altitude_km", ["600"]), ("cycle.rep_pdcch", [])]
+    with pytest.raises(ConfigError, match="sweep axis cycle.rep_pdcch lists no values"):
+        sweep({}, axes, table)
+
+
 def test_csv_deterministic(table):
     rows, _ = sweep({}, [("geometry.altitude_km", ["600", "1200"])], table)
     again, _ = sweep({}, [("geometry.altitude_km", ["600", "1200"])], table)
