@@ -282,7 +282,7 @@ def _values(keys: tuple[str, ...], texts: tuple[str | None, ...]) -> dict[str, A
 
 
 # the keys of each section of a ScenarioConfig: together, the schema's keys.
-# The scalar keys but protocol.extended_harq follow ScenarioConfig's fields.
+# Apart from protocol.extended_harq, the scalar keys follow its field order.
 _GEOMETRY_KEYS = tuple(key for key in _SCHEMA if key.startswith("geometry."))
 _LINK_KEYS = tuple(key for key in _SCHEMA if key.startswith("link."))
 _CYCLE_KEYS = ("protocol", "cycle.rep_pdcch", "cycle.rep_pucch", "cycle.n_switch", "cycle.n_dg2d", "cycle.dd2a_min",
@@ -293,7 +293,7 @@ _MONTE_CARLO_KEYS = tuple(key for key in _SCHEMA if key.startswith("monte_carlo.
 
 
 def _section_of(cls: type, keys: tuple[str, ...]) -> Callable[[tuple[str | None, ...]], Any]:
-    """A bounded cache of the ``cls`` built from each distinct texts of ``keys``."""
+    """A bounded cache of the ``cls`` built from each distinct tuple of texts of ``keys``."""
     return lru_cache(maxsize=_SECTION_CACHE_SIZE)(lambda texts: cls(**_values(keys, texts)))
 
 
