@@ -1,9 +1,10 @@
 """Byte-identity of CLI outputs against copies recorded in ``tests/golden/``.
 
-The copies pin the ``run`` CSV of every shipped profile, the ``sweep`` CSV
-over three axes, over a key repeated across two axes and with no axis,
-every timeline format and view of a large auto-sized downlink cycle, and a
-legacy multi-TB attempt with its conflict annotations.  Regenerate them only
+The copies pin the ``run`` CSV and the ``calibrate --dry-run`` output of
+every shipped profile, the ``sweep`` CSV over three axes, over a key
+repeated across two axes and with no axis, every timeline format and view
+of a large auto-sized downlink cycle, and a legacy multi-TB attempt with
+its conflict annotations.  Regenerate them only
 when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -52,6 +53,10 @@ def _run_csv(profile: str) -> str:
     return _cli("run", str(PROFILES / f"{profile}.cfg"))
 
 
+def _calibration(profile: str) -> str:
+    return _cli("calibrate", str(PROFILES / f"{profile}.cfg"), "--dry-run")
+
+
 def _sweep_csv(profile: str, axes: list[str]) -> str:
     return _cli("sweep", str(PROFILES / f"{profile}.cfg"), *(f"--axis={a}" for a in axes))
 
@@ -65,6 +70,7 @@ def _timeline(overrides: dict[str, str], view: str, fmt: str) -> str:
 
 CASES = {
     **{f"run.{p.stem}.csv": (_run_csv, p.stem) for p in sorted(PROFILES.glob("*.cfg"))},
+    **{f"calibrate.{p.stem}.txt": (_calibration, p.stem) for p in sorted(PROFILES.glob("*.cfg"))},
     **{f"sweep.{label}.csv": (_sweep_csv, *args) for label, args in SWEEPS.items()},
     **{
         f"timeline.{label}.{view}.{fmt}": (_timeline, overrides, view, fmt)
