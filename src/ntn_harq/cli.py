@@ -230,6 +230,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     table = _load_table(args.bler_table)
     result = calibrate(config, table)
+    if result.skipped:
+        label, reason = result.skipped[0]
+        print(f"note: calibrate skipped {len(result.skipped)} candidates that fail; the first, {label}: {reason}",
+              file=sys.stderr)
     lines = [
         f"rep_pdcch={result.rep_pdcch} n_a2g={result.n_a2g}",
         f"gain_pct={result.gain_pct:.6g} target={result.target_gain_pct:.6g}",

@@ -86,14 +86,6 @@ class CycleParams:
             self, "rep_pusch", _as_rep_tuple(self.rep_pusch, self.n_tbphc, "rep_pusch")
         )
 
-    @property
-    def pdsch_reps(self) -> tuple[int, ...]:
-        return self.rep_pdsch  # type: ignore[return-value]
-
-    @property
-    def pusch_reps(self) -> tuple[int, ...]:
-        return self.rep_pusch  # type: ignore[return-value]
-
 
 def fixed_positions(anchor_sf: int, fixed_delay: int) -> int:
     """Position scheduled a fixed delay after its anchor subframe.
@@ -133,15 +125,15 @@ def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
     delays = []
     if direction is Direction.DL:
         n_bundle = params.n_bundle if params.ack_bundling else 1
-        remaining = sum(params.pdsch_reps)
-        for before, r in enumerate(params.pdsch_reps):
+        remaining = sum(params.rep_pdsch)
+        for before, r in enumerate(params.rep_pdsch):
             remaining -= r
             delays.append(remaining + feedback_wait(before, n_bundle, params.rep_pucch) + params.n_switch)
         return tuple(delays)
     if params.ack_bundling:
         raise InvalidInputError("feedback bundling applies to downlink cycles only")
     earlier = 0
-    for j, r in enumerate(params.pusch_reps, 1):
+    for j, r in enumerate(params.rep_pusch, 1):
         delays.append((params.n_tbphc - j) * params.rep_pdcch + earlier + params.n_switch)
         earlier += r
     return tuple(delays)
@@ -149,7 +141,7 @@ def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
 
 def harq_for_tbphc(params: CycleParams, rtt_ms: float, t_tb_ms: float, ack_proc_sf: int) -> int:
     """HARQ processes needed to sustain the cycle ``params`` lays out."""
-    return harq_processes(params, params.n_tbphc, sum(params.pdsch_reps), rtt_ms, t_tb_ms, ack_proc_sf)
+    return harq_processes(params, params.n_tbphc, sum(params.rep_pdsch), rtt_ms, t_tb_ms, ack_proc_sf)
 
 
 def harq_processes(

@@ -84,14 +84,14 @@ def cycle_length_closed_form(
             return (
                 p
                 + params.n_dg2d
-                + params.pdsch_reps[0]
+                + params.rep_pdsch[0]
                 + params.dd2a_min
                 + params.rep_pucch
                 + sw
             )
-        return p + params.pusch_reps[0] + params.ug2d_min + sw
+        return p + params.rep_pusch[0] + params.ug2d_min + sw
     if direction is Direction.DL:
-        data = sum(params.pdsch_reps)
+        data = sum(params.rep_pdsch)
         grants = p if params.grant_mode is GrantMode.MTBG else n * p
         n_bundle = params.n_bundle if params.ack_bundling else 1
         wait = feedback_wait(n - 1, n_bundle, params.rep_pucch)
@@ -105,7 +105,7 @@ def cycle_length_closed_form(
         )
     if params.ack_bundling:
         raise InvalidInputError("feedback bundling applies to downlink cycles only")
-    data = sum(params.pusch_reps)
+    data = sum(params.rep_pusch)
     return p + max(params.ug2d_min, (n - 1) * p) + data + 2 * sw
 
 

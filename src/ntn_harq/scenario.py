@@ -38,26 +38,12 @@ from .scheduler import GoodputResult, build_proposed_cycle, monte_carlo_goodput
 
 MAX_AUTO_TBPHC = 512
 
-# Bounds of the caches that build each distinct per-point input once:
-# parsed values per (key, text), each of the five config sections
-# (geometry, link, cycle template, scalars, Monte Carlo) per the texts of
-# its keys, and completed cycles per (template, n_tbphc, n_rep).  A sweep
-# over seven axes needs about 40 values, 90 sections and 250 cycles.  Full
-# of large entries they retain under 12 MB: 0.8 MB of values and 5.8 MB of
-# sections (texts of config-line length), and 4.4 MB of 512-TB cycles.
-_VALUE_CACHE_SIZE = 1024
-_SECTION_CACHE_SIZE = 1024
+# Cache bounds: the five config sections and the operating points take
+# _CACHE_SIZE; completed cycles and their checked layouts, whose entries
+# can be 512-TB cycles, take _CYCLE_CACHE_SIZE.  Full, they retain under
+# 16 MB (see the README).
+_CACHE_SIZE = 1024
 _CYCLE_CACHE_SIZE = 512
-# Bounds of the caches that resolve each distinct operating point once:
-# (RTT, SNR) per (geometry, link), the repetition count (or why none
-# reaches the target) per (table, TBS, SNR, target BLER), and the checked
-# layout per (cycle, direction).  The same sweep needs 28, 56 and 354.
-# Full they retain about 0.8 MB, 0.3 MB (a table is referenced, not
-# copied) and 4.4 MB of 512-TB cycles, which are the completed-cycle
-# cache's own entries when they come from resolve.
-_LINK_CACHE_SIZE = 1024
-_REPETITION_CACHE_SIZE = 1024
-_LAYOUT_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -246,10 +232,8 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-@lru_cache(maxsize=_VALUE_CACHE_SIZE)
 def _parse_value(key: str, text: str) -> Any:
-    """The checked value of one raw ``key = text`` pair.  Every value is
-    immutable, so one parse serves every config that repeats the pair."""
+    """The checked value of one raw ``key = text`` pair."""
     entry = _SCHEMA.get(key)
     if entry is None:
         raise ConfigError(f"unknown configuration key {key!r}")
@@ -294,7 +278,7 @@ _MONTE_CARLO_KEYS = tuple(key for key in _SCHEMA if key.startswith("monte_carlo.
 
 def _section_of(cls: type, keys: tuple[str, ...]) -> Callable[[tuple[str | None, ...]], Any]:
     """A bounded cache of the ``cls`` built from each distinct tuple of texts of ``keys``."""
-    return lru_cache(maxsize=_SECTION_CACHE_SIZE)(lambda texts: cls(**_values(keys, texts)))
+    return lru_cache(maxsize=_CACHE_SIZE)(lambda texts: cls(**_values(keys, texts)))
 
 
 _geometry_section = _section_of(OrbitGeometry, _GEOMETRY_KEYS)
@@ -302,7 +286,7 @@ _link_section = _section_of(LinkBudgetParams, _LINK_KEYS)
 _monte_carlo_section = _section_of(MonteCarloSettings, _MONTE_CARLO_KEYS)
 
 
-@lru_cache(maxsize=_SECTION_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _cycle_section(texts: tuple[str | None, ...]) -> CycleParams:
     """The cycle template; a ``protocol`` timing value takes the protocol's."""
     values = _values(_CYCLE_KEYS, texts)
@@ -313,7 +297,7 @@ def _cycle_section(texts: tuple[str | None, ...]) -> CycleParams:
     return CycleParams(**values)
 
 
-@lru_cache(maxsize=_SECTION_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _scalar_section(texts: tuple[str | None, ...]) -> tuple[Any, ...]:
     """The ScenarioConfig fields that hold one value each, in field order."""
     values = _values(_SCALAR_KEYS, texts)
@@ -368,24 +352,21 @@ def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) ->
 
 
 def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
-    """Rewrite ``key = value`` lines, appending keys not present.  The
-    profile is read and written as UTF-8, like ``read_config``.  The new
-    text goes to a temp file in the same directory that then replaces the
-    profile, so a failed write leaves the profile as it was."""
+    """Rewrite every line that sets a key of ``updates``, appending keys not
+    present.  The profile is read and written as UTF-8, like
+    ``read_config``.  The new text goes to a temp file in the same
+    directory that then replaces the profile, so a failed write leaves the
+    profile as it was."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    remaining = dict(updates)
-    out = []
-    for line in lines:
-        stripped = line.split("#", 1)[0].strip()
-        if stripped and "=" in stripped:
-            key = stripped.split("=", 1)[0].strip()
-            if key in remaining:
-                out.append(f"{key} = {remaining.pop(key)}")
-                continue
+    out, written = [], set()
+    for line in path.read_text(encoding="utf-8").splitlines():
+        stripped = line.split("#", 1)[0]
+        key = stripped.split("=", 1)[0].strip()
+        if "=" in stripped and key in updates:
+            line = f"{key} = {updates[key]}"
+            written.add(key)
         out.append(line)
-    for key, value in remaining.items():
-        out.append(f"{key} = {value}")
+    out += [f"{key} = {value}" for key, value in updates.items() if key not in written]
     fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
@@ -451,23 +432,18 @@ class ResolvedScenario(NamedTuple):
     params: CycleParams
 
 
-@lru_cache(maxsize=_LINK_CACHE_SIZE)
-def _link_point(geometry: OrbitGeometry, link: LinkBudgetParams) -> tuple[float, float]:
-    """The round trip in ms and the operating SNR in dB of one pass
-    geometry and link budget."""
+@lru_cache(maxsize=_CACHE_SIZE)
+def _operating_point(geometry: OrbitGeometry, link: LinkBudgetParams, table: BlerTable, tbs_bits: int,
+                     target_bler: float) -> tuple[float, float, int | str]:
+    """The round trip in ms, the operating SNR in dB and the repetition
+    count that reaches the target there, or the reason no count does: a
+    value, not an exception.  A missing curve raises."""
     rtt_ms = round_trip_time(geometry)
-    distance_m = slant_range(geometry.altitude_km, geometry.service_elevation_deg) * 1000.0
-    return rtt_ms, snr_db(link, distance_m)
-
-
-@lru_cache(maxsize=_REPETITION_CACHE_SIZE)
-def _repetitions(table: BlerTable, tbs_bits: int, snr: float, target_bler: float) -> int | str:
-    """``select_repetitions`` once per distinct table content and point, or
-    the reason no count reaches the target: a value, not an exception."""
+    snr = snr_db(link, slant_range(geometry.altitude_km, geometry.service_elevation_deg) * 1000.0)
     try:
-        return select_repetitions(table, tbs_bits, snr, target_bler)
+        return rtt_ms, snr, select_repetitions(table, tbs_bits, snr, target_bler)
     except InfeasibleLinkError as exc:
-        return str(exc)
+        return rtt_ms, snr, str(exc)
 
 
 def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
@@ -486,8 +462,7 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
             "cycle.ack_bundling = true needs direction = dl: feedback bundling "
             "applies to downlink cycles only"
         )
-    rtt_ms, snr = _link_point(config.geometry, config.link)
-    n_rep = _repetitions(table, config.tbs_bits, snr, config.target_bler)
+    rtt_ms, snr, n_rep = _operating_point(config.geometry, config.link, table, config.tbs_bits, config.target_bler)
     if isinstance(n_rep, str):
         raise InfeasibleLinkError(n_rep)
     if config.mode is SchedulingMode.LEGACY_FIXED:
@@ -540,7 +515,7 @@ def _power_scheme(config: ScenarioConfig) -> str:
     return "dd2a_bundled" if config.cycle.ack_bundling else "dd2a"
 
 
-@lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+@lru_cache(maxsize=_CYCLE_CACHE_SIZE)
 def _check_layout(params: CycleParams, direction: Direction) -> None:
     """Lay out the proposed cycle and check its length against the closed
     form.  The layout is a pure function of these frozen inputs, so each
@@ -627,6 +602,10 @@ def results_to_csv(results: list[ScenarioResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the errors of one point, which sweep and calibrate report and go on past
+_POINT_ERRORS = (InfeasibleLinkError, MinDelayViolationError, CurveNotFoundError, ConfigError)
+
+
 def sweep(
     base_raw: Mapping[str, str],
     axes: list[tuple[str, list[str]]],
@@ -659,7 +638,7 @@ def sweep(
         config = config_from_mapping({**base_raw, **dict(zip(keys, values))})
         try:
             results.append(run_scenario(config, table))
-        except (InfeasibleLinkError, MinDelayViolationError, CurveNotFoundError, ConfigError) as exc:
+        except _POINT_ERRORS as exc:
             label = " ".join([config.scenario_id, *(f"{k}={v}" for k, v in zip(keys, values))])
             infeasible.append((label, str(exc)))
     return results, infeasible
@@ -676,6 +655,7 @@ class CalibrationResult:
     gain_pct: float
     target_gain_pct: float
     within_tolerance: bool
+    skipped: tuple[tuple[str, str], ...] = ()  # (candidate, reason) of each candidate that failed
 
     @property
     def degraded(self) -> bool:
@@ -688,22 +668,28 @@ def calibrate(config: ScenarioConfig, table: BlerTable | None = None) -> Calibra
 
     The search covers rep_pdcch in [1, 8] and n_a2g in [0, 4] with the TB
     count re-selected per candidate; ties break toward the smallest pair.
-    A result outside the protocol's tolerance is flagged degraded rather
-    than hidden.
+    A candidate that fails as a sweep point can (its HARQ budget, say, or
+    a minimum delay) is skipped and listed in ``skipped``; when every one
+    fails, the first one's error is raised.  A result outside the
+    protocol's tolerance is flagged degraded rather than hidden.
     """
     table = table if table is not None else bler_mod.default_table()
     target = config.protocol.target_gain_pct
     best: tuple[float, int, int, float] | None = None
-    for p in range(1, 9):
-        for a in range(0, 5):
-            candidate = replace(config, cycle=replace(config.cycle, rep_pdcch=p), n_a2g=a,
-                                n_tbphc=None, mode=SchedulingMode.PROPOSED_VARIABLE)
-            result = run_scenario(candidate, table)
-            distance = abs(result.gain_pct - target)
-            key = (distance, p, a, result.gain_pct)
-            if best is None or key[:3] < best[:3]:
-                best = key
-    assert best is not None
+    skipped: list[tuple[str, Exception]] = []
+    for p, a in product(range(1, 9), range(5)):
+        candidate = replace(config, cycle=replace(config.cycle, rep_pdcch=p), n_a2g=a,
+                            n_tbphc=None, mode=SchedulingMode.PROPOSED_VARIABLE)
+        try:
+            gain_pct = run_scenario(candidate, table).gain_pct
+        except _POINT_ERRORS as exc:
+            skipped.append((f"rep_pdcch={p} n_a2g={a}", exc))
+            continue
+        key = (abs(gain_pct - target), p, a, gain_pct)
+        if best is None or key[:3] < best[:3]:
+            best = key
+    if best is None:
+        raise skipped[0][1]
     distance, p, a, gain_pct = best
     return CalibrationResult(
         rep_pdcch=p,
@@ -711,4 +697,5 @@ def calibrate(config: ScenarioConfig, table: BlerTable | None = None) -> Calibra
         gain_pct=gain_pct,
         target_gain_pct=target,
         within_tolerance=distance <= config.protocol.gain_tolerance_pct,
+        skipped=tuple((label, str(exc)) for label, exc in skipped),
     )

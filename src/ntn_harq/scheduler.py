@@ -138,15 +138,6 @@ class SubframeTimeline:
             out.extend([uses] * (stop - first))
         return out
 
-    def uses(self) -> list[tuple[int, SlotUse]]:
-        """All (time_index, use) pairs in slot order."""
-        return [
-            (self.origin + sf, use)
-            for first, stop, uses in self.segments
-            for sf in range(first, stop)
-            for use in uses
-        ]
-
 
 @dataclass(frozen=True)
 class Conflict:
@@ -214,7 +205,7 @@ def _legacy_claims(params: CycleParams, direction: Direction) -> list[tuple[int,
     p = params.rep_pdcch
     claims = []
     if direction is Direction.DL:
-        reps = params.pdsch_reps
+        reps = params.rep_pdsch
         claims.append((0, p, SlotUse(Activity.RX_PDCCH)))
         start = p + params.n_dg2d
         ends = []
@@ -226,7 +217,7 @@ def _legacy_claims(params: CycleParams, direction: Direction) -> list[tuple[int,
             ack = fixed_positions(data_end, params.dd2a_min)
             claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
     else:
-        reps = params.pusch_reps
+        reps = params.rep_pusch
         grant_start = 0
         for j, r in enumerate(reps, 1):
             claims.append((grant_start, p, SlotUse(Activity.RX_PDCCH, j, j)))
@@ -286,7 +277,7 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
         pad = max(0, params.dd2a_min - (plan[-1] - params.n_switch))
         start = n_grants * p + params.n_dg2d
         placed_acks = set()
-        for j, r in enumerate(params.pdsch_reps, 1):
+        for j, r in enumerate(params.rep_pdsch, 1):
             claims.append((start, r, SlotUse(Activity.RX_PDSCH, j, j)))
             data_end = start + r - 1
             realized = plan[j - 1] + pad
@@ -304,7 +295,7 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
             start += r
     else:
         pad = max(0, params.ug2d_min - (n - 1) * p)
-        for j, r in enumerate(params.pusch_reps, 1):
+        for j, r in enumerate(params.rep_pusch, 1):
             # delays are defined against the j-th grant's end; an MTBG
             # cycle keeps the same clock, idling where those grants would
             # sit, so the anchor is the same in both modes

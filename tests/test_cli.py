@@ -8,6 +8,7 @@ from ntn_harq.cli import main
 
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 LTEM = PROFILES / "leo600_ltem_ul.cfg"
+NBIOT = PROFILES / "leo600_nbiot_ul.cfg"
 PACKAGED_TABLE = Path(__file__).resolve().parent.parent / "src" / "ntn_harq" / "data" / "bler_pusch_ntn_tdla.csv"
 
 
@@ -383,3 +384,43 @@ def test_calibrate_writes_pair(tmp_path, ltem_copy):
     assert "cycle.n_a2g = 0" in text
     # written profile still runs
     assert run_cli("run", ltem_copy) == 0
+
+
+def test_calibrate_rewrites_every_line_that_sets_a_key(tmp_path, capsys):
+    # read_config lets the last of two lines win, so calibrate must rewrite both
+    profile = tmp_path / "nbiot.cfg"
+    profile.write_text(NBIOT.read_text() + "cycle.rep_pdcch = 2\ncycle.rep_pdcch = 7\n")
+    assert run_cli("calibrate", profile) == 0
+    assert capsys.readouterr().out == "rep_pdcch=5 n_a2g=0\ngain_pct=31.7073 target=31\n"
+    assert profile.read_text().count("cycle.rep_pdcch = 5\n") == 2
+    assert scenario.read_config(profile)["cycle.rep_pdcch"] == "5"
+    assert run_cli("run", profile) == 0
+    assert ",31.7073," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, pair, note", [
+    ("protocol.extended_harq = false", "rep_pdcch=8 n_a2g=0",
+     "skipped 20 candidates that fail; the first, rep_pdcch=1 n_a2g=0: even one TB per cycle needs more than 2"),
+    ("geometry.service_elevation_deg = 90", "rep_pdcch=2 n_a2g=0",
+     "skipped 10 candidates that fail; the first, rep_pdcch=7 n_a2g=0: TB 2 grant-to-data delay 7 < minimum 8"),
+], ids=["harq-budget", "min-delay"])
+def test_calibrate_skips_the_candidates_that_fail(tmp_path, capsys, line, pair, note):
+    profile = tmp_path / "nbiot.cfg"
+    profile.write_text(f"{NBIOT.read_text()}{line}\n")
+    assert run_cli("calibrate", profile, "--dry-run") == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{pair}\n")
+    assert captured.err.startswith(f"note: calibrate {note}")
+    assert captured.err.count("\n") == 1
+
+
+def test_calibrate_raises_the_first_candidates_error_when_every_one_fails(tmp_path, capsys):
+    profile = tmp_path / "nbiot.cfg"
+    profile.write_text(f"{NBIOT.read_text()}cycle.max_harq = 1\n")
+    assert run_cli("calibrate", profile, "--dry-run") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: even one TB per cycle needs more than 1 HARQ processes under the HARQ-process "
+        "sizing relation; raise cycle.max_harq or enable protocol.extended_harq\n"
+    )

@@ -1,9 +1,9 @@
 """The caches behind config parsing, cycle completion and operating-point
 resolution change no result.
 
-``scenario`` builds each distinct parsed value, section object and
-completed cycle once, resolves each distinct link point and repetition
-count once, and lays out and checks each distinct proposed cycle once.
+``scenario`` builds each distinct section object and completed cycle
+once, resolves each distinct operating point once, and lays out and
+checks each distinct proposed cycle once.
 These tests hold the cached path to the same callables run without their
 caches, and check that errors are never cached and that equal keys of
 different meaning stay apart.
@@ -34,7 +34,7 @@ from ntn_harq.harq import CycleParams, Direction
 from ntn_harq.scenario import _SCHEMA, ScenarioConfig, config_from_mapping, parse_config_text, results_to_csv, run_scenario
 
 SECTIONS = ("_geometry_section", "_link_section", "_cycle_section", "_scalar_section", "_monte_carlo_section")
-CACHED = ("_parse_value", *SECTIONS, "_completed_cycle", "_link_point", "_repetitions", "_check_layout")
+CACHED = (*SECTIONS, "_completed_cycle", "_operating_point", "_check_layout")
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 POINT_ERRORS = (ConfigError, CurveNotFoundError, InfeasibleLinkError, InvalidInputError, MinDelayViolationError)
 
@@ -106,6 +106,10 @@ def test_a_bad_value_raises_on_every_call():
         with pytest.raises(InvalidInputError, match="rep_pdsch repetitions must be >= 1"):
             scenario._completed_cycle(CycleParams(), 2, 0)
     assert scenario._cycle_section.cache_info().currsize == 0
+
+
+def test_every_scenario_cache_is_bypassed_by_the_cache_free_reference():
+    assert {name for name, value in vars(scenario).items() if hasattr(value, "cache_info")} == set(CACHED)
 
 
 def test_the_sections_cover_the_schema():
@@ -215,13 +219,13 @@ def test_point_errors_raise_on_every_call(table):
 
 def test_an_infeasible_point_is_resolved_once_and_raises_a_fresh_error_each_time(table):
     config = config_from_mapping({"geometry.altitude_km": "3000"})
-    scenario._repetitions.cache_clear()
+    scenario._operating_point.cache_clear()
     errors = []
     for _ in range(2):
         with pytest.raises(InfeasibleLinkError) as caught:
             scenario.resolve(config, table)
         errors.append(caught.value)
-    info = scenario._repetitions.cache_info()
+    info = scenario._operating_point.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     assert errors[0] is not errors[1]
     assert str(errors[0]) == str(errors[1])
@@ -255,7 +259,7 @@ def test_equal_tables_hash_equal_whatever_the_insertion_order(table):
 
 
 def test_a_table_differing_in_one_point_selects_on_its_own_curve(table):
-    # the repetition cache is keyed on the table's content, so a table
+    # the operating-point cache is keyed on the table's content, so a table
     # that differs in one point never reads another table's entry
     config = config_from_mapping({})
     assert run_scenario(config, table).n_rep == 12

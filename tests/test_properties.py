@@ -26,6 +26,8 @@ from ntn_harq.scheduler import (
     validate,
 )
 
+from timeline_uses import uses
+
 
 def reference_validate(slots: list[tuple[SlotUse, ...]], params: CycleParams) -> list[Conflict]:
     findings = [
@@ -108,7 +110,7 @@ def test_proposed_cycle_matches_closed_form_and_validates(cycle, rtt_ms):
     assert len(timeline) == cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
     assert validate(timeline, params).conflicts == ()
     view = bs_view(timeline, rtt_ms)
-    assert Counter(u for _, u in view.uses()) == Counter(u for _, u in timeline.uses())
+    assert Counter(u for _, u in uses(view)) == Counter(u for _, u in uses(timeline))
 
 
 slot_uses = st.builds(

@@ -19,6 +19,8 @@ from ntn_harq.scheduler import (
     validate,
 )
 
+from timeline_uses import uses
+
 DATA_ACT = {Direction.DL: Activity.RX_PDSCH, Direction.UL: Activity.TX_PUSCH}
 
 
@@ -158,7 +160,7 @@ def test_proposed_single_tb_degenerates_to_legacy_plus_switch():
     def sequence(tl):
         return [
             u.activity
-            for _, u in tl.uses()
+            for _, u in uses(tl)
             if u.activity not in (Activity.IDLE, Activity.SWITCH)
         ]
 
@@ -209,7 +211,7 @@ def test_proposed_realized_delays_meet_minimum():
         timeline = build_proposed_cycle(params, Direction.DL)
         data_end = {}
         ack_start = {}
-        for i, u in timeline.uses():
+        for i, u in uses(timeline):
             if u.activity is Activity.RX_PDSCH:
                 data_end[u.tb_index] = i
             if u.activity is Activity.TX_PUCCH and u.tb_index is not None:
@@ -301,11 +303,11 @@ def test_bs_view_shifts_ul_and_dl_oppositely():
     timeline = build_proposed_cycle(params, Direction.UL)
     # one-way flight of 8 SFs
     view = bs_view(timeline, 16)
-    ue_data = [i for i, u in timeline.uses() if u.activity is Activity.TX_PUSCH]
-    bs_data = [i for i, u in view.uses() if u.activity is Activity.TX_PUSCH]
+    ue_data = [i for i, u in uses(timeline) if u.activity is Activity.TX_PUSCH]
+    bs_data = [i for i, u in uses(view) if u.activity is Activity.TX_PUSCH]
     assert bs_data == [i + 8 for i in ue_data]
-    ue_grant = [i for i, u in timeline.uses() if u.activity is Activity.RX_PDCCH]
-    bs_grant = [i for i, u in view.uses() if u.activity is Activity.RX_PDCCH]
+    ue_grant = [i for i, u in uses(timeline) if u.activity is Activity.RX_PDCCH]
+    bs_grant = [i for i, u in uses(view) if u.activity is Activity.RX_PDCCH]
     assert bs_grant == [i - 8 for i in ue_grant]
     # the grant->data turnaround widens by the full round trip at the BS
     assert (bs_data[0] - bs_grant[-1]) - (ue_data[0] - ue_grant[-1]) == 16
@@ -317,8 +319,8 @@ def test_bs_view_feedback_arrives_one_way_later():
     params = CycleParams(n_tbphc=2, rep_pdsch=4, dd2a_min=3, grant_mode=GrantMode.MTBG)
     timeline = build_proposed_cycle(params, Direction.DL)
     view = bs_view(timeline, 16)
-    ue_acks = [i for i, u in timeline.uses() if u.activity is Activity.TX_PUCCH]
-    bs_acks = [i for i, u in view.uses() if u.activity is Activity.TX_PUCCH]
+    ue_acks = [i for i, u in uses(timeline) if u.activity is Activity.TX_PUCCH]
+    bs_acks = [i for i, u in uses(view) if u.activity is Activity.TX_PUCCH]
     assert bs_acks == [i + 8 for i in ue_acks]
 
 
@@ -327,7 +329,7 @@ def test_bs_view_grant_position_example():
     slots[10] = (SlotUse(Activity.RX_PDCCH),)
     timeline = SubframeTimeline.from_slots(slots=slots)
     view = bs_view(timeline, 20)
-    positions = [i for i, u in view.uses() if u.activity is Activity.RX_PDCCH]
+    positions = [i for i, u in uses(view) if u.activity is Activity.RX_PDCCH]
     assert positions == [0]
 
 
