@@ -360,9 +360,9 @@ def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
     path = Path(path)
     out, written = [], set()
     for line in path.read_text(encoding="utf-8").splitlines():
-        stripped = line.split("#", 1)[0]
-        key = stripped.split("=", 1)[0].strip()
-        if "=" in stripped and key in updates:
+        setting = line.split("#", 1)[0]
+        key = setting.split("=", 1)[0].strip()
+        if "=" in setting and key in updates:
             line = f"{key} = {updates[key]}"
             written.add(key)
         out.append(line)

@@ -5,6 +5,7 @@ import pytest
 
 from ntn_harq import scenario
 from ntn_harq.cli import main
+from ntn_harq.errors import ConfigError, MinDelayViolationError
 
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 LTEM = PROFILES / "leo600_ltem_ul.cfg"
@@ -414,13 +415,13 @@ def test_calibrate_skips_the_candidates_that_fail(tmp_path, capsys, line, pair, 
     assert captured.err.count("\n") == 1
 
 
-def test_calibrate_raises_the_first_candidates_error_when_every_one_fails(tmp_path, capsys):
-    profile = tmp_path / "nbiot.cfg"
-    profile.write_text(f"{NBIOT.read_text()}cycle.max_harq = 1\n")
-    assert run_cli("calibrate", profile, "--dry-run") == 3
+def test_calibrate_raises_the_first_candidates_error_when_every_one_fails(monkeypatch, capsys):
+    def fail(config, table):
+        first = (config.cycle.rep_pdcch, config.n_a2g) == (1, 0)
+        raise (ConfigError if first else MinDelayViolationError)(
+            f"rep_pdcch={config.cycle.rep_pdcch} n_a2g={config.n_a2g} fails")
+
+    monkeypatch.setattr(scenario, "run_scenario", fail)
+    assert run_cli("calibrate", NBIOT, "--dry-run") == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "config error: even one TB per cycle needs more than 1 HARQ processes under the HARQ-process "
-        "sizing relation; raise cycle.max_harq or enable protocol.extended_harq\n"
-    )
+    assert (captured.out, captured.err) == ("", "config error: rep_pdcch=1 n_a2g=0 fails\n")
