@@ -56,6 +56,8 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_CONFIG = 3
 
+_PERSPECTIVES = ("ue", "bs")
+_FORMATS = ("text", "svg", "csv")
 _CHANNEL_ROWS = (
     ("PDCCH", Activity.RX_PDCCH, "#4c78a8"),
     ("PDSCH", Activity.RX_PDSCH, "#72b7b2"),
@@ -162,7 +164,13 @@ def render_timeline(
     table=None,
 ) -> tuple[str, int]:
     """Build the configured cycle and render it; legacy conflicts render
-    the attempted layout with annotations."""
+    the attempted layout with annotations.  Raises InvalidInputError for a
+    perspective other than ue or bs, or a format other than text, svg or
+    csv."""
+    if perspective not in _PERSPECTIVES:
+        raise InvalidInputError(f"unknown timeline perspective {perspective!r}; expected ue or bs")
+    if fmt not in _FORMATS:
+        raise InvalidInputError(f"unknown timeline format {fmt!r}; expected text, svg or csv")
     resolved = resolve(config, table if table is not None else default_table())
     conflicts = None
     if config.mode is SchedulingMode.LEGACY_FIXED:
@@ -274,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=_cmd_sweep)
 
     tl_p = sub.add_parser("timeline", parents=[outputs], help="render one cycle as text or SVG")
-    tl_p.add_argument("--perspective", choices=("ue", "bs"), default="ue")
-    tl_p.add_argument("--format", choices=("text", "svg", "csv"), default="text")
+    tl_p.add_argument("--perspective", choices=_PERSPECTIVES, default="ue")
+    tl_p.add_argument("--format", choices=_FORMATS, default="text")
     tl_p.set_defaults(func=_cmd_timeline)
 
     cal_p = sub.add_parser(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from .errors import InvalidInputError
 
@@ -32,33 +31,18 @@ class GrantMode(Enum):
     __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
-def _as_rep_tuple(value: int | Sequence[int], n_tbphc: int, name: str) -> tuple[int, ...]:
-    if isinstance(value, int):
-        reps, valid = (value,) * n_tbphc, value >= 1  # one check, not n
-    else:
-        reps = tuple(int(v) for v in value)
-        if len(reps) != n_tbphc:
-            raise InvalidInputError(
-                f"{name} list must have one entry per TB ({n_tbphc}), got {len(reps)}"
-            )
-        valid = all(r >= 1 for r in reps)
-    if not valid:
-        raise InvalidInputError(f"{name} repetitions must be >= 1, got {reps}")
-    return reps
-
-
 @dataclass(frozen=True)
 class CycleParams:
     """Everything needed to lay out one HARQ cycle.
 
-    Data-channel repetitions may be a single count (uniform across the
-    cycle's TBs) or a per-TB sequence of length ``n_tbphc``.
+    Each data channel has one repetition count, shared by every TB of the
+    cycle.
     """
 
     n_tbphc: int = 1
     rep_pdcch: int = 1
-    rep_pdsch: int | tuple[int, ...] = 1
-    rep_pusch: int | tuple[int, ...] = 1
+    rep_pdsch: int = 1
+    rep_pusch: int = 1
     rep_pucch: int = 1
     n_switch: int = 1
     n_dg2d: int = 1
@@ -76,15 +60,12 @@ class CycleParams:
         for name in ("rep_pdcch", "rep_pucch"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1")
+        for name in ("rep_pdsch", "rep_pusch"):
+            if (count := getattr(self, name)) < 1:
+                raise InvalidInputError(f"{name} repetitions must be >= 1, got {count}")
         for name in ("n_switch", "n_dg2d", "dd2a_min", "ug2d_min"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be >= 0")
-        object.__setattr__(
-            self, "rep_pdsch", _as_rep_tuple(self.rep_pdsch, self.n_tbphc, "rep_pdsch")
-        )
-        object.__setattr__(
-            self, "rep_pusch", _as_rep_tuple(self.rep_pusch, self.n_tbphc, "rep_pusch")
-        )
 
 
 def fixed_positions(anchor_sf: int, fixed_delay: int) -> int:
@@ -122,26 +103,20 @@ def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
     of the later TBs, plus the data of the earlier TBs, plus the switching
     gap.
     """
-    delays = []
+    n, sw = params.n_tbphc, params.n_switch
     if direction is Direction.DL:
         n_bundle = params.n_bundle if params.ack_bundling else 1
-        remaining = sum(params.rep_pdsch)
-        for before, r in enumerate(params.rep_pdsch):
-            remaining -= r
-            delays.append(remaining + feedback_wait(before, n_bundle, params.rep_pucch) + params.n_switch)
-        return tuple(delays)
+        r = params.rep_pdsch
+        return tuple((n - 1 - b) * r + feedback_wait(b, n_bundle, params.rep_pucch) + sw for b in range(n))
     if params.ack_bundling:
         raise InvalidInputError("feedback bundling applies to downlink cycles only")
-    earlier = 0
-    for j, r in enumerate(params.rep_pusch, 1):
-        delays.append((params.n_tbphc - j) * params.rep_pdcch + earlier + params.n_switch)
-        earlier += r
-    return tuple(delays)
+    p, r = params.rep_pdcch, params.rep_pusch
+    return tuple((n - j) * p + (j - 1) * r + sw for j in range(1, n + 1))
 
 
 def harq_for_tbphc(params: CycleParams, rtt_ms: float, t_tb_ms: float, ack_proc_sf: int) -> int:
     """HARQ processes needed to sustain the cycle ``params`` lays out."""
-    return harq_processes(params, params.n_tbphc, sum(params.rep_pdsch), rtt_ms, t_tb_ms, ack_proc_sf)
+    return harq_processes(params, params.n_tbphc, params.n_tbphc * params.rep_pdsch, rtt_ms, t_tb_ms, ack_proc_sf)
 
 
 def harq_processes(

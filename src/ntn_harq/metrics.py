@@ -84,29 +84,27 @@ def cycle_length_closed_form(
             return (
                 p
                 + params.n_dg2d
-                + params.rep_pdsch[0]
+                + params.rep_pdsch
                 + params.dd2a_min
                 + params.rep_pucch
                 + sw
             )
-        return p + params.rep_pusch[0] + params.ug2d_min + sw
+        return p + params.rep_pusch + params.ug2d_min + sw
     if direction is Direction.DL:
-        data = sum(params.rep_pdsch)
         grants = p if params.grant_mode is GrantMode.MTBG else n * p
         n_bundle = params.n_bundle if params.ack_bundling else 1
         wait = feedback_wait(n - 1, n_bundle, params.rep_pucch)
         return (
             grants
             + params.n_dg2d
-            + data
+            + n * params.rep_pdsch
             + params.rep_pucch
             + max(params.dd2a_min, wait)
             + 2 * sw
         )
     if params.ack_bundling:
         raise InvalidInputError("feedback bundling applies to downlink cycles only")
-    data = sum(params.rep_pusch)
-    return p + max(params.ug2d_min, (n - 1) * p) + data + 2 * sw
+    return p + max(params.ug2d_min, (n - 1) * p) + n * params.rep_pusch + 2 * sw
 
 
 def suf_closed_form(params: CycleParams, direction: Direction, mode: SchedulingMode) -> float:

@@ -38,12 +38,10 @@ from .scheduler import GoodputResult, build_proposed_cycle, monte_carlo_goodput
 
 MAX_AUTO_TBPHC = 512
 
-# Cache bounds: the five config sections and the operating points take
-# _CACHE_SIZE; completed cycles and their checked layouts, whose entries
-# can be 512-TB cycles, take _CYCLE_CACHE_SIZE.  Full, they retain under
-# 16 MB (see the README).
+# The bound of every cache here: the five config sections, the operating
+# points, completed cycles and their checked layouts.  Full, they retain
+# under 8 MB (see the README).
 _CACHE_SIZE = 1024
-_CYCLE_CACHE_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -188,8 +186,8 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str, tuple[str, Callable[[Any], b
     "target_bler": (float, "0.1", ("must lie in (0, 1]", lambda v: 0 < v <= 1)),
     "direction": (_one_of(Direction), "ul", None),
     "mode": (_one_of(SchedulingMode), "proposed", None),
-    # an explicit count shares the auto count's cap: each CycleParams holds
-    # n-entry repetition tuples, so cost grows with n before any check runs
+    # an explicit count shares the auto count's cap: laying out and
+    # checking the cycle, as run_scenario does, costs time that grows with n
     "cycle.n_tbphc": (_int_or("auto"), "auto", _between(1, MAX_AUTO_TBPHC)),
     "cycle.rep_pdcch": (int, "1", _between(1, MAX_SUBFRAMES)),
     "cycle.rep_pucch": (int, "1", _between(1, MAX_SUBFRAMES)),
@@ -250,11 +248,11 @@ def _parse_value(key: str, text: str) -> Any:
     return value
 
 
-@lru_cache(maxsize=_CYCLE_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _completed_cycle(template: CycleParams, n_tbphc: int, n_rep: int) -> CycleParams:
-    """``template`` for ``n_tbphc`` TBs of ``n_rep`` repetitions each.  Both
-    data fields carry the count: the HARQ sizing relation reads the DL one
-    in either direction."""
+    """``template`` for ``n_tbphc`` TBs of ``n_rep`` repetitions each, the
+    same few scalars whatever the TB count.  Both data fields carry the
+    count: the HARQ sizing relation reads the DL one in either direction."""
     return replace(template, n_tbphc=n_tbphc, rep_pdsch=n_rep, rep_pusch=n_rep)
 
 
@@ -344,26 +342,25 @@ def read_config(path: str | Path) -> dict[str, str]:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def load_config(path: str | Path, overrides: Mapping[str, str] | None = None) -> ScenarioConfig:
-    raw = read_config(path)
-    if overrides:
-        raw.update(overrides)
-    return config_from_mapping(raw)
+def load_config(path: str | Path) -> ScenarioConfig:
+    return config_from_mapping(read_config(path))
 
 
 def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
-    """Rewrite every line that sets a key of ``updates``, appending keys not
-    present.  The profile is read and written as UTF-8, like
-    ``read_config``.  The new text goes to a temp file in the same
-    directory that then replaces the profile, so a failed write leaves the
-    profile as it was."""
+    """Rewrite every line that sets a key of ``updates``, keeping its
+    trailing comment, and append the keys not present.  The profile is
+    read and written as UTF-8, like ``read_config``.  The new text goes to
+    a temp file in the same directory that then replaces the profile, so a
+    failed write leaves the profile as it was."""
     path = Path(path)
     out, written = [], set()
     for line in path.read_text(encoding="utf-8").splitlines():
-        setting = line.split("#", 1)[0]
+        setting, mark, comment = line.partition("#")
         key = setting.split("=", 1)[0].strip()
         if "=" in setting and key in updates:
             line = f"{key} = {updates[key]}"
+            if mark:  # the comment stays, as far from the value as it was
+                line += setting[len(setting.rstrip()):] + mark + comment
             written.add(key)
         out.append(line)
     out += [f"{key} = {value}" for key, value in updates.items() if key not in written]
@@ -515,7 +512,7 @@ def _power_scheme(config: ScenarioConfig) -> str:
     return "dd2a_bundled" if config.cycle.ack_bundling else "dd2a"
 
 
-@lru_cache(maxsize=_CYCLE_CACHE_SIZE)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _check_layout(params: CycleParams, direction: Direction) -> None:
     """Lay out the proposed cycle and check its length against the closed
     form.  The layout is a pure function of these frozen inputs, so each

@@ -203,29 +203,25 @@ def _lay_out(claims: list[tuple[int, int, SlotUse]], n_switch: int) -> tuple[Sub
 
 def _legacy_claims(params: CycleParams, direction: Direction) -> list[tuple[int, int, SlotUse]]:
     p = params.rep_pdcch
-    claims = []
+    tbs = range(1, params.n_tbphc + 1)
     if direction is Direction.DL:
-        reps = params.rep_pdsch
-        claims.append((0, p, SlotUse(Activity.RX_PDCCH)))
-        start = p + params.n_dg2d
-        ends = []
-        for j, r in enumerate(reps, 1):
-            claims.append((start, r, SlotUse(Activity.RX_PDSCH, j, j)))
-            ends.append(start + r - 1)
-            start += r
-        for j, data_end in enumerate(ends, 1):
-            ack = fixed_positions(data_end, params.dd2a_min)
+        r = params.rep_pdsch
+        data = p + params.n_dg2d
+        claims = [(0, p, SlotUse(Activity.RX_PDCCH))]
+        claims += [(data + (j - 1) * r, r, SlotUse(Activity.RX_PDSCH, j, j)) for j in tbs]
+        for j in tbs:
+            ack = fixed_positions(data + j * r - 1, params.dd2a_min)
             claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
-    else:
-        reps = params.rep_pusch
-        grant_start = 0
-        for j, r in enumerate(reps, 1):
-            claims.append((grant_start, p, SlotUse(Activity.RX_PDCCH, j, j)))
-            data = fixed_positions(grant_start + p - 1, params.ug2d_min)
-            claims.append((data, r, SlotUse(Activity.TX_PUSCH, j, j)))
-            # grants are paced at the data period so the granted blocks
-            # land back to back
-            grant_start += r
+        return claims
+    r = params.rep_pusch
+    claims = []
+    for j in tbs:
+        # grants are paced at the data period so the granted blocks
+        # land back to back
+        grant_start = (j - 1) * r
+        claims.append((grant_start, p, SlotUse(Activity.RX_PDCCH, j, j)))
+        data = fixed_positions(grant_start + p - 1, params.ug2d_min)
+        claims.append((data, r, SlotUse(Activity.TX_PUSCH, j, j)))
     return claims
 
 
@@ -275,37 +271,36 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
         # the last TB's delay is the switch gap plus its wait for the
         # feedback of every earlier TB (or bundle group)
         pad = max(0, params.dd2a_min - (plan[-1] - params.n_switch))
-        start = n_grants * p + params.n_dg2d
+        r = params.rep_pdsch
+        data = n_grants * p + params.n_dg2d
         placed_acks = set()
-        for j, r in enumerate(params.rep_pdsch, 1):
-            claims.append((start, r, SlotUse(Activity.RX_PDSCH, j, j)))
-            data_end = start + r - 1
-            realized = plan[j - 1] + pad
+        for j, delay in enumerate(plan, 1):
+            claims.append((data + (j - 1) * r, r, SlotUse(Activity.RX_PDSCH, j, j)))
+            realized = delay + pad
             if realized < params.dd2a_min:
                 raise MinDelayViolationError(
                     f"TB {j} data-to-feedback delay {realized} < minimum {params.dd2a_min}"
                 )
-            ack = fixed_positions(data_end, realized)
+            ack = fixed_positions(data + j * r - 1, realized)
             if params.ack_bundling:
                 if ack not in placed_acks:  # one block acknowledges the bundle
                     claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH)))
                     placed_acks.add(ack)
             else:
                 claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
-            start += r
     else:
         pad = max(0, params.ug2d_min - (n - 1) * p)
-        for j, r in enumerate(params.rep_pusch, 1):
+        for j, delay in enumerate(plan, 1):
             # delays are defined against the j-th grant's end; an MTBG
             # cycle keeps the same clock, idling where those grants would
             # sit, so the anchor is the same in both modes
             anchor = j * p - 1
-            realized = plan[j - 1] + pad
+            realized = delay + pad
             if realized < params.ug2d_min:
                 raise MinDelayViolationError(
                     f"TB {j} grant-to-data delay {realized} < minimum {params.ug2d_min}"
                 )
-            claims.append((fixed_positions(anchor, realized), r, SlotUse(Activity.TX_PUSCH, j, j)))
+            claims.append((fixed_positions(anchor, realized), params.rep_pusch, SlotUse(Activity.TX_PUSCH, j, j)))
 
     timeline, conflicts = _lay_out(claims, params.n_switch)
     if conflicts:  # construction guarantees this never happens

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from ntn_harq import scenario
-from ntn_harq.cli import main
-from ntn_harq.errors import ConfigError, MinDelayViolationError
+from ntn_harq.cli import main, render_timeline
+from ntn_harq.errors import ConfigError, InvalidInputError, MinDelayViolationError
 
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 LTEM = PROFILES / "leo600_ltem_ul.cfg"
@@ -356,6 +356,16 @@ def test_timeline_csv_export_format(tmp_path):
     assert all(line.count(",") == 4 for line in lines)
 
 
+@pytest.mark.parametrize("perspective, fmt, bad", [
+    ("BS", "text", "perspective 'BS'"),
+    ("ue", "pdf", "format 'pdf'"),
+], ids=["perspective", "format"])
+def test_render_timeline_rejects_an_unknown_perspective_or_format(perspective, fmt, bad):
+    config = scenario.load_config(LTEM)
+    with pytest.raises(InvalidInputError, match=f"unknown timeline {bad}"):
+        render_timeline(config, perspective, fmt)
+
+
 def test_timeline_eight_subframe_ul_cycle():
     # a one-TB uplink cycle squeezed into eight subframes:
     # grant 1 + wait 3 + data 3 + switch 1
@@ -397,6 +407,13 @@ def test_calibrate_rewrites_every_line_that_sets_a_key(tmp_path, capsys):
     assert scenario.read_config(profile)["cycle.rep_pdcch"] == "5"
     assert run_cli("run", profile) == 0
     assert ",31.7073," in capsys.readouterr().out
+
+
+def test_calibrate_keeps_the_comment_of_a_line_it_rewrites(tmp_path):
+    profile = tmp_path / "nbiot.cfg"
+    profile.write_text(NBIOT.read_text() + "cycle.rep_pdcch = 2  # from the 2023 fit\n")
+    assert run_cli("calibrate", profile) == 0
+    assert profile.read_text().splitlines()[-2:] == ["cycle.rep_pdcch = 5  # from the 2023 fit", "cycle.n_a2g = 0"]
 
 
 @pytest.mark.parametrize("line, pair, note", [

@@ -112,6 +112,11 @@ def test_every_scenario_cache_is_bypassed_by_the_cache_free_reference():
     assert {name for name, value in vars(scenario).items() if hasattr(value, "cache_info")} == set(CACHED)
 
 
+def test_every_scenario_cache_has_the_one_bound():
+    bounds = {name: value.cache_info().maxsize for name, value in vars(scenario).items() if hasattr(value, "cache_info")}
+    assert bounds == dict.fromkeys(CACHED, scenario._CACHE_SIZE)
+
+
 def test_the_sections_cover_the_schema():
     keys = (scenario._GEOMETRY_KEYS, scenario._LINK_KEYS, scenario._CYCLE_KEYS, scenario._SCALAR_KEYS,
             scenario._MONTE_CARLO_KEYS)

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from ntn_harq.cli import main, render_timeline
-from ntn_harq.scenario import load_config
+from ntn_harq.scenario import config_from_mapping, read_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PROFILES = ROOT / "profiles"
@@ -62,8 +62,9 @@ def _sweep_csv(profile: str, axes: list[str]) -> str:
 
 
 def _timeline(overrides: dict[str, str], view: str, fmt: str) -> str:
-    config = load_config(PROFILES / "leo600_ltem_dl.cfg", overrides)
-    text, status = render_timeline(config, view, fmt)
+    raw = read_config(PROFILES / "leo600_ltem_dl.cfg")
+    raw.update(overrides)
+    text, status = render_timeline(config_from_mapping(raw), view, fmt)
     assert status == 0
     return text
 

@@ -191,38 +191,6 @@ def test_bundled_matches_packed_layout_oracle():
         assert got == packed_dl_delays([3] * 5, 2, 2, n_bundle=n_bundle)
 
 
-# --- per-TB repetition lists --------------------------------------------
-
-
-def test_per_tb_reduces_to_uniform():
-    uniform = CycleParams(n_tbphc=4, rep_pdsch=4, rep_pusch=6, rep_pucch=2, n_switch=1)
-    listed = CycleParams(
-        n_tbphc=4, rep_pdsch=[4, 4, 4, 4], rep_pusch=[6, 6, 6, 6], rep_pucch=2, n_switch=1
-    )
-    assert delay_plan(listed, Direction.DL) == delay_plan(uniform, Direction.DL)
-    assert delay_plan(listed, Direction.UL) == delay_plan(uniform, Direction.UL)
-    assert delay_plan(replace(listed, ack_bundling=True), Direction.DL) == delay_plan(
-        replace(uniform, ack_bundling=True), Direction.DL
-    )
-
-
-def test_per_tb_dd2a_counts_remaining_blocks():
-    params = CycleParams(n_tbphc=3, rep_pdsch=[2, 5, 7], rep_pucch=1, n_switch=1)
-    # j=1 waits for TBs 2 and 3 (5+7) plus no earlier feedback plus switch
-    assert delay_plan(params, Direction.DL) == (5 + 7 + 0 + 1, 7 + 1 + 1, 0 + 2 + 1)
-    assert list(delay_plan(params, Direction.DL)) == packed_dl_delays(
-        [2, 5, 7], 1, 1
-    )
-
-
-def test_per_tb_ug2d_counts_earlier_blocks():
-    params = CycleParams(n_tbphc=3, rep_pdcch=2, rep_pusch=[3, 4, 5], n_switch=2)
-    assert delay_plan(params, Direction.UL) == (2 * 2 + 0 + 2, 1 * 2 + 3 + 2, 0 + 3 + 4 + 2)
-    assert list(delay_plan(params, Direction.UL)) == packed_ul_delays(
-        3, 2, [3, 4, 5], 2
-    )
-
-
 # --- structural identities ----------------------------------------------
 
 
@@ -268,11 +236,9 @@ def test_cycle_params_validation():
     with pytest.raises(InvalidInputError):
         CycleParams(n_tbphc=0)
     with pytest.raises(InvalidInputError):
-        CycleParams(n_tbphc=2, rep_pdsch=[4])  # wrong list length
-    with pytest.raises(InvalidInputError):
         CycleParams(rep_pdsch=0)
-    with pytest.raises(InvalidInputError, match=r"rep_pusch repetitions must be >= 1, got \(3, 0\)"):
-        CycleParams(n_tbphc=2, rep_pusch=[3, 0])
+    with pytest.raises(TypeError):  # one count per data channel, not one per TB
+        CycleParams(n_tbphc=2, rep_pdsch=(4, 4))
     with pytest.raises(InvalidInputError):
         CycleParams(n_bundle=0)
 

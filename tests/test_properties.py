@@ -81,7 +81,7 @@ def reference_validate(slots: list[tuple[SlotUse, ...]], params: CycleParams) ->
 def cycles(draw):
     direction = draw(st.sampled_from(Direction))
     n = draw(st.integers(1, 12))
-    reps = st.one_of(st.integers(1, 24), st.tuples(*[st.integers(1, 6)] * n))
+    reps = st.integers(1, 24)
     params = CycleParams(
         n_tbphc=n,
         rep_pdcch=draw(st.integers(1, 4)),
