@@ -9,34 +9,35 @@ simulation is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
 from .errors import CurveNotFoundError, InfeasibleLinkError, InvalidInputError
 from .harq import MAX_SUBFRAMES
+from .records import Frozen
 
 DEFAULT_TABLE_RESOURCE = "bler_pusch_ntn_tdla.csv"
 Points = tuple[tuple[float, float], ...]  # (snr_db, bler), ascending snr
 MAX_TBS_BITS = 100_000  # far above any LTE-M or NB-IoT transport block
 
 
-@dataclass(frozen=True)
-class BlerTable:
+class BlerTable(Frozen):
     """Immutable set of BLER curves: TBS -> repetition count, ascending ->
     the curve's points.  Equality is structural, and the hash follows the
     content, whatever the order the curves were inserted in."""
 
-    curves: dict[int, dict[int, Points]]
+    __slots__ = ("curves", "_hash")
+    _fields = ("curves",)
 
-    @cached_property
-    def _content_hash(self) -> int:
-        return hash(frozenset((tbs, frozenset(by_rep.items())) for tbs, by_rep in self.curves.items()))
+    def __init__(self, curves: dict[int, dict[int, Points]]) -> None:
+        object.__setattr__(self, "curves", curves)
+        content = frozenset((tbs, frozenset(by_rep.items())) for tbs, by_rep in curves.items())
+        object.__setattr__(self, "_hash", hash(content))
 
     def __hash__(self) -> int:
-        return self._content_hash
+        return self._hash
 
     def reps_for(self, tbs: int) -> list[int]:
         """Available repetition counts for a TBS, ascending."""

@@ -7,10 +7,11 @@ scenario uses one fixed geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InvalidInputError
+from .records import Validated
 
 EARTH_RADIUS_KM = 6371.0
 SPEED_OF_LIGHT_KM_S = 299792.458
@@ -33,8 +34,14 @@ class Payload(Enum):
     __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
-@dataclass(frozen=True)
-class OrbitGeometry:
+class _OrbitFields(NamedTuple):
+    altitude_km: float
+    payload: Payload
+    service_elevation_deg: float
+    feeder_elevation_deg: float = 10.0
+
+
+class OrbitGeometry(Validated, _OrbitFields):
     """Snapshot of one satellite pass.
 
     altitude_km: circular-orbit altitude.
@@ -43,10 +50,7 @@ class OrbitGeometry:
         only when the payload is transparent.
     """
 
-    altitude_km: float
-    payload: Payload
-    service_elevation_deg: float
-    feeder_elevation_deg: float = 10.0
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.altitude_km <= 0:

@@ -9,10 +9,11 @@ half-duplex UE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InvalidInputError
+from .records import Validated
 
 SF_MS = 1.0  # one subframe lasts one millisecond
 SF_SECONDS = SF_MS / 1000.0
@@ -31,14 +32,7 @@ class GrantMode(Enum):
     __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
-@dataclass(frozen=True)
-class CycleParams:
-    """Everything needed to lay out one HARQ cycle.
-
-    Each data channel has one repetition count, shared by every TB of the
-    cycle.
-    """
-
+class _CycleFields(NamedTuple):
     n_tbphc: int = 1
     rep_pdcch: int = 1
     rep_pdsch: int = 1
@@ -51,6 +45,16 @@ class CycleParams:
     n_bundle: int = 1
     grant_mode: GrantMode = GrantMode.STBG
     ack_bundling: bool = False
+
+
+class CycleParams(Validated, _CycleFields):
+    """Everything needed to lay out one HARQ cycle.
+
+    Each data channel has one repetition count, shared by every TB of the
+    cycle.
+    """
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.n_tbphc < 1:

@@ -6,18 +6,16 @@ to dBW internally; the Boltzmann constant is folded in as -228.6 dBW/Hz/K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInputError
+from .records import Validated
 
 BOLTZMANN_DBW_PER_HZ_K = -228.6
 DBM_TO_DBW = -30.0
 
 
-@dataclass(frozen=True)
-class LinkBudgetParams:
-    """Transmit-side and propagation parameters of the IoT uplink."""
-
+class _LinkFields(NamedTuple):
     eirp_dbm: float
     g_over_t_db: float
     bandwidth_hz: float
@@ -26,6 +24,12 @@ class LinkBudgetParams:
     loss_shadow_db: float = 0.0
     loss_scint_db: float = 0.0
     loss_polar_db: float = 0.0
+
+
+class LinkBudgetParams(Validated, _LinkFields):
+    """Transmit-side and propagation parameters of the IoT uplink."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.bandwidth_hz <= 0:

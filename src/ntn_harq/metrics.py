@@ -7,11 +7,12 @@ so they can be compared slot-for-slot against built timelines.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InvalidInputError
 from .harq import CycleParams, Direction, GrantMode, feedback_wait
+from .records import Validated
 
 
 class SchedulingMode(Enum):
@@ -20,8 +21,13 @@ class SchedulingMode(Enum):
     __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
-@dataclass(frozen=True)
-class ProcessorProfile:
+class _ProcessorFields(NamedTuple):
+    efficiency_mops_per_mw: float
+    op_rate_per_s: float
+    op_count: float
+
+
+class ProcessorProfile(Validated, _ProcessorFields):
     """UE processor model for the delay-computation power cost.
 
     efficiency_mops_per_mw: millions of operations per second per mW.
@@ -30,9 +36,7 @@ class ProcessorProfile:
     op_count: arithmetic operations per delay evaluation.
     """
 
-    efficiency_mops_per_mw: float
-    op_rate_per_s: float
-    op_count: float
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         if self.efficiency_mops_per_mw <= 0 or self.op_rate_per_s <= 0:

@@ -1,0 +1,57 @@
+"""Bases of the package's immutable records, built without ``dataclasses``.
+
+Plain records are ``typing.NamedTuple`` classes.  A record that checks its
+values subclasses ``Validated`` and its NamedTuple of fields.  The two
+records that cache derived state, which a tuple cannot hold, subclass
+``Frozen``.  Either way a record compares and hashes by value, and setting
+any attribute raises ``AttributeError``.
+"""
+from __future__ import annotations
+
+from typing import Any
+
+
+class Validated:
+    """Mixin placed ahead of a NamedTuple of fields, as in
+    ``class Checked(Validated, Fields)``: ``__post_init__`` checks every new
+    record, including those made by ``_make`` and so by ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Any) -> Any:
+        return cls(*iterable)
+
+
+class Frozen:
+    """Base of a slotted record whose ``__init__`` sets ``_fields`` once,
+    through ``object.__setattr__``.  Records of one class are equal when
+    their fields are; other slots hold state derived from the fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

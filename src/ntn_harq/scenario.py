@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import product
@@ -44,8 +43,7 @@ MAX_AUTO_TBPHC = 512
 _CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class ProtocolProfile:
+class ProtocolProfile(NamedTuple):
     """Per-protocol fixed timing values and HARQ limits."""
 
     name: str
@@ -82,15 +80,13 @@ PROTOCOLS = {
 }
 
 
-@dataclass(frozen=True)
-class MonteCarloSettings:
+class MonteCarloSettings(NamedTuple):
     n_cycles: int = 0
     seed: int = 1
     bler_per_attempt: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     geometry: OrbitGeometry
     link: LinkBudgetParams
     cycle: CycleParams  # the cycle.* settings; one TB of one repetition until resolved
@@ -253,7 +249,7 @@ def _completed_cycle(template: CycleParams, n_tbphc: int, n_rep: int) -> CyclePa
     """``template`` for ``n_tbphc`` TBs of ``n_rep`` repetitions each, the
     same few scalars whatever the TB count.  Both data fields carry the
     count: the HARQ sizing relation reads the DL one in either direction."""
-    return replace(template, n_tbphc=n_tbphc, rep_pdsch=n_rep, rep_pusch=n_rep)
+    return template._replace(n_tbphc=n_tbphc, rep_pdsch=n_rep, rep_pusch=n_rep)
 
 
 def _values(keys: tuple[str, ...], texts: tuple[str | None, ...]) -> dict[str, Any]:
@@ -481,8 +477,7 @@ def auto_tbphc_capped(config: ScenarioConfig, resolved: ResolvedScenario) -> boo
     )
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """One scenario outcome, flattened for CSV emission."""
 
     scenario_id: str
@@ -503,7 +498,7 @@ class ScenarioResult:
     goodput: GoodputResult | None = None
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ScenarioResult) if f.name != "goodput")
+CSV_COLUMNS = tuple(name for name in ScenarioResult._fields if name != "goodput")
 
 
 def _power_scheme(config: ScenarioConfig) -> str:
@@ -645,8 +640,7 @@ def sweep(
 # calibration
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     rep_pdcch: int
     n_a2g: int
     gain_pct: float
@@ -675,8 +669,8 @@ def calibrate(config: ScenarioConfig, table: BlerTable | None = None) -> Calibra
     best: tuple[float, int, int, float] | None = None
     skipped: list[tuple[str, Exception]] = []
     for p, a in product(range(1, 9), range(5)):
-        candidate = replace(config, cycle=replace(config.cycle, rep_pdcch=p), n_a2g=a,
-                            n_tbphc=None, mode=SchedulingMode.PROPOSED_VARIABLE)
+        candidate = config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a,
+                                    n_tbphc=None, mode=SchedulingMode.PROPOSED_VARIABLE)
         try:
             gain_pct = run_scenario(candidate, table).gain_pct
         except _POINT_ERRORS as exc:

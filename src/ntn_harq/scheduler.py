@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from heapq import heappop, heappush
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, MinDelayViolationError
 from .harq import SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, delay_plan, fixed_positions
+from .records import Frozen
 
 
 class Activity(Enum):
@@ -80,17 +79,28 @@ class Block(NamedTuple):
 _by_position = attrgetter("start", "rank")
 
 
-@dataclass(frozen=True)
-class SubframeTimeline:
+class SubframeTimeline(Frozen):
     """``length`` subframes holding ``blocks`` sorted by position; a
     subframe no block covers is idle, one covered twice or more is the
     half-duplex conflict.  ``origin`` offsets positions to time indices
     (BS views can start before the UE's SF 0)."""
 
-    blocks: tuple[Block, ...]
-    length: int
-    perspective: Perspective = Perspective.UE
-    origin: int = 0
+    __slots__ = ("blocks", "length", "perspective", "origin", "_segments")
+    _fields = ("blocks", "length", "perspective", "origin")
+
+    def __init__(
+        self,
+        blocks: tuple[Block, ...],
+        length: int,
+        perspective: Perspective = Perspective.UE,
+        origin: int = 0,
+    ) -> None:
+        set_slot = object.__setattr__
+        set_slot(self, "blocks", blocks)
+        set_slot(self, "length", length)
+        set_slot(self, "perspective", perspective)
+        set_slot(self, "origin", origin)
+        set_slot(self, "_segments", None)  # swept on first use
 
     @classmethod
     def from_slots(
@@ -107,11 +117,13 @@ class SubframeTimeline:
     def __len__(self) -> int:
         return self.length
 
-    @cached_property
+    @property
     def segments(self) -> list[Segment]:
         """``(first, stop, uses)`` for each run of positions covered by the
         same blocks, in order from 0 to ``length``; idle runs have no uses.
         One sweep over the block endpoints, made on first use."""
+        if self._segments is not None:
+            return self._segments
         out: list[Segment] = []
         active: dict[int, SlotUse] = {}  # rank -> use, for the blocks covering pos
         ends: list[tuple[int, int]] = []  # heap of (stop, rank) over the same blocks
@@ -128,6 +140,7 @@ class SubframeTimeline:
                     del active[heappop(ends)[1]]
             active[rank] = use
             heappush(ends, (start + width, rank))
+        object.__setattr__(self, "_segments", out)
         return out
 
     @property
@@ -139,16 +152,14 @@ class SubframeTimeline:
         return out
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     sf_index: int
     activities: tuple[str, ...]
     tb_indices: tuple[int | None, ...]
     kind: str = "double-booking"
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(NamedTuple):
     """Empty ``conflicts`` means the schedule is feasible for an HD-FDD UE.
 
     ``attempt`` carries the laid-out (possibly double-booked) timeline so
@@ -445,8 +456,7 @@ def export_timeline(timeline: SubframeTimeline) -> str:
 # Monte Carlo goodput
 
 
-@dataclass(frozen=True)
-class GoodputResult:
+class GoodputResult(NamedTuple):
     goodput_bps: float
     retransmission_rate: float
 

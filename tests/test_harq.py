@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from ntn_harq.errors import InvalidInputError
@@ -155,7 +153,7 @@ def test_ug2d_matches_packed_layout_oracle():
 
 def test_bundled_reduces_to_unbundled_at_bundle_one():
     params = CycleParams(n_tbphc=4, rep_pdsch=4, rep_pucch=1, n_switch=1, n_bundle=1)
-    bundled = replace(params, ack_bundling=True)
+    bundled = params._replace(ack_bundling=True)
     assert delay_plan(bundled, Direction.DL) == delay_plan(params, Direction.DL)
 
 
@@ -176,7 +174,7 @@ def test_bundled_never_exceeds_unbundled():
         params = CycleParams(
             n_tbphc=6, rep_pdsch=4, rep_pucch=2, n_switch=1, n_bundle=n_bundle
         )
-        bundled = delay_plan(replace(params, ack_bundling=True), Direction.DL)
+        bundled = delay_plan(params._replace(ack_bundling=True), Direction.DL)
         for b, u in zip(bundled, delay_plan(params, Direction.DL)):
             assert b <= u
 

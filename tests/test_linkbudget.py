@@ -78,10 +78,8 @@ def test_snr_distance_scaling_law():
     "field", ["loss_atm_db", "loss_shadow_db", "loss_scint_db", "loss_polar_db"]
 )
 def test_each_loss_term_subtracts_exactly(field):
-    import dataclasses
-
     base = snr_db(EVAL_PARAMS, 1e6)
-    bumped = dataclasses.replace(EVAL_PARAMS, **{field: getattr(EVAL_PARAMS, field) + 1.7})
+    bumped = EVAL_PARAMS._replace(**{field: getattr(EVAL_PARAMS, field) + 1.7})
     assert base - snr_db(bumped, 1e6) == pytest.approx(1.7, abs=1e-9)
 
 

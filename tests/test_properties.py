@@ -124,8 +124,8 @@ slot_uses = st.builds(
 @settings(max_examples=500, deadline=None)
 @given(
     st.lists(st.lists(slot_uses, max_size=3).map(tuple), max_size=16),
-    st.builds(CycleParams, n_switch=st.integers(0, 2), dd2a_min=st.integers(0, 5), ug2d_min=st.integers(0, 5),
-              n_bundle=st.integers(1, 3)),
+    st.fixed_dictionaries({"n_switch": st.integers(0, 2), "dd2a_min": st.integers(0, 5), "ug2d_min": st.integers(0, 5),
+                           "n_bundle": st.integers(1, 3)}).map(lambda fields: CycleParams(**fields)),
 )
 def test_validate_matches_slot_reference(slots, params):
     timeline = SubframeTimeline.from_slots(slots)

@@ -1,7 +1,6 @@
 """Regression tests for fixed defects and for the bisected TB-count search."""
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -52,7 +51,7 @@ def linear_select_tbphc(config, n_rep: int, rtt_ms: float) -> int:
     on each fully built cycle."""
     best = None
     for n in range(1, MAX_AUTO_TBPHC + 1):
-        params = replace(config.cycle, n_tbphc=n, rep_pdsch=n_rep, rep_pusch=n_rep)
+        params = config.cycle._replace(n_tbphc=n, rep_pdsch=n_rep, rep_pusch=n_rep)
         if harq_for_tbphc(params, rtt_ms, SF_MS, config.n_a2g) > config.max_harq:
             break
         best = n
