@@ -9,11 +9,13 @@ by construction.
 
 A timeline is stored as blocks, one per repeated transmission: a use that
 claims ``width`` consecutive subframes from ``start``, kept sorted by
-start.  Consumers sweep the block endpoints once
-(``SubframeTimeline.segments``), so laying out, validating and shifting a
-cycle cost O(n log n) in its number of blocks whatever the repetition
-counts, and the exports do per-subframe work only for the text they
-write.  ``SubframeTimeline.slots`` expands the per-subframe view on demand.
+start.  The builders and ``bs_view`` make one block per claim and sort
+once, so they cost O(n log n) in blocks whatever the repetition counts.
+Consumers sweep the block endpoints once (``SubframeTimeline.segments``):
+a block alone over its whole span is a segment of its own, and only
+overlapping blocks (legacy attempts, BS views) pass through a heap.  The
+exports do per-subframe work only for the text they write;
+``SubframeTimeline.slots`` expands the per-subframe view on demand.
 """
 from __future__ import annotations
 
@@ -44,6 +46,9 @@ class Activity(Enum):
 
 RX_ACTIVITIES = frozenset({Activity.RX_PDCCH, Activity.RX_PDSCH})
 TX_ACTIVITIES = frozenset({Activity.TX_PUCCH, Activity.TX_PUSCH})
+# before Python 3.12 a member read off its class goes through
+# EnumType.__getattr__, ten times slower than a global, so loops read these
+_RX_PDCCH, _RX_PDSCH, _TX_PUCCH, _TX_PUSCH, _SWITCH, _IDLE = Activity
 
 
 class Perspective(Enum):
@@ -53,14 +58,13 @@ class Perspective(Enum):
 
 
 class SlotUse(NamedTuple):
-    """One activity claiming one subframe."""
+    """One activity claiming one subframe; TB j uses HARQ process j."""
 
     activity: Activity
     tb_index: int | None = None
-    harq_id: int | None = None
 
 
-_SWITCH = SlotUse(Activity.SWITCH)
+_SWITCH_USE = SlotUse(Activity.SWITCH)
 
 Segment = tuple[int, int, tuple[SlotUse, ...]]
 
@@ -128,7 +132,9 @@ class SubframeTimeline(Frozen):
         active: dict[int, SlotUse] = {}  # rank -> use, for the blocks covering pos
         ends: list[tuple[int, int]] = []  # heap of (stop, rank) over the same blocks
         pos = 0
-        for start, width, use, rank in [*self.blocks, (self.length, 0, None, -1)]:
+        sweep = [*self.blocks, (self.length, 0, None, -1)]
+        # each block with the next one's start; the sentinel closing the sweep is never alone
+        for (start, width, use, rank), next_start in zip(sweep, [*(b[0] for b in sweep[1:]), -1]):
             while pos < start:
                 stop = ends[0][0] if ends and ends[0][0] < start else start
                 if len(active) > 1:
@@ -138,8 +144,13 @@ class SubframeTimeline(Frozen):
                 pos = stop
                 while ends and ends[0][0] == pos:
                     del active[heappop(ends)[1]]
-            active[rank] = use
-            heappush(ends, (start + width, rank))
+            stop = start + width
+            if not ends and stop <= next_start:  # alone over its whole span
+                out.append((start, stop, (use,)))
+                pos = stop
+            else:
+                active[rank] = use
+                heappush(ends, (stop, rank))
         object.__setattr__(self, "_segments", out)
         return out
 
@@ -183,46 +194,49 @@ def _double_bookings(first: int, stop: int, uses: tuple[SlotUse, ...]) -> list[C
     return [Conflict(sf, activities, tb_indices) for sf in range(first, stop)]
 
 
-def _lay_out(claims: list[tuple[int, int, SlotUse]], n_switch: int) -> tuple[SubframeTimeline, list[Conflict]]:
-    """The timeline of ``(start, width, use)`` claims, ranked in list order,
-    and every subframe claimed twice or more.
+def _lay_out(blocks: list[Block], n_switch: int) -> tuple[SubframeTimeline, list[Conflict]]:
+    """The timeline of ``blocks`` (sorted in place), ranked in claim
+    order, and every subframe claimed twice or more.
 
     A conflict-free layout gets a switch block at the end of every gap
     between an Rx and a Tx block, as wide as ``n_switch`` or the gap, plus
     a trailing block of ``n_switch`` subframes; a conflicting one is
     returned as attempted.
     """
-    blocks = sorted((Block(*claim, rank) for rank, claim in enumerate(claims)), key=_by_position)
-    length = max(b.start + b.width for b in blocks)
-    switches = []
+    blocks.sort(key=_by_position)
+    rank = len(blocks)  # switches rank after every claim
+    laid_out = blocks[:1]
     for a, b in zip(blocks, blocks[1:]):
         gap = b.start - a.start - a.width
         if gap < 0:  # sorted by start, any overlap shows up between neighbours
-            attempt = SubframeTimeline(tuple(blocks), length)
+            attempt = SubframeTimeline(tuple(blocks), max(c.start + c.width for c in blocks))
             return attempt, [c for seg in attempt.segments if len(seg[2]) >= 2 for c in _double_bookings(*seg)]
         if gap and n_switch and (a.use.activity in RX_ACTIVITIES) != (b.use.activity in RX_ACTIVITIES):
             width = min(n_switch, gap)
-            switches.append(Block(b.start - width, width, _SWITCH, len(blocks) + len(switches)))
+            laid_out.append(Block(b.start - width, width, _SWITCH_USE, rank))
+            rank += 1
+        laid_out.append(b)
+    length = blocks[-1].start + blocks[-1].width  # without overlaps the block that starts last ends last
     if n_switch:
-        switches.append(Block(length, n_switch, _SWITCH, len(blocks) + len(switches)))
-    return SubframeTimeline(tuple(sorted(blocks + switches, key=_by_position)), length + n_switch), []
+        laid_out.append(Block(length, n_switch, _SWITCH_USE, rank))
+    return SubframeTimeline(tuple(laid_out), length + n_switch), []
 
 
 # ---------------------------------------------------------------------------
 # legacy fixed-delay cycles
 
 
-def _legacy_claims(params: CycleParams, direction: Direction) -> list[tuple[int, int, SlotUse]]:
+def _legacy_claims(params: CycleParams, direction: Direction) -> list[Block]:
     p = params.rep_pdcch
     tbs = range(1, params.n_tbphc + 1)
     if direction is Direction.DL:
         r = params.rep_pdsch
         data = p + params.n_dg2d
-        claims = [(0, p, SlotUse(Activity.RX_PDCCH))]
-        claims += [(data + (j - 1) * r, r, SlotUse(Activity.RX_PDSCH, j, j)) for j in tbs]
+        claims = [Block(0, p, SlotUse(_RX_PDCCH), 0)]
+        claims += [Block(data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), j) for j in tbs]
         for j in tbs:
             ack = fixed_positions(data + j * r - 1, params.dd2a_min)
-            claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
+            claims.append(Block(ack, params.rep_pucch, SlotUse(_TX_PUCCH, j), len(claims)))
         return claims
     r = params.rep_pusch
     claims = []
@@ -230,9 +244,9 @@ def _legacy_claims(params: CycleParams, direction: Direction) -> list[tuple[int,
         # grants are paced at the data period so the granted blocks
         # land back to back
         grant_start = (j - 1) * r
-        claims.append((grant_start, p, SlotUse(Activity.RX_PDCCH, j, j)))
+        claims.append(Block(grant_start, p, SlotUse(_RX_PDCCH, j), len(claims)))
         data = fixed_positions(grant_start + p - 1, params.ug2d_min)
-        claims.append((data, r, SlotUse(Activity.TX_PUSCH, j, j)))
+        claims.append(Block(data, r, SlotUse(_TX_PUSCH, j), len(claims)))
     return claims
 
 
@@ -271,12 +285,12 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
     """
     n = params.n_tbphc
     p = params.rep_pdcch
-    n_grants = 1 if params.grant_mode is GrantMode.MTBG else n
     plan = delay_plan(params, direction)
-    claims = []
-    for g in range(n_grants):
-        tb = None if params.grant_mode is GrantMode.MTBG else g + 1
-        claims.append((g * p, p, SlotUse(Activity.RX_PDCCH, tb, tb)))
+    if params.grant_mode is GrantMode.MTBG:
+        claims = [Block(0, p, SlotUse(_RX_PDCCH), 0)]
+    else:
+        claims = [Block(g * p, p, SlotUse(_RX_PDCCH, g + 1), g) for g in range(n)]
+    n_grants = len(claims)
 
     if direction is Direction.DL:
         # the last TB's delay is the switch gap plus its wait for the
@@ -286,7 +300,7 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
         data = n_grants * p + params.n_dg2d
         placed_acks = set()
         for j, delay in enumerate(plan, 1):
-            claims.append((data + (j - 1) * r, r, SlotUse(Activity.RX_PDSCH, j, j)))
+            claims.append(Block(data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), len(claims)))
             realized = delay + pad
             if realized < params.dd2a_min:
                 raise MinDelayViolationError(
@@ -295,10 +309,10 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
             ack = fixed_positions(data + j * r - 1, realized)
             if params.ack_bundling:
                 if ack not in placed_acks:  # one block acknowledges the bundle
-                    claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH)))
+                    claims.append(Block(ack, params.rep_pucch, SlotUse(_TX_PUCCH), len(claims)))
                     placed_acks.add(ack)
             else:
-                claims.append((ack, params.rep_pucch, SlotUse(Activity.TX_PUCCH, j, j)))
+                claims.append(Block(ack, params.rep_pucch, SlotUse(_TX_PUCCH, j), len(claims)))
     else:
         pad = max(0, params.ug2d_min - (n - 1) * p)
         for j, delay in enumerate(plan, 1):
@@ -311,7 +325,8 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
                 raise MinDelayViolationError(
                     f"TB {j} grant-to-data delay {realized} < minimum {params.ug2d_min}"
                 )
-            claims.append((fixed_positions(anchor, realized), params.rep_pusch, SlotUse(Activity.TX_PUSCH, j, j)))
+            data = fixed_positions(anchor, realized)
+            claims.append(Block(data, params.rep_pusch, SlotUse(_TX_PUSCH, j), len(claims)))
 
     timeline, conflicts = _lay_out(claims, params.n_switch)
     if conflicts:  # construction guarantees this never happens
@@ -338,7 +353,7 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
         raise InvalidInputError("validate() checks UE-perspective timelines")
     findings: list[Conflict] = []
     switches = 0  # switch uses on the positions swept so far
-    last_use, switches_at_last = None, 0  # the last occupied single use
+    last_use, last_rx, switches_at_last = None, False, 0  # the last occupied single use
     data_end: dict[int, int] = {}
     ack_start: dict[int, int] = {}
     ack_runs: list[list[int]] = []  # [first, stop] of each run of feedback slots
@@ -346,38 +361,37 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
     grant_end: dict[int, int] = {}
     shared_grant_end = None
     for first, stop, uses in timeline.segments:
-        if len(uses) >= 2:
-            findings.extend(_double_bookings(first, stop, uses))
-            switches += (stop - first) * sum(u.activity is Activity.SWITCH for u in uses)
-            continue
-        if not uses or uses[0].activity is Activity.IDLE:
+        if len(uses) != 1:
+            if uses:
+                findings.extend(_double_bookings(first, stop, uses))
+                switches += (stop - first) * sum(u.activity is _SWITCH for u in uses)
             continue
         use = uses[0]
-        activity, tb = use.activity, use.tb_index
-        if activity is Activity.SWITCH:
+        activity, tb = use
+        if activity is _SWITCH:
             switches += stop - first
             continue
-        if last_use is not None and (
-            (last_use.activity in RX_ACTIVITIES) != (activity in RX_ACTIVITIES)
-            and switches - switches_at_last < params.n_switch
-        ):
+        if activity is _IDLE:
+            continue
+        rx = activity in RX_ACTIVITIES
+        if last_use is not None and rx != last_rx and switches - switches_at_last < params.n_switch:
             pair = (last_use.activity.value, activity.value)
             findings.append(Conflict(first, pair, (last_use.tb_index, tb), "missing-switch"))
-        last_use, switches_at_last = use, switches
-        if activity is Activity.RX_PDSCH:
+        last_use, last_rx, switches_at_last = use, rx, switches
+        if activity is _RX_PDSCH:
             if tb is not None:
                 data_end[tb] = stop - 1
-        elif activity is Activity.TX_PUCCH:
+        elif activity is _TX_PUCCH:
             if ack_runs and ack_runs[-1][1] == first:
                 ack_runs[-1][1] = stop
             else:
                 ack_runs.append([first, stop])
             if tb is not None:
                 ack_start.setdefault(tb, first)
-        elif activity is Activity.TX_PUSCH:
+        elif activity is _TX_PUSCH:
             if tb is not None:
                 data_start.setdefault(tb, first)
-        elif activity is Activity.RX_PDCCH:
+        else:  # a grant
             shared_grant_end = stop - 1
             if tb is not None:
                 grant_end[tb] = stop - 1
@@ -431,24 +445,30 @@ def bs_view(timeline: SubframeTimeline, rtt_ms: float) -> SubframeTimeline:
 # plain-text export
 
 
+_LABELS = {activity: activity.value for activity in Activity}
+
+
 def export_timeline(timeline: SubframeTimeline) -> str:
     """One ``index,perspective,activity,tb_index,harq_id`` line per SF
     (idle slots export as Idle; double-booked slots export one line per
-    claiming activity)."""
+    claiming activity).  TB j uses HARQ process j, so both last columns
+    hold the TB index."""
     view = timeline.perspective.value
     origin = timeline.origin
     parts = []
     for first, stop, uses in timeline.segments:
-        # each line of the run minus its leading SF index
-        lines = [
-            f",{view},{u.activity.value},{'' if u.tb_index is None else u.tb_index},"
-            f"{'' if u.harq_id is None else u.harq_id}\n"
-            for u in uses
-        ] or [f",{view},Idle,,\n"]
-        if len(lines) > 1:
+        if len(uses) > 1:
+            lines = [f",{view},{_LABELS[a]},{'' if tb is None else tb},{'' if tb is None else tb}\n" for a, tb in uses]
             parts.extend(f"{origin + sf}{line}" for sf in range(first, stop) for line in lines)
+            continue
+        # the run's one line minus its leading SF index
+        activity, tb = uses[0] if uses else (_IDLE, None)
+        tb = "" if tb is None else tb
+        line = f",{view},{_LABELS[activity]},{tb},{tb}\n"
+        if stop - first == 1:
+            parts.append(f"{origin + first}{line}")
         else:
-            parts.append(lines[0].join(map(str, range(origin + first, origin + stop))) + lines[0])
+            parts.append(line.join(map(str, range(origin + first, origin + stop))) + line)
     return "".join(parts) or "\n"
 
 

@@ -2,17 +2,27 @@
 
 The copies pin the ``run`` CSV and the ``calibrate --dry-run`` output of
 every shipped profile, the ``sweep`` CSV over three axes, over a key
-repeated across two axes and with no axis, every timeline format and view
-of a large auto-sized downlink cycle, and a legacy multi-TB attempt with
-its conflict annotations.  Regenerate them only
-when an output is meant to change:
+repeated across two axes and with no axis, and every timeline format and
+view of large auto-sized downlink (MTBG) and uplink (STBG) cycles, of
+small STBG downlink cycles with and without feedback bundling, and of
+legacy multi-TB attempts in both directions with their conflict
+annotations.
+
+Record the copies of new cases, and only those, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which writes the golden files that are missing and leaves the others as
+they are.  When an output is meant to change, name the cases to
+re-record:
+
+    PYTHONPATH=src python tests/test_golden.py timeline.large_dl.ue.csv ...
 """
 from __future__ import annotations
 
 import gzip
 import io
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -25,9 +35,20 @@ ROOT = Path(__file__).resolve().parent.parent
 PROFILES = ROOT / "profiles"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # auto n_tbphc under a raised HARQ budget reaches the 512-TB cap
-LARGE_DL = {"cycle.n_tbphc": "auto", "cycle.max_harq": "1024"}
+LARGE = {"cycle.n_tbphc": "auto", "cycle.max_harq": "1024"}
 # twelve repetitions against the 3-SF fixed delay double-book every TB
-LEGACY_DL = {"mode": "legacy", "cycle.n_tbphc": "8"}
+LEGACY = {"mode": "legacy", "cycle.n_tbphc": "8"}
+# (profile, overrides) per timeline case; the downlink profile grants
+# with MTBG, the uplink one with STBG
+TIMELINES = {
+    "large_dl": ("leo600_ltem_dl", LARGE),
+    "legacy_dl": ("leo600_ltem_dl", LEGACY),
+    "large_ul": ("leo600_ltem_ul", LARGE),
+    "legacy_ul": ("leo600_ltem_ul", LEGACY),
+    "stbg_dl": ("leo600_ltem_dl", {"cycle.grant_mode": "stbg"}),
+    "bundled_dl": ("leo600_ltem_dl", {"cycle.grant_mode": "stbg", "cycle.ack_bundling": "true",
+                                      "cycle.n_bundle": "4", "cycle.max_harq": "64"}),
+}
 SWEEPS = {
     "three_axes": (
         "leo600_ltem_ul",
@@ -61,8 +82,8 @@ def _sweep_csv(profile: str, axes: list[str]) -> str:
     return _cli("sweep", str(PROFILES / f"{profile}.cfg"), *(f"--axis={a}" for a in axes))
 
 
-def _timeline(overrides: dict[str, str], view: str, fmt: str) -> str:
-    raw = read_config(PROFILES / "leo600_ltem_dl.cfg")
+def _timeline(profile: str, overrides: dict[str, str], view: str, fmt: str) -> str:
+    raw = read_config(PROFILES / f"{profile}.cfg")
     raw.update(overrides)
     text, status = render_timeline(config_from_mapping(raw), view, fmt)
     assert status == 0
@@ -74,8 +95,8 @@ CASES = {
     **{f"calibrate.{p.stem}.txt": (_calibration, p.stem) for p in sorted(PROFILES.glob("*.cfg"))},
     **{f"sweep.{label}.csv": (_sweep_csv, *args) for label, args in SWEEPS.items()},
     **{
-        f"timeline.{label}.{view}.{fmt}": (_timeline, overrides, view, fmt)
-        for label, overrides in (("large_dl", LARGE_DL), ("legacy_dl", LEGACY_DL))
+        f"timeline.{label}.{view}.{fmt}": (_timeline, *case, view, fmt)
+        for label, case in TIMELINES.items()
         for view in ("ue", "bs")
         for fmt in ("text", "svg", "csv")
     },
@@ -95,5 +116,7 @@ def test_output_matches_golden(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name in CASES:
+    names = sys.argv[1:] or [name for name in CASES if not (GOLDEN / f"{name}.gz").exists()]
+    for name in names:
         (GOLDEN / f"{name}.gz").write_bytes(gzip.compress(produce(name).encode(), mtime=0))
+        print(f"wrote {name}")

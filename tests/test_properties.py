@@ -1,9 +1,10 @@
-"""Generated-input checks of the timeline builders, ``validate`` and
-``bs_view``.
+"""Generated-input checks of the timeline builders, ``validate``,
+``bs_view``, the block sweep and the export.
 
 ``reference_validate`` is the slot-by-slot form of ``validate``: every
 list it builds is a scan over per-subframe slots.  The block sweep must
-report exactly its findings.
+report exactly its findings.  ``reference_segments`` and
+``reference_export`` expand blocks subframe by subframe the same way.
 """
 from __future__ import annotations
 
@@ -18,11 +19,14 @@ from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
 from ntn_harq.scheduler import (
     RX_ACTIVITIES,
     Activity,
+    Block,
     Conflict,
+    Perspective,
     SlotUse,
     SubframeTimeline,
     bs_view,
     build_proposed_cycle,
+    export_timeline,
     validate,
 )
 
@@ -117,7 +121,6 @@ slot_uses = st.builds(
     SlotUse,
     st.sampled_from(Activity),
     st.sampled_from([None, 1, 2, 3]),
-    st.sampled_from([None, 1]),
 )
 
 
@@ -131,3 +134,62 @@ def test_validate_matches_slot_reference(slots, params):
     timeline = SubframeTimeline.from_slots(slots)
     assert timeline.slots == slots
     assert list(validate(timeline, params).conflicts) == reference_validate(slots, params)
+
+
+def _covering(blocks: list[Block], length: int) -> list[list[Block]]:
+    """The blocks covering each subframe, in rank order."""
+    covering: list[list[Block]] = [[] for _ in range(length)]
+    for block in sorted(blocks, key=lambda b: b.rank):
+        for sf in range(block.start, block.start + block.width):
+            covering[sf].append(block)
+    return covering
+
+
+def reference_segments(blocks: list[Block], length: int) -> list[tuple[int, int, tuple[SlotUse, ...]]]:
+    """Maximal runs of subframes covered by the same blocks."""
+    segments: list[tuple[int, int, tuple[SlotUse, ...]]] = []
+    runs: list[list[Block]] = []
+    for sf, covered in enumerate(_covering(blocks, length)):
+        if segments and covered == runs[-1]:
+            first, _, uses = segments[-1]
+            segments[-1] = (first, sf + 1, uses)
+        else:
+            segments.append((sf, sf + 1, tuple(b.use for b in covered)))
+            runs.append(covered)
+    return segments
+
+
+def reference_export(blocks: list[Block], length: int, perspective: Perspective, origin: int) -> str:
+    lines = []
+    for sf, covered in enumerate(_covering(blocks, length)):
+        for use in [b.use for b in covered] or [SlotUse(Activity.IDLE)]:
+            tb = "" if use.tb_index is None else use.tb_index
+            lines.append(f"{origin + sf},{perspective.value},{use.activity.value},{tb},{tb}\n")
+    return "".join(lines) or "\n"
+
+
+@st.composite
+def block_layouts(draw):
+    """Blocks of widths 1-6, each placed from the end of the one before:
+    overlapping it, touching it or after a gap, in a random claim order."""
+    placed = []
+    end = 0
+    for _ in range(draw(st.integers(0, 10))):
+        start = max(0, end + draw(st.integers(-4, 3)))
+        width = draw(st.integers(1, 6))
+        placed.append((start, width, draw(slot_uses)))
+        end = start + width
+    ranks = draw(st.permutations(range(len(placed))))
+    blocks = sorted((Block(*claim, rank) for claim, rank in zip(placed, ranks)), key=lambda b: (b.start, b.rank))
+    length = max((b.start + b.width for b in blocks), default=0) + draw(st.integers(0, 3))
+    return blocks, length
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_layouts(), st.sampled_from(Perspective), st.integers(-40, 40).filter(bool))
+def test_block_sweep_and_export_match_subframe_expansion(layout, perspective, origin):
+    blocks, length = layout
+    timeline = SubframeTimeline(tuple(blocks), length, perspective, origin)
+    assert timeline.segments == reference_segments(blocks, length)
+    assert timeline.slots == [tuple(b.use for b in covered) for covered in _covering(blocks, length)]
+    assert export_timeline(timeline) == reference_export(blocks, length, perspective, origin)

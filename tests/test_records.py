@@ -57,8 +57,8 @@ def _result() -> dict:
 
 
 def _timeline() -> dict:
-    return dict(blocks=(Block(0, 2, SlotUse(Activity.RX_PDCCH, 1, 1), 0),
-                        Block(5, 3, SlotUse(Activity.TX_PUSCH, 1, 1), 1)), length=9)
+    return dict(blocks=(Block(0, 2, SlotUse(Activity.RX_PDCCH, 1), 0),
+                        Block(5, 3, SlotUse(Activity.TX_PUSCH, 1), 1)), length=9)
 
 
 # type -> (fresh required values, field names in order, defaults of the others)

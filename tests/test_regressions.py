@@ -30,9 +30,9 @@ def test_validate_measures_feedback_from_its_first_slot(n_feedback):
     # feedback starts two SFs after the data against a 3-SF minimum,
     # however many SFs the feedback repeats over
     slots = [
-        (SlotUse(Activity.RX_PDSCH, 1, 1),),
+        (SlotUse(Activity.RX_PDSCH, 1),),
         (SlotUse(Activity.SWITCH),),
-        *[(SlotUse(Activity.TX_PUCCH, 1, 1),)] * n_feedback,
+        *[(SlotUse(Activity.TX_PUCCH, 1),)] * n_feedback,
     ]
     params = CycleParams(dd2a_min=3, n_switch=1, rep_pucch=n_feedback)
     report = validate(SubframeTimeline.from_slots(slots), params)

@@ -225,8 +225,8 @@ def test_proposed_realized_delays_meet_minimum():
 
 def test_validate_flags_hand_built_overlap():
     slots = [
-        (SlotUse(Activity.RX_PDSCH, 1, 1),),
-        (SlotUse(Activity.RX_PDSCH, 2, 2), SlotUse(Activity.TX_PUCCH, 1, 1)),
+        (SlotUse(Activity.RX_PDSCH, 1),),
+        (SlotUse(Activity.RX_PDSCH, 2), SlotUse(Activity.TX_PUCCH, 1)),
     ]
     timeline = SubframeTimeline.from_slots(slots=slots)
     report = validate(timeline, CycleParams(n_tbphc=2, dd2a_min=0, n_switch=0))
@@ -239,10 +239,10 @@ def test_validate_flags_hand_built_overlap():
 def test_validate_flags_short_feedback_delay():
     # feedback 2 SFs after the data with a 3-SF minimum
     slots = [
-        (SlotUse(Activity.RX_PDSCH, 1, 1),),
+        (SlotUse(Activity.RX_PDSCH, 1),),
         (),
         (SlotUse(Activity.SWITCH),),
-        (SlotUse(Activity.TX_PUCCH, 1, 1),),
+        (SlotUse(Activity.TX_PUCCH, 1),),
     ]
     timeline = SubframeTimeline.from_slots(slots=slots)
     report = validate(timeline, CycleParams(n_tbphc=1, dd2a_min=3, n_switch=1))
@@ -251,11 +251,11 @@ def test_validate_flags_short_feedback_delay():
 
 def test_validate_flags_missing_switch():
     slots = [
-        (SlotUse(Activity.RX_PDSCH, 1, 1),),
+        (SlotUse(Activity.RX_PDSCH, 1),),
         (),
         (),
         (),
-        (SlotUse(Activity.TX_PUCCH, 1, 1),),
+        (SlotUse(Activity.TX_PUCCH, 1),),
     ]
     timeline = SubframeTimeline.from_slots(slots=slots)
     report = validate(timeline, CycleParams(n_tbphc=1, dd2a_min=3, n_switch=1))
@@ -345,7 +345,7 @@ def test_export_format():
     slots = [
         (SlotUse(Activity.RX_PDCCH),),
         (),
-        (SlotUse(Activity.TX_PUSCH, 1, 1),),
+        (SlotUse(Activity.TX_PUSCH, 1),),
     ]
     timeline = SubframeTimeline.from_slots(slots=slots)
     assert export_timeline(timeline) == (
