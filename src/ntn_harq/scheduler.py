@@ -49,6 +49,7 @@ TX_ACTIVITIES = frozenset({Activity.TX_PUCCH, Activity.TX_PUSCH})
 # before Python 3.12 a member read off its class goes through
 # EnumType.__getattr__, ten times slower than a global, so loops read these
 _RX_PDCCH, _RX_PDSCH, _TX_PUCCH, _TX_PUSCH, _SWITCH, _IDLE = Activity
+_LABELS = {activity: activity.value for activity in Activity}  # Enum.value is a Python-level property
 
 
 class Perspective(Enum):
@@ -443,9 +444,6 @@ def bs_view(timeline: SubframeTimeline, rtt_ms: float) -> SubframeTimeline:
 
 # ---------------------------------------------------------------------------
 # plain-text export
-
-
-_LABELS = {activity: activity.value for activity in Activity}
 
 
 def export_timeline(timeline: SubframeTimeline) -> str:
