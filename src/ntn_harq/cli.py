@@ -8,8 +8,8 @@ Subcommands:
   calibrate  fit the unpublished grant/processing parameters to the
              protocol's reference throughput gain and store them
 
-Exit status: 0 success, 2 infeasible link or a schedule that misses a
-minimum delay (for sweep: at one point or more, the others still
+Exit status: 0 success, 2 infeasible link or an uplink schedule that
+misses a minimum delay (for sweep: at one point or more, the others still
 emitted; a point that fails its HARQ budget, has no BLER curve for its
 TB size or sets feedback bundling on an uplink cycle counts too), 3
 configuration error.
@@ -20,7 +20,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bler import default_table, load_bler_table
+from .bler import BlerTable, default_table, load_bler_table
 from .errors import (
     ConfigError,
     CurveNotFoundError,
@@ -157,12 +157,7 @@ def render_timeline_svg(timeline: SubframeTimeline, conflicts: ConflictReport | 
     return "".join(parts) + "\n"
 
 
-def render_timeline(
-    config: ScenarioConfig,
-    perspective: str = "ue",
-    fmt: str = "text",
-    table=None,
-) -> tuple[str, int]:
+def render_timeline(config: ScenarioConfig, perspective: str, fmt: str, table: BlerTable) -> tuple[str, int]:
     """Build the configured cycle and render it; legacy conflicts render
     the attempted layout with annotations.  Raises InvalidInputError for a
     perspective other than ue or bs, or a format other than text, svg or
@@ -171,7 +166,7 @@ def render_timeline(
         raise InvalidInputError(f"unknown timeline perspective {perspective!r}; expected ue or bs")
     if fmt not in _FORMATS:
         raise InvalidInputError(f"unknown timeline format {fmt!r}; expected text, svg or csv")
-    resolved = resolve(config, table if table is not None else default_table())
+    resolved = resolve(config, table)
     conflicts = None
     if config.mode is SchedulingMode.LEGACY_FIXED:
         timeline = build_legacy_cycle(resolved.params, config.direction)

@@ -7,11 +7,10 @@ scenario uses one fixed geometry.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .records import Validated
+from .records import IdentityEnum, Validated
 
 EARTH_RADIUS_KM = 6371.0
 SPEED_OF_LIGHT_KM_S = 299792.458
@@ -21,7 +20,7 @@ MIN_ELEVATION_DEG = 10.0
 MAX_ELEVATION_DEG = 90.0
 
 
-class Payload(Enum):
+class Payload(IdentityEnum):
     """Satellite payload architecture.
 
     A regenerative payload hosts the base station on board, so the round
@@ -31,7 +30,6 @@ class Payload(Enum):
 
     TRANSPARENT = "transparent"
     REGENERATIVE = "regenerative"
-    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
 class _OrbitFields(NamedTuple):

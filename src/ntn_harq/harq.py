@@ -9,27 +9,24 @@ half-duplex UE.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .records import Validated
+from .records import IdentityEnum, Validated
 
 SF_MS = 1.0  # one subframe lasts one millisecond
 SF_SECONDS = SF_MS / 1000.0
 MAX_SUBFRAMES = 100_000  # bound on a configured or tabulated subframe count, far from int-to-float overflow
 
 
-class Direction(Enum):
+class Direction(IdentityEnum):
     DL = "dl"
     UL = "ul"
-    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
-class GrantMode(Enum):
+class GrantMode(IdentityEnum):
     STBG = "stbg"  # one control grant per transport block
     MTBG = "mtbg"  # one control grant schedules the whole cycle
-    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
 class _CycleFields(NamedTuple):
@@ -81,13 +78,13 @@ def fixed_positions(anchor_sf: int, fixed_delay: int) -> int:
     return anchor_sf + fixed_delay + 1
 
 
-def required_harq_count(rtt_ms: float, t_tb_ms: float, rep_data: int) -> int:
+def required_harq_count(rtt_ms: float, rep_data: int) -> int:
     """Minimum number of HARQ processes that keeps a half-duplex sender
     busy across the whole round trip, given each TB occupies
-    ``rep_data`` subframes of ``t_tb_ms`` each."""
-    if rtt_ms <= 0 or t_tb_ms <= 0 or rep_data < 1:
-        raise InvalidInputError("rtt, TB duration and repetitions must be positive")
-    return math.ceil(rtt_ms / (rep_data * t_tb_ms))
+    ``rep_data`` subframes."""
+    if rtt_ms <= 0 or rep_data < 1:
+        raise InvalidInputError("rtt and repetitions must be positive")
+    return math.ceil(rtt_ms / (rep_data * SF_MS))
 
 
 def feedback_wait(n_before: int, n_bundle: int, rep_pucch: int) -> int:
@@ -118,22 +115,41 @@ def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
     return tuple((n - j) * p + (j - 1) * r + sw for j in range(1, n + 1))
 
 
-def harq_for_tbphc(params: CycleParams, rtt_ms: float, t_tb_ms: float, ack_proc_sf: int) -> int:
+def delay_guard(params: CycleParams, direction: Direction) -> int:
+    """Subframes added to every TB's variable delay so that the tightest
+    one meets the mandatory minimum, in O(1) without the plan.
+
+    DL: TB b+1 waits ``(n-1-b)*r + (b//g)*q`` beyond the switch gap, which
+    falls within each group of ``g`` TBs and is linear across whole
+    groups, so the least wait is the last TB's or that of the last TB of
+    the first or of the last whole group.  UL: TB 1's wait, though a later
+    TB's is shorter when data blocks are narrower than grant blocks
+    (ROADMAP item 1).
+    """
+    n = params.n_tbphc
+    if direction is Direction.DL:
+        g = params.n_bundle if params.ack_bundling else 1
+        r, q = params.rep_pdsch, params.rep_pucch
+        k = (n - 1) // g  # the last TB's group
+        tightest = min(k * q, (n - g) * r, (n - k * g) * r + (k - 1) * q) if k else 0
+        return max(0, params.dd2a_min - tightest)
+    return max(0, params.ug2d_min - (n - 1) * params.rep_pdcch)
+
+
+def harq_for_tbphc(params: CycleParams, rtt_ms: float, ack_proc_sf: int) -> int:
     """HARQ processes needed to sustain the cycle ``params`` lays out."""
-    return harq_processes(params, params.n_tbphc, params.n_tbphc * params.rep_pdsch, rtt_ms, t_tb_ms, ack_proc_sf)
+    return harq_processes(params, params.n_tbphc, params.n_tbphc * params.rep_pdsch, rtt_ms, ack_proc_sf)
 
 
-def harq_processes(
-    params: CycleParams, n_tbphc: int, data_sf: int, rtt_ms: float, t_tb_ms: float, ack_proc_sf: int
-) -> int:
+def harq_processes(params: CycleParams, n_tbphc: int, data_sf: int, rtt_ms: float, ack_proc_sf: int) -> int:
     """HARQ processes needed to sustain ``n_tbphc`` TBs per cycle, whose data
     blocks fill ``data_sf`` subframes, across the round trip plus the
     scheduler's feedback-processing time (``ack_proc_sf`` subframes) before
     a process can be re-granted.  Only the grant, feedback and switch terms
     are read from ``params``, so a one-TB template sizes any TB count."""
-    if rtt_ms < 0 or t_tb_ms <= 0 or ack_proc_sf < 0:
-        raise InvalidInputError("rtt and ack processing must be >= 0, TB duration positive")
+    if rtt_ms < 0 or ack_proc_sf < 0:
+        raise InvalidInputError("rtt and ack processing must be >= 0")
     cycle_sf = params.rep_pdcch + params.n_dg2d + data_sf + n_tbphc * params.rep_pucch
-    cycle_ms = t_tb_ms * cycle_sf + 2.0 * params.n_switch * t_tb_ms
-    wait_ms = rtt_ms + ack_proc_sf * t_tb_ms
+    cycle_ms = SF_MS * cycle_sf + 2.0 * params.n_switch * SF_MS
+    wait_ms = rtt_ms + ack_proc_sf * SF_MS
     return math.ceil(n_tbphc * (1.0 + wait_ms / cycle_ms))

@@ -2,23 +2,21 @@
 
 The subframe utilization factor (SUF) is the fraction of a HARQ cycle
 spent on unique payload; throughput is SUF scaled by the TB size over the
-TB duration.  Cycle lengths are computed as exact integer subframe counts
+subframe duration.  Cycle lengths are computed as exact integer subframe counts
 so they can be compared slot-for-slot against built timelines.
 """
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .harq import CycleParams, Direction, GrantMode, feedback_wait
-from .records import Validated
+from .harq import SF_SECONDS, CycleParams, Direction, GrantMode, delay_guard, feedback_wait
+from .records import IdentityEnum, Validated
 
 
-class SchedulingMode(Enum):
+class SchedulingMode(IdentityEnum):
     LEGACY_FIXED = "legacy"
     PROPOSED_VARIABLE = "proposed"
-    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
 class _ProcessorFields(NamedTuple):
@@ -103,26 +101,26 @@ def cycle_length_closed_form(
             + params.n_dg2d
             + n * params.rep_pdsch
             + params.rep_pucch
-            + max(params.dd2a_min, wait)
+            + wait
+            + delay_guard(params, direction)
             + 2 * sw
         )
     if params.ack_bundling:
         raise InvalidInputError("feedback bundling applies to downlink cycles only")
-    return p + max(params.ug2d_min, (n - 1) * p) + n * params.rep_pusch + 2 * sw
+    return n * p + delay_guard(params, direction) + n * params.rep_pusch + 2 * sw
 
 
 def suf_closed_form(params: CycleParams, direction: Direction, mode: SchedulingMode) -> float:
     """SUF of one cycle: TBs per cycle over the cycle length."""
-    length = cycle_length_closed_form(params, direction, mode)
-    n = 1 if mode is SchedulingMode.LEGACY_FIXED else params.n_tbphc
-    return n / length
+    return params.n_tbphc / cycle_length_closed_form(params, direction, mode)
 
 
-def throughput(suf: float, tbs_bits: int, t_tb_s: float) -> float:
-    """Useful data rate in bits/s for a utilization factor and TB size."""
-    if tbs_bits <= 0 or t_tb_s <= 0:
-        raise InvalidInputError("TB size and duration must be positive")
-    return suf * (tbs_bits / t_tb_s)
+def throughput(suf: float, tbs_bits: int) -> float:
+    """Useful data rate in bits/s for a utilization factor and TB size,
+    one TB per subframe at full utilization."""
+    if tbs_bits <= 0:
+        raise InvalidInputError("TB size must be positive")
+    return suf * (tbs_bits / SF_SECONDS)
 
 
 def delay_power(profile: ProcessorProfile) -> float:

@@ -4,11 +4,21 @@ Plain records are ``typing.NamedTuple`` classes.  A record that checks its
 values subclasses ``Validated`` and its NamedTuple of fields.  The two
 records that cache derived state, which a tuple cannot hold, subclass
 ``Frozen``.  Either way a record compares and hashes by value, and setting
-any attribute raises ``AttributeError``.
+any attribute raises ``AttributeError``.  Every enum subclasses
+``IdentityEnum``.
 """
 from __future__ import annotations
 
+from enum import Enum
 from typing import Any
+
+
+class IdentityEnum(Enum):
+    """Base of the package's enums.  Members are singletons, so hashing by
+    identity agrees with equality, and it runs in C where ``Enum.__hash__``
+    runs Python code on every set or dict lookup."""
+
+    __hash__ = object.__hash__
 
 
 class Validated:

@@ -21,7 +21,7 @@ from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
 from .errors import ConfigError, CurveNotFoundError, InfeasibleLinkError, MinDelayViolationError
 from .geometry import MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, OrbitGeometry, Payload, round_trip_time, slant_range
-from .harq import MAX_SUBFRAMES, SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
+from .harq import MAX_SUBFRAMES, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
 from .linkbudget import LinkBudgetParams, snr_db
 from .metrics import (
     DEFAULT_OP_RATE_PER_S,
@@ -379,7 +379,7 @@ def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
 
 def _harq_needed(config: ScenarioConfig, n_tbphc: int, n_rep: int, rtt_ms: float) -> int:
     """HARQ processes that ``n_tbphc`` TBs of ``n_rep`` repetitions need."""
-    return harq_processes(config.cycle, n_tbphc, n_tbphc * n_rep, rtt_ms, SF_MS, config.n_a2g)
+    return harq_processes(config.cycle, n_tbphc, n_tbphc * n_rep, rtt_ms, config.n_a2g)
 
 
 def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
@@ -520,14 +520,13 @@ def _check_layout(params: CycleParams, direction: Direction) -> None:
         )
 
 
-def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     """Full pipeline for one scenario.
 
     Raises InfeasibleLinkError when no tabulated repetition count reaches
     the target BLER at the operating SNR, and MinDelayViolationError when
-    the variable-delay cycle misses a mandatory minimum delay.
+    the variable-delay uplink cycle misses a mandatory minimum delay.
     """
-    table = table if table is not None else bler_mod.default_table()
     if config.mode is SchedulingMode.LEGACY_FIXED and config.n_tbphc not in (None, 1):
         raise ConfigError(
             "legacy fixed-delay scheduling carries one TB per cycle; use the timeline "
@@ -541,8 +540,8 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
         baseline_params = _completed_cycle(config.cycle, config.cycle.n_tbphc, n_rep)
         baseline_suf = suf_closed_form(baseline_params, config.direction, SchedulingMode.LEGACY_FIXED)
         gain = suf / baseline_suf - 1.0
-    rate = throughput(suf, config.tbs_bits, SF_SECONDS)
-    required = harq_for_tbphc(params, rtt_ms, SF_MS, config.n_a2g)
+    rate = throughput(suf, config.tbs_bits)
+    required = harq_for_tbphc(params, rtt_ms, config.n_a2g)
     profile = ProcessorProfile(
         efficiency_mops_per_mw=config.power_efficiency_mops_per_mw,
         op_rate_per_s=config.power_op_rate_per_s,
@@ -559,7 +558,6 @@ def run_scenario(config: ScenarioConfig, table: BlerTable | None = None) -> Scen
             mc.n_cycles,
             mc.seed,
             config.tbs_bits,
-            SF_SECONDS,
         )
     return ScenarioResult(
         scenario_id=config.scenario_id,
@@ -601,7 +599,7 @@ _POINT_ERRORS = (InfeasibleLinkError, MinDelayViolationError, CurveNotFoundError
 def sweep(
     base_raw: Mapping[str, str],
     axes: list[tuple[str, list[str]]],
-    table: BlerTable | None = None,
+    table: BlerTable,
 ) -> tuple[list[ScenarioResult], list[tuple[str, str]]]:
     """Cartesian product over axis values in row-major order of the given
     axes; a key on two axes takes the later axis's value.
@@ -609,7 +607,7 @@ def sweep(
     Every axis value is parsed before any point runs, and an axis with no
     values is a ConfigError.  Returns one result per feasible point, and
     the ``(label, reason)`` of each point whose link is infeasible, whose
-    cycle misses a minimum delay, whose TB size has no BLER curve or whose
+    uplink cycle misses a minimum delay, whose TB size has no BLER curve or whose
     settings fail a check that depends on the point (such as the HARQ
     budget at its round trip, or feedback bundling on an uplink point);
     the sweep goes on past those.  A label is the point's ``scenario_id``
@@ -623,7 +621,6 @@ def sweep(
             raise ConfigError(f"sweep axis {key} lists no values")
         for text in options:
             config_from_mapping({key: text})  # each value alone: a bad one fails before any point runs
-    table = table if table is not None else bler_mod.default_table()
     keys = [key for key, _ in axes]
     results, infeasible = [], []
     for values in product(*(options for _, options in axes)):
@@ -653,18 +650,17 @@ class CalibrationResult(NamedTuple):
         return not self.within_tolerance
 
 
-def calibrate(config: ScenarioConfig, table: BlerTable | None = None) -> CalibrationResult:
+def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     """Search the grant-repetition and feedback-processing-delay pair that
     best reproduces the protocol's published throughput gain.
 
     The search covers rep_pdcch in [1, 8] and n_a2g in [0, 4] with the TB
     count re-selected per candidate; ties break toward the smallest pair.
     A candidate that fails as a sweep point can (its HARQ budget, say, or
-    a minimum delay) is skipped and listed in ``skipped``; when every one
+    an uplink minimum delay) is skipped and listed in ``skipped``; when every one
     fails, the first one's error is raised.  A result outside the
     protocol's tolerance is flagged degraded rather than hidden.
     """
-    table = table if table is not None else bler_mod.default_table()
     target = config.protocol.target_gain_pct
     best: tuple[float, int, int, float] | None = None
     skipped: list[tuple[str, Exception]] = []

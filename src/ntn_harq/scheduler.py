@@ -21,27 +21,23 @@ from __future__ import annotations
 
 import math
 import random
-from enum import Enum
 from heapq import heappop, heappush
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, MinDelayViolationError
-from .harq import SF_MS, SF_SECONDS, CycleParams, Direction, GrantMode, delay_plan, fixed_positions
-from .records import Frozen
+from .harq import SF_MS, CycleParams, Direction, GrantMode, delay_guard, delay_plan, fixed_positions
+from .metrics import throughput
+from .records import Frozen, IdentityEnum
 
 
-class Activity(Enum):
+class Activity(IdentityEnum):
     RX_PDCCH = "RxPDCCH"
     RX_PDSCH = "RxPDSCH"
     TX_PUCCH = "TxPUCCH"
     TX_PUSCH = "TxPUSCH"
     SWITCH = "Switch"
     IDLE = "Idle"
-
-    # members are singletons, so identity hashing is consistent with
-    # equality and skips Enum's Python-level __hash__ in the sweeps
-    __hash__ = object.__hash__
 
 
 RX_ACTIVITIES = frozenset({Activity.RX_PDCCH, Activity.RX_PDSCH})
@@ -52,10 +48,9 @@ _RX_PDCCH, _RX_PDSCH, _TX_PUCCH, _TX_PUSCH, _SWITCH, _IDLE = Activity
 _LABELS = {activity: activity.value for activity in Activity}  # Enum.value is a Python-level property
 
 
-class Perspective(Enum):
+class Perspective(IdentityEnum):
     UE = "UE"
     BS = "BS"
-    __hash__ = object.__hash__  # members are singletons: hash as equality does, in C
 
 
 class SlotUse(NamedTuple):
@@ -276,17 +271,18 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
 
     Grant blocks come first (one per TB under STBG, one per cycle under
     MTBG), data blocks sit back to back, and every feedback (DL) or data
-    (UL) position is its anchor plus the per-TB variable delay.  When the
-    packed delay of the tightest TB falls under the mandatory minimum, all
-    delays are padded by the shortfall, which is exactly the guard term of
-    the closed-form cycle length.
+    (UL) position is its anchor plus the per-TB variable delay.  Every
+    delay is padded by ``delay_guard``, the shortfall of the tightest DL
+    TB (of TB 1 in UL) against the mandatory minimum, which is also the
+    guard term of the closed-form cycle length.
 
-    Raises MinDelayViolationError when some TB's realized delay stays
-    below the minimum even after that padding.
+    Raises MinDelayViolationError when some UL TB's padded delay stays
+    below the minimum; every padded DL delay meets it.
     """
     n = params.n_tbphc
     p = params.rep_pdcch
     plan = delay_plan(params, direction)
+    pad = delay_guard(params, direction)
     if params.grant_mode is GrantMode.MTBG:
         claims = [Block(0, p, SlotUse(_RX_PDCCH), 0)]
     else:
@@ -294,20 +290,12 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
     n_grants = len(claims)
 
     if direction is Direction.DL:
-        # the last TB's delay is the switch gap plus its wait for the
-        # feedback of every earlier TB (or bundle group)
-        pad = max(0, params.dd2a_min - (plan[-1] - params.n_switch))
         r = params.rep_pdsch
         data = n_grants * p + params.n_dg2d
         placed_acks = set()
         for j, delay in enumerate(plan, 1):
             claims.append(Block(data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), len(claims)))
-            realized = delay + pad
-            if realized < params.dd2a_min:
-                raise MinDelayViolationError(
-                    f"TB {j} data-to-feedback delay {realized} < minimum {params.dd2a_min}"
-                )
-            ack = fixed_positions(data + j * r - 1, realized)
+            ack = fixed_positions(data + j * r - 1, delay + pad)
             if params.ack_bundling:
                 if ack not in placed_acks:  # one block acknowledges the bundle
                     claims.append(Block(ack, params.rep_pucch, SlotUse(_TX_PUCCH), len(claims)))
@@ -315,7 +303,6 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
             else:
                 claims.append(Block(ack, params.rep_pucch, SlotUse(_TX_PUCCH, j), len(claims)))
     else:
-        pad = max(0, params.ug2d_min - (n - 1) * p)
         for j, delay in enumerate(plan, 1):
             # delays are defined against the j-th grant's end; an MTBG
             # cycle keeps the same clock, idling where those grants would
@@ -486,7 +473,6 @@ def monte_carlo_goodput(
     n_cycles: int,
     seed: int,
     tbs_bits: int,
-    t_tb_s: float = SF_SECONDS,
 ) -> GoodputResult:
     """Run ``n_cycles`` of the variable-delay schedule with per-attempt
     error probabilities.
@@ -532,6 +518,5 @@ def monte_carlo_goodput(
     # every failure is retried once or still queued at the end
     successes = attempts - retransmissions - len(failed)
     success_per_slot = successes / (n_cycles * cycle_len)
-    goodput = success_per_slot * (tbs_bits / t_tb_s)
     rate = retransmissions / attempts
-    return GoodputResult(goodput_bps=goodput, retransmission_rate=rate)
+    return GoodputResult(goodput_bps=throughput(success_per_slot, tbs_bits), retransmission_rate=rate)

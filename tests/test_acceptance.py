@@ -272,14 +272,14 @@ def test_criterion_7_power_cost():
 
 
 def test_criterion_8_harq_sizing():
-    assert required_harq_count(42, 1, 1) == 42
+    assert required_harq_count(42, 1) == 42
     for n in range(1, 9):
         for rep in (1, 2, 4, 12, 24):
             for sw in (1, 2):
                 params = CycleParams(
                     n_tbphc=n, rep_pdsch=rep, rep_pusch=rep, n_switch=sw
                 )
-                assert harq_for_tbphc(params, 0, 1, 0) == n
+                assert harq_for_tbphc(params, 0, 0) == n
     _ok("8 HARQ sizing", "stop-and-wait bound 42 at 42 ms; zero-RTT sizing returns the TB count")
 
 
@@ -290,7 +290,7 @@ def test_criterion_9_monte_carlo(tmp_path):
     start = time.perf_counter()
     params = CycleParams(n_tbphc=6, rep_pdcch=1, rep_pusch=12, ug2d_min=3, n_switch=1)
     suf = suf_closed_form(params, Direction.UL, SchedulingMode.PROPOSED_VARIABLE)
-    rate = throughput(suf, 504, 0.001)
+    rate = throughput(suf, 504)
 
     clean = monte_carlo_goodput(params, Direction.UL, [0.0], 100, seed=1, tbs_bits=504)
     assert clean.goodput_bps == rate

@@ -360,10 +360,10 @@ def test_timeline_csv_export_format(tmp_path):
     ("BS", "text", "perspective 'BS'"),
     ("ue", "pdf", "format 'pdf'"),
 ], ids=["perspective", "format"])
-def test_render_timeline_rejects_an_unknown_perspective_or_format(perspective, fmt, bad):
+def test_render_timeline_rejects_an_unknown_perspective_or_format(perspective, fmt, bad, table):
     config = scenario.load_config(LTEM)
     with pytest.raises(InvalidInputError, match=f"unknown timeline {bad}"):
-        render_timeline(config, perspective, fmt)
+        render_timeline(config, perspective, fmt, table)
 
 
 def test_timeline_eight_subframe_ul_cycle():

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from ntn_harq.bler import default_table
 from ntn_harq.cli import main, render_timeline
 from ntn_harq.scenario import config_from_mapping, read_config
 
@@ -85,7 +86,7 @@ def _sweep_csv(profile: str, axes: list[str]) -> str:
 def _timeline(profile: str, overrides: dict[str, str], view: str, fmt: str) -> str:
     raw = read_config(PROFILES / f"{profile}.cfg")
     raw.update(overrides)
-    text, status = render_timeline(config_from_mapping(raw), view, fmt)
+    text, status = render_timeline(config_from_mapping(raw), view, fmt, default_table())
     assert status == 0
     return text
 

@@ -2,6 +2,7 @@ import pytest
 
 from ntn_harq.errors import InvalidInputError
 from ntn_harq.harq import (
+    SF_MS,
     CycleParams,
     Direction,
     delay_plan,
@@ -63,23 +64,24 @@ def test_fixed_positions(anchor, delay, expected):
 
 
 @pytest.mark.parametrize(
-    "rtt,t_tb,rep,expected",
+    "rtt,sf_ms,rep,expected",
     [(42, 1, 1, 42), (20, 1, 20, 1), (34, 1, 24, 2)],
 )
-def test_required_harq_count(rtt, t_tb, rep, expected):
-    assert required_harq_count(rtt, t_tb, rep) == expected
+def test_required_harq_count(rtt, sf_ms, rep, expected):
+    assert SF_MS == sf_ms  # the subframe length the expected counts assume
+    assert required_harq_count(rtt, rep) == expected
 
 
 def test_required_harq_count_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
-        required_harq_count(0, 1, 1)
+        required_harq_count(0, 1)
     with pytest.raises(InvalidInputError):
-        required_harq_count(20, 1, 0)
+        required_harq_count(20, 0)
 
 
 def test_harq_for_tbphc_degenerate_rtt():
     params = CycleParams(n_tbphc=5, rep_pdsch=7, rep_pucch=2, n_switch=2)
-    assert harq_for_tbphc(params, 0, 1, 0) == 5
+    assert harq_for_tbphc(params, 0, 0) == 5
 
 
 @pytest.mark.parametrize("rtt,expected", [(20, 8), (34, 10)])
@@ -87,17 +89,17 @@ def test_harq_for_tbphc_examples(rtt, expected):
     params = CycleParams(
         n_tbphc=4, rep_pdcch=1, n_dg2d=1, rep_pdsch=4, rep_pucch=1, n_switch=1
     )
-    assert harq_for_tbphc(params, rtt, 1, 0) == expected
+    assert harq_for_tbphc(params, rtt, 0) == expected
 
 
 def test_harq_for_tbphc_monotone():
     base = dict(rep_pdcch=1, n_dg2d=1, rep_pdsch=12, rep_pucch=1, n_switch=1)
     values_rtt = [
-        harq_for_tbphc(CycleParams(n_tbphc=4, **base), rtt, 1, 0) for rtt in range(0, 60, 4)
+        harq_for_tbphc(CycleParams(n_tbphc=4, **base), rtt, 0) for rtt in range(0, 60, 4)
     ]
     assert all(a <= b for a, b in zip(values_rtt, values_rtt[1:]))
     values_n = [
-        harq_for_tbphc(CycleParams(n_tbphc=n, **base), 20, 1, 0) for n in range(1, 9)
+        harq_for_tbphc(CycleParams(n_tbphc=n, **base), 20, 0) for n in range(1, 9)
     ]
     assert all(a <= b for a, b in zip(values_n, values_n[1:]))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from ntn_harq.errors import InvalidInputError
-from ntn_harq.harq import CycleParams, Direction, GrantMode
+from ntn_harq.harq import SF_SECONDS, CycleParams, Direction, GrantMode
 from ntn_harq.metrics import (
     DELAY_OP_COUNTS,
     ProcessorProfile,
@@ -124,22 +124,23 @@ def test_bundling_shortens_dl_cycle():
 
 
 @pytest.mark.parametrize(
-    "suf,tbs,t_tb,expected",
+    "suf,tbs,sf_s,expected",
     [
         (1.0, 504, 0.001, 504000.0),
         (5 / 67, 504, 0.001, 37611.9),
         (1 / 17, 504, 0.001, 29647.1),
     ],
 )
-def test_throughput(suf, tbs, t_tb, expected):
-    assert throughput(suf, tbs, t_tb) == pytest.approx(expected, abs=0.1)
+def test_throughput(suf, tbs, sf_s, expected):
+    assert SF_SECONDS == sf_s  # the subframe length the expected rates assume
+    assert throughput(suf, tbs) == pytest.approx(expected, abs=0.1)
 
 
 def test_throughput_validation():
     with pytest.raises(InvalidInputError):
-        throughput(0.5, 0, 0.001)
+        throughput(0.5, 0)
     with pytest.raises(InvalidInputError):
-        throughput(0.5, 504, 0)
+        throughput(0.5, -504)
 
 
 # --- monotonicity ------------------------------------------------------------

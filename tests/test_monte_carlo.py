@@ -26,7 +26,6 @@ def reference_goodput(
     n_cycles: int,
     seed: int,
     tbs_bits: int,
-    t_tb_s: float = SF_SECONDS,
 ) -> GoodputResult:
     cycle = build_proposed_cycle(params, direction)
     cycle_len = len(cycle)
@@ -52,7 +51,7 @@ def reference_goodput(
                 successes += 1
         pending.extend(failed)
     success_per_slot = successes / (n_cycles * cycle_len)
-    goodput = success_per_slot * (tbs_bits / t_tb_s)
+    goodput = success_per_slot * (tbs_bits / SF_SECONDS)
     rate = retransmissions / attempts if attempts else 0.0
     return GoodputResult(goodput_bps=goodput, retransmission_rate=rate)
 

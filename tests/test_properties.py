@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ntn_harq.errors import MinDelayViolationError
-from ntn_harq.harq import CycleParams, Direction, GrantMode
+from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, delay_plan
 from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
 from ntn_harq.scheduler import (
     RX_ACTIVITIES,
@@ -89,12 +89,12 @@ def cycles(draw):
     params = CycleParams(
         n_tbphc=n,
         rep_pdcch=draw(st.integers(1, 4)),
-        rep_pdsch=draw(reps),
+        rep_pdsch=draw(st.one_of(st.integers(1, 3), reps)),  # often narrower than the feedback
         rep_pusch=draw(reps),
-        rep_pucch=draw(st.integers(1, 3)),
+        rep_pucch=draw(st.integers(1, 6)),
         n_switch=draw(st.integers(0, 3)),
         n_dg2d=draw(st.integers(0, 3)),
-        dd2a_min=draw(st.integers(0, 10)),
+        dd2a_min=draw(st.integers(0, 20)),
         ug2d_min=draw(st.integers(0, 10)),
         n_bundle=draw(st.integers(1, 4)),
         grant_mode=draw(st.sampled_from(GrantMode)),
@@ -110,11 +110,32 @@ def test_proposed_cycle_matches_closed_form_and_validates(cycle, rtt_ms):
     try:
         timeline = build_proposed_cycle(params, direction)
     except MinDelayViolationError:
-        return  # the documented outcome when padding cannot restore a minimum
+        assert direction is Direction.UL  # padded DL delays always meet the minimum
+        return
     assert len(timeline) == cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
     assert validate(timeline, params).conflicts == ()
     view = bs_view(timeline, rtt_ms)
     assert Counter(u for _, u in uses(view)) == Counter(u for _, u in uses(timeline))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    rep_pdsch=st.integers(1, 8),
+    extra_pucch=st.one_of(st.integers(-7, 0), st.integers(1, 8)),  # wider feedback than data half the time
+    n_bundle=st.integers(1, 4),
+    ack_bundling=st.booleans(),
+    n_switch=st.integers(0, 3),
+    dd2a_min=st.integers(0, 400),  # up to past the longest wait drawn, so the guard is mostly positive
+)
+# the last TB of the last whole bundle group is the tightest: waits 3, vs 4 (last TB) and 5 (first group)
+@example(n=9, rep_pdsch=1, extra_pucch=1, n_bundle=4, ack_bundling=True, n_switch=1, dd2a_min=10)
+def test_dl_delay_guard_pads_from_the_tightest_delay(n, rep_pdsch, extra_pucch, n_bundle, ack_bundling, n_switch,
+                                                    dd2a_min):
+    params = CycleParams(n_tbphc=n, rep_pdsch=rep_pdsch, rep_pucch=max(1, rep_pdsch + extra_pucch),
+                         n_bundle=n_bundle, ack_bundling=ack_bundling, n_switch=n_switch, dd2a_min=dd2a_min)
+    tightest = min(delay_plan(params, Direction.DL)) - n_switch
+    assert delay_guard(params, Direction.DL) == max(0, dd2a_min - tightest)
 
 
 slot_uses = st.builds(

@@ -15,7 +15,6 @@ from ntn_harq.harq import CycleParams, harq_for_tbphc
 from ntn_harq.linkbudget import snr_db
 from ntn_harq.scenario import (
     MAX_AUTO_TBPHC,
-    SF_MS,
     config_from_mapping,
     parse_config_text,
     select_tbphc,
@@ -52,7 +51,7 @@ def linear_select_tbphc(config, n_rep: int, rtt_ms: float) -> int:
     best = None
     for n in range(1, MAX_AUTO_TBPHC + 1):
         params = config.cycle._replace(n_tbphc=n, rep_pdsch=n_rep, rep_pusch=n_rep)
-        if harq_for_tbphc(params, rtt_ms, SF_MS, config.n_a2g) > config.max_harq:
+        if harq_for_tbphc(params, rtt_ms, config.n_a2g) > config.max_harq:
             break
         best = n
     if best is None:
