@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .bler import BlerTable, default_table, load_bler_table
 from .errors import (
@@ -28,6 +29,7 @@ from .errors import (
     InvalidInputError,
     MinDelayViolationError,
 )
+from .harq import Activity
 from .metrics import SchedulingMode
 from .scenario import (
     MAX_AUTO_TBPHC,
@@ -42,15 +44,9 @@ from .scenario import (
     sweep,
     update_config_file,
 )
-from .scheduler import (
-    Activity,
-    ConflictReport,
-    SubframeTimeline,
-    bs_view,
-    build_legacy_cycle,
-    build_proposed_cycle,
-    export_timeline,
-)
+
+if TYPE_CHECKING:
+    from .scheduler import ConflictReport, SubframeTimeline
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -166,6 +162,8 @@ def render_timeline(config: ScenarioConfig, perspective: str, fmt: str, table: B
         raise InvalidInputError(f"unknown timeline perspective {perspective!r}; expected ue or bs")
     if fmt not in _FORMATS:
         raise InvalidInputError(f"unknown timeline format {fmt!r}; expected text, svg or csv")
+    # here, so the commands that lay out no timeline never load the scheduler
+    from .scheduler import ConflictReport, bs_view, build_legacy_cycle, build_proposed_cycle, export_timeline
     resolved = resolve(config, table)
     conflicts = None
     if config.mode is SchedulingMode.LEGACY_FIXED:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, MinDelayViolationError
 from .records import IdentityEnum, Validated
 
 SF_MS = 1.0  # one subframe lasts one millisecond
@@ -27,6 +27,15 @@ class Direction(IdentityEnum):
 class GrantMode(IdentityEnum):
     STBG = "stbg"  # one control grant per transport block
     MTBG = "mtbg"  # one control grant schedules the whole cycle
+
+
+class Activity(IdentityEnum):
+    RX_PDCCH = "RxPDCCH"
+    RX_PDSCH = "RxPDSCH"
+    TX_PUCCH = "TxPUCCH"
+    TX_PUSCH = "TxPUSCH"
+    SWITCH = "Switch"
+    IDLE = "Idle"
 
 
 class _CycleFields(NamedTuple):
@@ -123,8 +132,7 @@ def delay_guard(params: CycleParams, direction: Direction) -> int:
     falls within each group of ``g`` TBs and is linear across whole
     groups, so the least wait is the last TB's or that of the last TB of
     the first or of the last whole group.  UL: TB 1's wait, though a later
-    TB's is shorter when data blocks are narrower than grant blocks
-    (ROADMAP item 1).
+    TB's is shorter when data blocks are narrower than grant blocks.
     """
     n = params.n_tbphc
     if direction is Direction.DL:
@@ -134,6 +142,20 @@ def delay_guard(params: CycleParams, direction: Direction) -> int:
         tightest = min(k * q, (n - g) * r, (n - k * g) * r + (k - 1) * q) if k else 0
         return max(0, params.dd2a_min - tightest)
     return max(0, params.ug2d_min - (n - 1) * params.rep_pdcch)
+
+
+def check_min_delay(params: CycleParams, direction: Direction) -> None:
+    """Raise MinDelayViolationError for the first TB whose padded delay
+    stays below the mandatory minimum, in O(1).  Every padded DL delay and
+    TB 1's UL delay ``d1`` meet it; UL TB j's is ``d1 - (j-1)*(p-r)``, so
+    only ``p > r`` falls short, first at ``j = (d1 - m) // (p - r) + 2``."""
+    if direction is Direction.DL:
+        return
+    n, p, r, m = params.n_tbphc, params.rep_pdcch, params.rep_pusch, params.ug2d_min
+    d1 = (n - 1) * p + params.n_switch + delay_guard(params, direction)
+    if p > r and d1 - (n - 1) * (p - r) < m:
+        j = (d1 - m) // (p - r) + 2
+        raise MinDelayViolationError(f"TB {j} grant-to-data delay {d1 - (j - 1) * (p - r)} < minimum {m}")
 
 
 def harq_for_tbphc(params: CycleParams, rtt_ms: float, ack_proc_sf: int) -> int:

@@ -15,31 +15,32 @@ from functools import lru_cache
 from itertools import product
 from math import isfinite
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
 from .errors import ConfigError, CurveNotFoundError, InfeasibleLinkError, MinDelayViolationError
 from .geometry import MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, OrbitGeometry, Payload, round_trip_time, slant_range
-from .harq import MAX_SUBFRAMES, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
+from .harq import MAX_SUBFRAMES, CycleParams, Direction, GrantMode, check_min_delay, harq_for_tbphc, harq_processes
 from .linkbudget import LinkBudgetParams, snr_db
 from .metrics import (
     DEFAULT_OP_RATE_PER_S,
     DELAY_OP_COUNTS,
     ProcessorProfile,
     SchedulingMode,
-    cycle_length_closed_form,
     delay_power,
     suf_closed_form,
     throughput,
 )
-from .scheduler import GoodputResult, build_proposed_cycle, monte_carlo_goodput
+
+if TYPE_CHECKING:
+    from .scheduler import GoodputResult
 
 MAX_AUTO_TBPHC = 512
 
 # The bound of every cache here: the five config sections, the operating
-# points, completed cycles and their checked layouts.  Full, they retain
-# under 8 MB (see the README).
+# points and completed cycles.  Full, they retain under 8 MB (see the
+# README).
 _CACHE_SIZE = 1024
 
 
@@ -282,12 +283,20 @@ _monte_carlo_section = _section_of(MonteCarloSettings, _MONTE_CARLO_KEYS)
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _cycle_section(texts: tuple[str | None, ...]) -> CycleParams:
-    """The cycle template; a ``protocol`` timing value takes the protocol's."""
+    """The cycle template; a ``protocol`` timing value takes the protocol's.
+    A minimum delay must leave room for the switch between receiving and
+    sending that it spans."""
     values = _values(_CYCLE_KEYS, texts)
     protocol = values.pop("protocol")
     for name in ("n_switch", "dd2a_min", "ug2d_min"):
         if values[name] is None:
             values[name] = getattr(protocol, name)
+    for name in ("dd2a_min", "ug2d_min"):
+        if values[name] < values["n_switch"]:
+            raise ConfigError(
+                f"cycle.{name} = {values[name]} is shorter than cycle.n_switch = {values['n_switch']}: "
+                f"a minimum delay spans the switch between receiving and sending"
+            )
     return CycleParams(**values)
 
 
@@ -507,25 +516,12 @@ def _power_scheme(config: ScenarioConfig) -> str:
     return "dd2a_bundled" if config.cycle.ack_bundling else "dd2a"
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _check_layout(params: CycleParams, direction: Direction) -> None:
-    """Lay out the proposed cycle and check its length against the closed
-    form.  The layout is a pure function of these frozen inputs, so each
-    distinct cycle is laid out and checked once."""
-    timeline = build_proposed_cycle(params, direction)
-    expected = cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
-    if len(timeline) != expected:
-        raise AssertionError(
-            f"cycle layout ({len(timeline)} SFs) diverged from closed form ({expected} SFs)"
-        )
-
-
 def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     """Full pipeline for one scenario.
 
     Raises InfeasibleLinkError when no tabulated repetition count reaches
     the target BLER at the operating SNR, and MinDelayViolationError when
-    the variable-delay uplink cycle misses a mandatory minimum delay.
+    ``harq.check_min_delay`` finds an uplink TB short of its minimum delay.
     """
     if config.mode is SchedulingMode.LEGACY_FIXED and config.n_tbphc not in (None, 1):
         raise ConfigError(
@@ -536,7 +532,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     suf = suf_closed_form(params, config.direction, config.mode)
     gain = 0.0
     if config.mode is SchedulingMode.PROPOSED_VARIABLE:
-        _check_layout(params, config.direction)
+        check_min_delay(params, config.direction)
         baseline_params = _completed_cycle(config.cycle, config.cycle.n_tbphc, n_rep)
         baseline_suf = suf_closed_form(baseline_params, config.direction, SchedulingMode.LEGACY_FIXED)
         gain = suf / baseline_suf - 1.0
@@ -551,6 +547,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     goodput = None
     mc = config.monte_carlo
     if mc.n_cycles > 0 and config.mode is SchedulingMode.PROPOSED_VARIABLE:
+        from .scheduler import monte_carlo_goodput  # here, so runs without Monte Carlo never load the scheduler
         goodput = monte_carlo_goodput(
             params,
             config.direction,
@@ -604,15 +601,16 @@ def sweep(
     """Cartesian product over axis values in row-major order of the given
     axes; a key on two axes takes the later axis's value.
 
-    Every axis value is parsed before any point runs, and an axis with no
-    values is a ConfigError.  Returns one result per feasible point, and
-    the ``(label, reason)`` of each point whose link is infeasible, whose
-    uplink cycle misses a minimum delay, whose TB size has no BLER curve or whose
-    settings fail a check that depends on the point (such as the HARQ
-    budget at its round trip, or feedback bundling on an uplink point);
-    the sweep goes on past those.  A label is the point's ``scenario_id``
-    followed by one ``key=value`` per axis, in axis order, so points with
-    distinct axis values never share one.
+    Every axis value, and every base value no axis sets, is parsed alone
+    before any point runs, and an axis with no values is a ConfigError.
+    Returns one result per feasible point, and the ``(label, reason)`` of
+    each point whose link is infeasible, whose uplink cycle misses a
+    minimum delay, whose TB size has no BLER curve or whose settings fail
+    a check that depends on the point (such as the HARQ budget at its
+    round trip, feedback bundling on an uplink point, or a minimum delay
+    shorter than the switch gap); the sweep goes on past those.  A label
+    is the point's ``scenario_id`` followed by one ``key=value`` per axis,
+    in axis order, so points with distinct axis values never share one.
     """
     for key, options in axes:
         if key not in _SCHEMA:
@@ -620,14 +618,21 @@ def sweep(
         if not options:
             raise ConfigError(f"sweep axis {key} lists no values")
         for text in options:
-            config_from_mapping({key: text})  # each value alone: a bad one fails before any point runs
+            _parse_value(key, text)  # each value alone: a bad one fails before any point runs
     keys = [key for key, _ in axes]
+    for key, text in base_raw.items():
+        if key not in keys:
+            _parse_value(key, text)  # so only keys in conflict fail a point's parse
     results, infeasible = [], []
     for values in product(*(options for _, options in axes)):
-        config = config_from_mapping({**base_raw, **dict(zip(keys, values))})
+        raw = {**base_raw, **dict(zip(keys, values))}
+        config = None
         try:
+            config = config_from_mapping(raw)
             results.append(run_scenario(config, table))
         except _POINT_ERRORS as exc:
+            if config is None:  # keys in conflict at this point; the id reads none of the cycle keys
+                config = config_from_mapping({k: v for k, v in raw.items() if not k.startswith("cycle.")})
             label = " ".join([config.scenario_id, *(f"{k}={v}" for k, v in zip(keys, values))])
             infeasible.append((label, str(exc)))
     return results, infeasible

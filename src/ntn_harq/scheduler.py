@@ -25,20 +25,11 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidInputError, MinDelayViolationError
-from .harq import SF_MS, CycleParams, Direction, GrantMode, delay_guard, delay_plan, fixed_positions
-from .metrics import throughput
+from .errors import InvalidInputError
+from .harq import (SF_MS, Activity, CycleParams, Direction, GrantMode, check_min_delay, delay_guard, delay_plan,
+                   fixed_positions)
+from .metrics import SchedulingMode, cycle_length_closed_form, throughput
 from .records import Frozen, IdentityEnum
-
-
-class Activity(IdentityEnum):
-    RX_PDCCH = "RxPDCCH"
-    RX_PDSCH = "RxPDSCH"
-    TX_PUCCH = "TxPUCCH"
-    TX_PUSCH = "TxPUSCH"
-    SWITCH = "Switch"
-    IDLE = "Idle"
-
 
 RX_ACTIVITIES = frozenset({Activity.RX_PDCCH, Activity.RX_PDSCH})
 TX_ACTIVITIES = frozenset({Activity.TX_PUCCH, Activity.TX_PUSCH})
@@ -276,12 +267,13 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
     TB (of TB 1 in UL) against the mandatory minimum, which is also the
     guard term of the closed-form cycle length.
 
-    Raises MinDelayViolationError when some UL TB's padded delay stays
-    below the minimum; every padded DL delay meets it.
+    Raises MinDelayViolationError through ``harq.check_min_delay`` when a
+    UL TB's padded delay misses the minimum; every padded DL delay meets it.
     """
     n = params.n_tbphc
     p = params.rep_pdcch
     plan = delay_plan(params, direction)
+    check_min_delay(params, direction)
     pad = delay_guard(params, direction)
     if params.grant_mode is GrantMode.MTBG:
         claims = [Block(0, p, SlotUse(_RX_PDCCH), 0)]
@@ -308,12 +300,7 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
             # cycle keeps the same clock, idling where those grants would
             # sit, so the anchor is the same in both modes
             anchor = j * p - 1
-            realized = delay + pad
-            if realized < params.ug2d_min:
-                raise MinDelayViolationError(
-                    f"TB {j} grant-to-data delay {realized} < minimum {params.ug2d_min}"
-                )
-            data = fixed_positions(anchor, realized)
+            data = fixed_positions(anchor, delay + pad)
             claims.append(Block(data, params.rep_pusch, SlotUse(_TX_PUSCH, j), len(claims)))
 
     timeline, conflicts = _lay_out(claims, params.n_switch)
@@ -495,7 +482,10 @@ def monte_carlo_goodput(
         raise InvalidInputError("attempt error probabilities must lie in [0, 1]")
     if n_cycles < 1:
         raise InvalidInputError("n_cycles must be >= 1")
-    cycle_len = len(build_proposed_cycle(params, direction))
+    if tbs_bits <= 0:
+        raise InvalidInputError("TB size must be positive")
+    check_min_delay(params, direction)
+    cycle_len = cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
     n_slots = params.n_tbphc
     last = len(bler_per_attempt) - 1
     # attempt index -> index of the next attempt; indices stop at the last

@@ -252,6 +252,29 @@ def test_sweep_reports_uplink_bundling_and_missing_curves_and_goes_on(ltem_copy,
     ]
 
 
+def test_a_minimum_delay_shorter_than_the_switch_gap_names_both_keys(ltem_copy, tmp_path, capsys):
+    ltem_copy.write_text(ltem_copy.read_text() + "cycle.dd2a_min = 0\n")
+    for args in (["run", ltem_copy], ["calibrate", ltem_copy], ["calibrate", ltem_copy, "--dry-run"],
+                 ["timeline", ltem_copy]):
+        assert run_cli(*args) == 3
+        assert capsys.readouterr() == ("", (
+            "config error: cycle.dd2a_min = 0 is shorter than cycle.n_switch = 1: "
+            "a minimum delay spans the switch between receiving and sending\n"
+        ))
+    assert ltem_copy.read_text().endswith("cycle.dd2a_min = 0\n")  # calibrate wrote nothing
+
+    # in a sweep the conflict is the point's outcome
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", LTEM, "--axis", "cycle.n_switch=1,4,3", "--out", out) == 2
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    assert lines[3] == (
+        "# infeasible leo600-transparent-lte-m-ul-proposed-tbs504 cycle.n_switch=4: "
+        "cycle.dd2a_min = 3 is shorter than cycle.n_switch = 4: "
+        "a minimum delay spans the switch between receiving and sending"
+    )
+
+
 @pytest.mark.parametrize("mode", ["proposed", "legacy"])
 def test_run_uplink_bundling_names_both_keys(ltem_copy, capsys, mode):
     ltem_copy.write_text(ltem_copy.read_text() + f"cycle.ack_bundling = true\nmode = {mode}\n")

@@ -2,8 +2,7 @@
 resolution change no result.
 
 ``scenario`` builds each distinct section object and completed cycle
-once, resolves each distinct operating point once, and lays out and
-checks each distinct proposed cycle once.
+once and resolves each distinct operating point once.
 These tests hold the cached path to the same callables run without their
 caches, and check that errors are never cached and that equal keys of
 different meaning stay apart.
@@ -29,11 +28,11 @@ from ntn_harq.errors import (
     InvalidInputError,
     MinDelayViolationError,
 )
-from ntn_harq.harq import CycleParams, Direction
+from ntn_harq.harq import CycleParams
 from ntn_harq.scenario import _SCHEMA, ScenarioConfig, config_from_mapping, parse_config_text, results_to_csv, run_scenario
 
 SECTIONS = ("_geometry_section", "_link_section", "_cycle_section", "_scalar_section", "_monte_carlo_section")
-CACHED = (*SECTIONS, "_completed_cycle", "_operating_point", "_check_layout")
+CACHED = (*SECTIONS, "_completed_cycle", "_operating_point")
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
 POINT_ERRORS = (ConfigError, CurveNotFoundError, InfeasibleLinkError, InvalidInputError, MinDelayViolationError)
 
@@ -234,18 +233,6 @@ def test_an_infeasible_point_is_resolved_once_and_raises_a_fresh_error_each_time
     assert errors[0] is not errors[1]
     assert str(errors[0]) == str(errors[1])
     assert str(errors[1]).startswith("no repetition count reaches BLER 0.1 at ")
-
-
-def test_a_failed_layout_check_raises_on_every_call():
-    params = CycleParams(n_tbphc=3, rep_pusch=2)
-    scenario._check_layout.cache_clear()
-    with mock.patch.object(scenario, "cycle_length_closed_form", lambda *args: -1):
-        for _ in range(2):
-            with pytest.raises(AssertionError, match="diverged from closed form"):
-                scenario._check_layout(params, Direction.UL)
-    assert scenario._check_layout.cache_info().currsize == 0
-    scenario._check_layout(params, Direction.UL)
-    assert scenario._check_layout.cache_info().currsize == 1
 
 
 def test_equal_tables_hash_equal_whatever_the_insertion_order(table):

@@ -51,6 +51,27 @@ def test_any_value_for_a_known_key_exits_0_2_or_3(tmp_path, line):
     assert main(["run", str(config), "--out", str(tmp_path / "out.csv")]) in (0, 2, 3)
 
 
+LTEM_GAPS = {"cycle.n_switch": 1, "cycle.dd2a_min": 3, "cycle.ug2d_min": 3}  # the profile protocol's values
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts=st.tuples(*[st.one_of(st.just("protocol"), st.integers(0, 6).map(str))] * len(LTEM_GAPS)))
+def test_the_switch_gap_and_the_minimum_delays_drawn_together(tmp_path, capsys, texts):
+    n_switch, dd2a_min, ug2d_min = (LTEM_GAPS[key] if text == "protocol" else int(text)
+                                    for key, text in zip(LTEM_GAPS, texts))
+    config = tmp_path / "fuzz.cfg"
+    config.write_text(PROFILE + "".join(f"{key} = {text}\n" for key, text in zip(LTEM_GAPS, texts)), encoding="utf-8")
+    status = main(["run", str(config), "--out", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    short = [(name, delay) for name, delay in (("dd2a_min", dd2a_min), ("ug2d_min", ug2d_min)) if delay < n_switch]
+    if short:
+        name, delay = short[0]
+        assert status == 3
+        assert err.startswith(f"config error: cycle.{name} = {delay} is shorter than cycle.n_switch = {n_switch}: ")
+    else:
+        assert (status, err) == (0, "")
+
+
 @st.composite
 def table_cases(draw) -> tuple[str, str]:
     """A config whose ``tbs_bits`` is the drawn row's TB size, and a table

@@ -8,13 +8,15 @@ report exactly its findings.  ``reference_segments`` and
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ntn_harq.errors import MinDelayViolationError
-from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, delay_plan
+from ntn_harq.harq import CycleParams, Direction, GrantMode, check_min_delay, delay_guard, delay_plan
 from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
 from ntn_harq.scheduler import (
     RX_ACTIVITIES,
@@ -103,15 +105,28 @@ def cycles(draw):
     return params, direction
 
 
+def reference_short_delay(params: CycleParams, direction: Direction) -> str | None:
+    """The builder's per-TB check, written out: the message for the first
+    TB whose padded delay misses the minimum, or None."""
+    minimum = params.dd2a_min if direction is Direction.DL else params.ug2d_min
+    pad = delay_guard(params, direction)
+    for j, delay in enumerate(delay_plan(params, direction), 1):
+        if delay + pad < minimum:
+            return f"TB {j} grant-to-data delay {delay + pad} < minimum {minimum}"
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(cycles(), st.sampled_from([0, 1, 7.5, 20, 41]))
 def test_proposed_cycle_matches_closed_form_and_validates(cycle, rtt_ms):
     params, direction = cycle
     try:
         timeline = build_proposed_cycle(params, direction)
-    except MinDelayViolationError:
+    except MinDelayViolationError as exc:
         assert direction is Direction.UL  # padded DL delays always meet the minimum
+        assert str(exc) == reference_short_delay(params, direction)
         return
+    assert reference_short_delay(params, direction) is None
     assert len(timeline) == cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
     assert validate(timeline, params).conflicts == ()
     view = bs_view(timeline, rtt_ms)
@@ -136,6 +151,28 @@ def test_dl_delay_guard_pads_from_the_tightest_delay(n, rep_pdsch, extra_pucch, 
                          n_bundle=n_bundle, ack_bundling=ack_bundling, n_switch=n_switch, dd2a_min=dd2a_min)
     tightest = min(delay_plan(params, Direction.DL)) - n_switch
     assert delay_guard(params, Direction.DL) == max(0, dd2a_min - tightest)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    direction=st.sampled_from(Direction),
+    n=st.integers(1, 40),
+    rep_pdcch=st.integers(1, 24),
+    rep_data=st.integers(1, 24),
+    n_switch=st.integers(0, 4),
+    min_delay=st.integers(0, 200),
+)
+# grant blocks 8 SFs wide against 1-SF data: the delays fall 42, 35, 28, so TB 3 is the first short one
+@example(direction=Direction.UL, n=6, rep_pdcch=8, rep_data=1, n_switch=2, min_delay=35)
+def test_min_delay_check_matches_the_per_tb_reference(direction, n, rep_pdcch, rep_data, n_switch, min_delay):
+    params = CycleParams(n_tbphc=n, rep_pdcch=rep_pdcch, rep_pdsch=rep_data, rep_pusch=rep_data, n_switch=n_switch,
+                         dd2a_min=min_delay, ug2d_min=min_delay)
+    message = reference_short_delay(params, direction)
+    if message is None:
+        check_min_delay(params, direction)
+    else:
+        with pytest.raises(MinDelayViolationError, match=f"^{re.escape(message)}$"):
+            check_min_delay(params, direction)
 
 
 slot_uses = st.builds(

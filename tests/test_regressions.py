@@ -88,7 +88,7 @@ def test_select_tbphc_bisection_matches_linear_scan(profile, max_harq, extended,
     "cycle.rep_pdcch": st.integers(1, 8).map(str),
     "cycle.rep_pucch": st.integers(1, 8).map(str),
     "cycle.n_dg2d": st.integers(0, 4).map(str),
-    "cycle.n_switch": st.integers(0, 4).map(str),
+    "cycle.n_switch": st.integers(0, 3).map(str),  # at most the LTE-M minimum delays of 3 SFs
     "cycle.n_a2g": st.integers(0, 8).map(str),
     "cycle.max_harq": st.one_of(st.integers(1, 64), st.sampled_from([256, 1024])).map(str),
 }))

@@ -194,7 +194,7 @@ def test_mapping_accepts_range_edges():
         "link.carrier_ghz": "100",
         "cycle.n_dg2d": "0",
         "cycle.n_a2g": "0",
-        "cycle.n_switch": "protocol",
+        "cycle.n_switch": "0",  # a minimum delay may not be shorter than the switch gap
         "cycle.dd2a_min": "0",
         "cycle.ug2d_min": "protocol",
         "cycle.n_tbphc": "512",
@@ -206,7 +206,7 @@ def test_mapping_accepts_range_edges():
     })
     assert (config.geometry.altitude_km, config.link.carrier_ghz) == (35786, 100)
     assert (config.cycle.n_dg2d, config.n_a2g, config.cycle.dd2a_min) == (0, 0, 0)
-    assert (config.cycle.n_switch, config.cycle.ug2d_min) == (1, 3)  # the LTE-M values
+    assert (config.cycle.n_switch, config.cycle.ug2d_min) == (0, 3)  # ug2d_min is the LTE-M value
     assert (config.n_tbphc, config.cycle.rep_pdcch, config.max_harq) == (512, 100000, 1)
     assert (config.geometry.service_elevation_deg, config.geometry.feeder_elevation_deg) == (90, 10)
     assert config.link.loss_atm_db == 0

@@ -1,9 +1,15 @@
+import importlib.util
+import itertools
 import math
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from ntn_harq.errors import InvalidInputError, MinDelayViolationError
-from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, fixed_positions
+from ntn_harq import scenario, scheduler
+from ntn_harq.errors import ConfigError, InfeasibleLinkError, InvalidInputError, MinDelayViolationError
+from ntn_harq.harq import CycleParams, Direction, GrantMode, check_min_delay, delay_guard, fixed_positions
 from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
 from ntn_harq.scheduler import (
     Activity,
@@ -195,7 +201,7 @@ def test_proposed_min_delay_violation():
     timeline = build_proposed_cycle(params, Direction.DL)
     assert len(timeline) == 21 == cycle_length_closed_form(params, Direction.DL, SchedulingMode.PROPOSED_VARIABLE)
     assert validate(timeline, params).conflicts == ()
-    # uplink pads from TB 1 only (ROADMAP item 1): TB 2 stays short
+    # uplink pads from TB 1 only: TB 2 stays short
     ul = CycleParams(n_tbphc=2, rep_pdcch=4, rep_pusch=1, ug2d_min=9, n_switch=1)
     with pytest.raises(MinDelayViolationError):
         build_proposed_cycle(ul, Direction.UL)
@@ -417,3 +423,65 @@ def test_monte_carlo_validates_probabilities():
         monte_carlo_goodput(UL_PARAMS, Direction.UL, [1.2], 10, 1, 504)
     with pytest.raises(InvalidInputError):
         monte_carlo_goodput(UL_PARAMS, Direction.UL, [0.1], 0, 1, 504)
+
+
+def _no_draws(seed):
+    def draw():
+        raise AssertionError("drew a random number before checking every argument")
+
+    return SimpleNamespace(random=draw)
+
+
+@pytest.mark.parametrize("tbs_bits", [0, -504])
+def test_monte_carlo_checks_the_tb_size_before_any_draw(monkeypatch, tbs_bits):
+    monkeypatch.setattr(scheduler, "random", SimpleNamespace(Random=_no_draws))
+    with pytest.raises(InvalidInputError, match="^TB size must be positive$"):
+        monte_carlo_goodput(UL_PARAMS, Direction.UL, [0.5], 20_000, 1, tbs_bits)
+
+
+def test_monte_carlo_rejects_an_uplink_cycle_that_misses_a_minimum_delay():
+    params = CycleParams(n_tbphc=2, rep_pdcch=4, rep_pusch=1, ug2d_min=9, n_switch=1)
+    with pytest.raises(MinDelayViolationError, match="^TB 2 grant-to-data delay 7 < minimum 9$"):
+        monte_carlo_goodput(params, Direction.UL, [0.1], 10, 1, 504)
+
+
+# --- the benchmark's sweep grid --------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return root, module
+
+
+def test_every_proposed_cycle_of_the_benchmark_sweep_lays_out_as_its_closed_form(table, bench_workloads):
+    # run_scenario sizes cycles by the closed form alone, so the layouts
+    # that it once checked at run time are checked here, once each
+    root, workloads = bench_workloads
+    base = workloads.profile_raw(root, workloads.SWEEP_BASE)
+    cycles = set()
+    for combo in itertools.product(*workloads.SWEEP_AXES):
+        config = scenario.config_from_mapping({**base, **{k: v for update in combo for k, v in update.items()}})
+        if config.mode is SchedulingMode.PROPOSED_VARIABLE:
+            try:
+                cycles.add((scenario.resolve(config, table).params, config.direction))
+            except (ConfigError, InfeasibleLinkError):
+                pass
+    laid_out = 0
+    for params, direction in cycles:
+        try:
+            timeline = build_proposed_cycle(params, direction)
+        except MinDelayViolationError:
+            continue
+        assert len(timeline) == cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
+        assert validate(timeline, params).conflicts == ()
+        check_min_delay(params, direction)
+        laid_out += 1
+    assert (laid_out, len(cycles) - laid_out) == (354, 6)  # 6 NB-IoT uplink cycles with rep_pdcch = 8
