@@ -126,14 +126,14 @@ def _validate_cross_rep(table: BlerTable) -> None:
 def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
     """Parse a ``tbs,n_rep,snr_db,bler`` CSV into a validated BlerTable.
 
-    ``source`` may be the path of a UTF-8 file, or an iterable of lines
-    such as an open file.  Lines starting with ``#`` and blank lines are
-    ignored.  TB sizes must lie in [1, ``MAX_TBS_BITS``] and repetition
-    counts in [1, ``MAX_SUBFRAMES``].
+    ``source`` may be the path of a UTF-8 file, with or without a
+    byte-order mark, or an iterable of lines such as an open file.  Lines
+    starting with ``#`` and blank lines are ignored.  TB sizes must lie in
+    [1, ``MAX_TBS_BITS``] and repetition counts in [1, ``MAX_SUBFRAMES``].
     """
     if isinstance(source, (str, Path)):
         try:
-            lines = Path(source).read_text(encoding="utf-8").splitlines()
+            lines = Path(source).read_text(encoding="utf-8-sig").splitlines()
         except UnicodeDecodeError as exc:
             raise InvalidInputError(f"{source} is not UTF-8 text ({exc})") from None
         try:

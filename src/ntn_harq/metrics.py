@@ -7,40 +7,14 @@ so they can be compared slot-for-slot against built timelines.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import InvalidInputError
 from .harq import SF_SECONDS, CycleParams, Direction, GrantMode, delay_guard, feedback_wait
-from .records import IdentityEnum, Validated
+from .records import IdentityEnum
 
 
 class SchedulingMode(IdentityEnum):
     LEGACY_FIXED = "legacy"
     PROPOSED_VARIABLE = "proposed"
-
-
-class _ProcessorFields(NamedTuple):
-    efficiency_mops_per_mw: float
-    op_rate_per_s: float
-    op_count: float
-
-
-class ProcessorProfile(Validated, _ProcessorFields):
-    """UE processor model for the delay-computation power cost.
-
-    efficiency_mops_per_mw: millions of operations per second per mW.
-    op_rate_per_s: how often a delay value is recomputed (worst case once
-        per subframe, 1000/s).
-    op_count: arithmetic operations per delay evaluation.
-    """
-
-    __slots__ = ()
-
-    def __post_init__(self) -> None:
-        if self.efficiency_mops_per_mw <= 0 or self.op_rate_per_s <= 0:
-            raise InvalidInputError("processor efficiency and op rate must be positive")
-        if self.op_count < 0:
-            raise InvalidInputError("op count must be >= 0")
 
 
 # Operations per delay evaluation, counted off the three delay formulas as
@@ -123,10 +97,19 @@ def throughput(suf: float, tbs_bits: int) -> float:
     return suf * (tbs_bits / SF_SECONDS)
 
 
-def delay_power(profile: ProcessorProfile) -> float:
+def delay_power(efficiency_mops_per_mw: float, op_rate_per_s: float, op_count: float) -> float:
     """Extra power in watts spent recomputing scheduling delays.
 
-    op_rate * ops-per-evaluation divided by the processor efficiency;
-    MOPS/mW reconciles to 1e9 ops-per-second per watt.
+    efficiency_mops_per_mw: millions of operations per second per mW.
+    op_rate_per_s: how often a delay value is recomputed (worst case once
+        per subframe, 1000/s).
+    op_count: arithmetic operations per delay evaluation.
+
+    op_rate * op_count divided by the processor efficiency; MOPS/mW
+    reconciles to 1e9 ops-per-second per watt.
     """
-    return profile.op_rate_per_s * profile.op_count / (profile.efficiency_mops_per_mw * 1e9)
+    if efficiency_mops_per_mw <= 0 or op_rate_per_s <= 0:
+        raise InvalidInputError("processor efficiency and op rate must be positive")
+    if op_count < 0:
+        raise InvalidInputError("op count must be >= 0")
+    return op_rate_per_s * op_count / (efficiency_mops_per_mw * 1e9)

@@ -1,9 +1,10 @@
 """Scenario configs and the end-to-end pipeline.
 
-A scenario chains geometry -> link budget -> repetition selection ->
-cycle layout -> metrics.  Configs are flat ``key = value`` text files with
-dotted section names; every key has a default so a minimal file only
-states what differs from the bundled LTE-M/LEO600 uplink case.
+A scenario chains geometry -> link budget -> repetition selection -> TB
+count per cycle -> closed-form metrics.  Configs are flat ``key = value``
+text files with dotted section names; every key has a default so a
+minimal file only states what differs from the bundled LTE-M/LEO600
+uplink case.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .linkbudget import LinkBudgetParams, snr_db
 from .metrics import (
     DEFAULT_OP_RATE_PER_S,
     DELAY_OP_COUNTS,
-    ProcessorProfile,
     SchedulingMode,
     delay_power,
     suf_closed_form,
@@ -183,8 +183,8 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str, tuple[str, Callable[[Any], b
     "target_bler": (float, "0.1", ("must lie in (0, 1]", lambda v: 0 < v <= 1)),
     "direction": (_one_of(Direction), "ul", None),
     "mode": (_one_of(SchedulingMode), "proposed", None),
-    # an explicit count shares the auto count's cap: laying out and
-    # checking the cycle, as run_scenario does, costs time that grows with n
+    # an explicit count shares the auto count's cap: timeline lays the cycle
+    # out and Monte Carlo draws once per TB slot, in time that grows with n
     "cycle.n_tbphc": (_int_or("auto"), "auto", _between(1, MAX_AUTO_TBPHC)),
     "cycle.rep_pdcch": (int, "1", _between(1, MAX_SUBFRAMES)),
     "cycle.rep_pucch": (int, "1", _between(1, MAX_SUBFRAMES)),
@@ -336,9 +336,10 @@ def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """The raw map of a config file, which must be UTF-8 text."""
+    """The raw map of a config file, which must be UTF-8 text, with or
+    without a byte-order mark."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text ({exc})") from None
     try:
@@ -354,12 +355,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
 def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
     """Rewrite every line that sets a key of ``updates``, keeping its
     trailing comment, and append the keys not present.  The profile is
-    read and written as UTF-8, like ``read_config``.  The new text goes to
-    a temp file in the same directory that then replaces the profile, so a
-    failed write leaves the profile as it was."""
+    read like ``read_config`` and written as UTF-8 without a byte-order
+    mark.  The new text goes to a temp file in the same directory that
+    then replaces the profile, so a failed write leaves the profile as it
+    was."""
     path = Path(path)
     out, written = [], set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8-sig").splitlines():
         setting, mark, comment = line.partition("#")
         key = setting.split("=", 1)[0].strip()
         if "=" in setting and key in updates:
@@ -426,7 +428,7 @@ def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
 
 
 class ResolvedScenario(NamedTuple):
-    """A config's operating point and the cycle laid out at it."""
+    """A config's operating point and the parameters of its cycle there."""
 
     rtt_ms: float
     snr_db: float
@@ -538,12 +540,8 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
         gain = suf / baseline_suf - 1.0
     rate = throughput(suf, config.tbs_bits)
     required = harq_for_tbphc(params, rtt_ms, config.n_a2g)
-    profile = ProcessorProfile(
-        efficiency_mops_per_mw=config.power_efficiency_mops_per_mw,
-        op_rate_per_s=config.power_op_rate_per_s,
-        op_count=DELAY_OP_COUNTS[_power_scheme(config)],
-    )
-    power_w = delay_power(profile)
+    power_w = delay_power(config.power_efficiency_mops_per_mw, config.power_op_rate_per_s,
+                          DELAY_OP_COUNTS[_power_scheme(config)])
     goodput = None
     mc = config.monte_carlo
     if mc.n_cycles > 0 and config.mode is SchedulingMode.PROPOSED_VARIABLE:
@@ -647,12 +645,8 @@ class CalibrationResult(NamedTuple):
     n_a2g: int
     gain_pct: float
     target_gain_pct: float
-    within_tolerance: bool
+    degraded: bool  # the closest gain lies outside the protocol's tolerance
     skipped: tuple[tuple[str, str], ...] = ()  # (candidate, reason) of each candidate that failed
-
-    @property
-    def degraded(self) -> bool:
-        return not self.within_tolerance
 
 
 def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
@@ -688,6 +682,6 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
         n_a2g=a,
         gain_pct=gain_pct,
         target_gain_pct=target,
-        within_tolerance=distance <= config.protocol.gain_tolerance_pct,
+        degraded=distance > config.protocol.gain_tolerance_pct,
         skipped=tuple((label, str(exc)) for label, exc in skipped),
     )

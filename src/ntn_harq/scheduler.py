@@ -321,8 +321,9 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
     Transitions and separations are read off the singly-claimed slots:
     per TB its last data and first feedback slot (DL), or its last grant
     and first data slot (UL).  Untagged feedback and grants stand for
-    every TB: the k-th run of feedback slots answers the k-th bundle
-    group, and the last grant slot grants every TB without its own.
+    every TB: the k-th block of ``rep_pucch`` feedback slots, tagged or
+    not, answers the k-th bundle group, and the last grant slot grants
+    every TB without its own.
     """
     if timeline.perspective is not Perspective.UE:
         raise InvalidInputError("validate() checks UE-perspective timelines")
@@ -331,7 +332,8 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
     last_use, last_rx, switches_at_last = None, False, 0  # the last occupied single use
     data_end: dict[int, int] = {}
     ack_start: dict[int, int] = {}
-    ack_runs: list[list[int]] = []  # [first, stop] of each run of feedback slots
+    ack_blocks: list[int] = []  # first slot of each block of rep_pucch feedback slots
+    ack_slots = 0  # feedback slots swept so far
     data_start: dict[int, int] = {}
     grant_end: dict[int, int] = {}
     shared_grant_end = None
@@ -357,10 +359,8 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
             if tb is not None:
                 data_end[tb] = stop - 1
         elif activity is _TX_PUCCH:
-            if ack_runs and ack_runs[-1][1] == first:
-                ack_runs[-1][1] = stop
-            else:
-                ack_runs.append([first, stop])
+            ack_blocks.extend(range(first + (-ack_slots) % params.rep_pucch, stop, params.rep_pucch))
+            ack_slots += stop - first
             if tb is not None:
                 ack_start.setdefault(tb, first)
         elif activity is _TX_PUSCH:
@@ -375,8 +375,8 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
         group = (j - 1) // params.n_bundle
         if j in ack_start:
             ack = ack_start[j]
-        elif group < len(ack_runs):
-            ack = ack_runs[group][0]
+        elif group < len(ack_blocks):
+            ack = ack_blocks[group]
         else:
             continue
         if ack - data_end[j] - 1 < params.dd2a_min:

@@ -108,6 +108,35 @@ def test_bler_table_option(tmp_path, ltem_copy, capsys, command):
     assert "SNR and BLER must be finite" in capsys.readouterr().err
 
 
+BOM = "\ufeff"  # the UTF-8 byte-order mark, which some editors save first
+
+
+def test_a_profile_with_a_byte_order_mark_runs_like_the_plain_one(ltem_copy, capsys):
+    ltem_copy.write_text(BOM + "protocol = lte-m\n" + LTEM.read_text(), encoding="utf-8")
+    assert run_cli("run", LTEM) == 0
+    plain = capsys.readouterr().out
+    assert run_cli("run", ltem_copy) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_a_table_with_a_byte_order_mark_loads_like_the_plain_one(tmp_path, capsys):
+    table = tmp_path / "table.csv"
+    table.write_text(BOM + PACKAGED_TABLE.read_text(), encoding="utf-8")
+    assert run_cli("run", LTEM) == 0
+    plain = capsys.readouterr().out
+    assert run_cli("run", LTEM, "--bler-table", table) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_calibrate_rewrites_the_first_line_of_a_profile_with_a_byte_order_mark(tmp_path):
+    profile = tmp_path / "nbiot.cfg"
+    profile.write_text(BOM + "cycle.rep_pdcch = 2\n" + NBIOT.read_text(), encoding="utf-8")
+    assert run_cli("calibrate", profile) == 0
+    lines = profile.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "cycle.rep_pdcch = 5"  # in place, and written back without the mark
+    assert lines[1:] == [*NBIOT.read_text().splitlines(), "cycle.n_a2g = 0"]
+
+
 @pytest.mark.parametrize("bad_file", ["config", "table"])
 def test_error_inside_a_file_names_the_file(tmp_path, ltem_copy, capsys, bad_file):
     table = tmp_path / "table.csv"

@@ -10,6 +10,7 @@ different meaning stay apart.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntn_harq import scenario
+from ntn_harq import records, scenario
 from ntn_harq.bler import BlerTable
 from ntn_harq.cli import main
 from ntn_harq.errors import (
@@ -258,3 +259,23 @@ def test_a_table_differing_in_one_point_selects_on_its_own_curve(table):
     curves[504][8] = tuple((snr, bler / 10) for snr, bler in curves[504][8])
     assert run_scenario(config, BlerTable(curves)).n_rep == 8
     assert run_scenario(config, table).n_rep == 12
+
+
+def test_a_warm_sweep_point_builds_no_validated_record(table, bench_workloads, monkeypatch):
+    # once a pass of the benchmark sweep has filled the caches, every
+    # validated record that a point needs comes out of them
+    root, workloads = bench_workloads
+    ops = workloads.sweep_ops(root, 1, table)
+    for op in ops:
+        workloads.run_op(op)
+    built = Counter()
+    new = records.Validated.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[cls.__name__] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(records.Validated, "__new__", staticmethod(counting_new))
+    outcomes = Counter(workloads.run_op(op)[0] for op in ops)
+    assert outcomes["ok"] == 5728
+    assert built == Counter()

@@ -1,10 +1,11 @@
+import re
+
 import pytest
 
 from ntn_harq.errors import InvalidInputError
 from ntn_harq.harq import SF_SECONDS, CycleParams, Direction, GrantMode
 from ntn_harq.metrics import (
     DELAY_OP_COUNTS,
-    ProcessorProfile,
     SchedulingMode,
     cycle_length_closed_form,
     delay_power,
@@ -208,19 +209,31 @@ def test_delay_op_counts_documented():
     ],
 )
 def test_delay_power_values(ops, efficiency, expected_nw):
-    profile = ProcessorProfile(
-        efficiency_mops_per_mw=efficiency, op_rate_per_s=1000.0, op_count=ops
-    )
-    assert delay_power(profile) * 1e9 == pytest.approx(expected_nw, abs=0.05)
+    assert delay_power(efficiency, 1000.0, ops) * 1e9 == pytest.approx(expected_nw, abs=0.05)
 
 
 def test_delay_power_zero_ops():
-    profile = ProcessorProfile(efficiency_mops_per_mw=144.0, op_rate_per_s=1000.0, op_count=0)
-    assert delay_power(profile) == 0.0
+    assert delay_power(144.0, 1000.0, 0) == 0.0
 
 
 def test_processor_profile_validation():
+    # the checks run before the product, so zero ops does not let a bad processor through
     with pytest.raises(InvalidInputError):
-        ProcessorProfile(efficiency_mops_per_mw=0, op_rate_per_s=1000, op_count=6)
+        delay_power(0.0, 1000.0, 0)
     with pytest.raises(InvalidInputError):
-        ProcessorProfile(efficiency_mops_per_mw=144, op_rate_per_s=1000, op_count=-1)
+        delay_power(144.0, 0.0, 0)
+
+
+# (efficiency, op rate, op count, message) for each check delay_power makes
+DELAY_POWER_BAD_VALUES = {
+    "efficiency": (0.0, 1000.0, 6, "processor efficiency and op rate must be positive"),
+    "op_rate": (144.0, -1.0, 6, "processor efficiency and op rate must be positive"),
+    "op_count": (144.0, 1000.0, -1, "op count must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("efficiency,op_rate,ops,message", DELAY_POWER_BAD_VALUES.values(),
+                         ids=DELAY_POWER_BAD_VALUES.keys())
+def test_delay_power_rejects_a_bad_value(efficiency, op_rate, ops, message):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        delay_power(efficiency, op_rate, ops)

@@ -56,19 +56,14 @@ def reference_validate(slots: list[tuple[SlotUse, ...]], params: CycleParams) ->
 
     pdsch, pucch, pusch, grants = (of(a) for a in (Activity.RX_PDSCH, Activity.TX_PUCCH, Activity.TX_PUSCH,
                                                     Activity.RX_PDCCH))
-    runs: list[list[int]] = []  # maximal runs of consecutive feedback slots
-    for sf, _ in pucch:
-        if runs and sf == runs[-1][-1] + 1:
-            runs[-1].append(sf)
-        else:
-            runs.append([sf])
+    blocks = [sf for i, (sf, _) in enumerate(pucch) if i % params.rep_pucch == 0]  # first slot of each feedback block
     for j in sorted({u.tb_index for _, u in pdsch if u.tb_index is not None}):
         data_end = max(sf for sf, u in pdsch if u.tb_index == j)
         tagged = [sf for sf, u in pucch if u.tb_index == j]
         if tagged:
             ack = min(tagged)
-        elif (j - 1) // params.n_bundle < len(runs):
-            ack = runs[(j - 1) // params.n_bundle][0]
+        elif (j - 1) // params.n_bundle < len(blocks):
+            ack = blocks[(j - 1) // params.n_bundle]
         else:
             continue
         if ack - data_end - 1 < params.dd2a_min:
@@ -186,8 +181,12 @@ slot_uses = st.builds(
 @given(
     st.lists(st.lists(slot_uses, max_size=3).map(tuple), max_size=16),
     st.fixed_dictionaries({"n_switch": st.integers(0, 2), "dd2a_min": st.integers(0, 5), "ug2d_min": st.integers(0, 5),
-                           "n_bundle": st.integers(1, 3)}).map(lambda fields: CycleParams(**fields)),
+                           "n_bundle": st.integers(1, 3),
+                           "rep_pucch": st.integers(1, 3)}).map(lambda fields: CycleParams(**fields)),
 )
+# two touching untagged feedback blocks answer TB 1 and TB 2: one run of feedback would answer TB 1 only
+@example([(SlotUse(Activity.RX_PDSCH, 1),), (SlotUse(Activity.RX_PDSCH, 2),)] + [(SlotUse(Activity.TX_PUCCH),)] * 4,
+         CycleParams(rep_pucch=2, n_switch=0, dd2a_min=5))
 def test_validate_matches_slot_reference(slots, params):
     timeline = SubframeTimeline.from_slots(slots)
     assert timeline.slots == slots

@@ -1,8 +1,8 @@
-"""The contract of the package's 14 record types.
+"""The contract of the package's 13 record types.
 
 Every record keeps its field names, order and defaults, cannot be
 changed after construction, and is equal to, and hashes like, any record
-of the same type with equal values.  The four validated records reject a
+of the same type with equal values.  The three validated records reject a
 bad value with the same message whether it comes from construction or
 from ``_replace``.
 """
@@ -17,7 +17,7 @@ from ntn_harq.errors import InvalidInputError
 from ntn_harq.geometry import OrbitGeometry, Payload
 from ntn_harq.harq import CycleParams, Direction, GrantMode
 from ntn_harq.linkbudget import LinkBudgetParams
-from ntn_harq.metrics import ProcessorProfile, SchedulingMode
+from ntn_harq.metrics import SchedulingMode
 from ntn_harq.scenario import (
     PROTOCOLS,
     CalibrationResult,
@@ -68,8 +68,8 @@ RECORDS = {
                          {"n_cycles": 0, "seed": 1, "bler_per_attempt": ()}),
     ScenarioConfig: (_config, tuple(_config()), {}),
     ScenarioResult: (_result, (*_result(), "goodput"), {"goodput": None}),
-    CalibrationResult: (lambda: dict(rep_pdcch=2, n_a2g=1, gain_pct=27.9, target_gain_pct=28.0, within_tolerance=True),
-                        ("rep_pdcch", "n_a2g", "gain_pct", "target_gain_pct", "within_tolerance", "skipped"),
+    CalibrationResult: (lambda: dict(rep_pdcch=2, n_a2g=1, gain_pct=27.9, target_gain_pct=28.0, degraded=False),
+                        ("rep_pdcch", "n_a2g", "gain_pct", "target_gain_pct", "degraded", "skipped"),
                         {"skipped": ()}),
     GoodputResult: (lambda: dict(goodput_bps=3.5e4, retransmission_rate=0.1), ("goodput_bps", "retransmission_rate"),
                     {}),
@@ -89,8 +89,6 @@ RECORDS = {
                        ("eirp_dbm", "g_over_t_db", "bandwidth_hz", "carrier_ghz", "loss_atm_db", "loss_shadow_db",
                         "loss_scint_db", "loss_polar_db"),
                        {"loss_atm_db": 0.0, "loss_shadow_db": 0.0, "loss_scint_db": 0.0, "loss_polar_db": 0.0}),
-    ProcessorProfile: (lambda: dict(efficiency_mops_per_mw=144.0, op_rate_per_s=1000.0, op_count=6),
-                       ("efficiency_mops_per_mw", "op_rate_per_s", "op_count"), {}),
     BlerTable: (lambda: dict(curves={504: {8: ((-2.0, 0.5), (0.0, 0.1)), 12: ((-2.0, 0.2), (0.0, 0.01))}}),
                 ("curves",), {}),
     SubframeTimeline: (_timeline, ("blocks", "length", "perspective", "origin"),
@@ -100,8 +98,8 @@ TUPLE_RECORDS = [cls for cls in RECORDS if issubclass(cls, tuple)]
 by_name = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
 
 
-def test_there_are_14_record_types_and_12_are_tuples():
-    assert len(RECORDS) == 14
+def test_there_are_13_record_types_and_11_are_tuples():
+    assert len(RECORDS) == 13
     assert set(RECORDS) - set(TUPLE_RECORDS) == {BlerTable, SubframeTimeline}
 
 
@@ -167,9 +165,6 @@ BAD_VALUES = [
     (LinkBudgetParams, "loss_shadow_db", -0.1, "loss_shadow_db must be >= 0 dB"),
     (LinkBudgetParams, "loss_scint_db", -0.1, "loss_scint_db must be >= 0 dB"),
     (LinkBudgetParams, "loss_polar_db", -0.1, "loss_polar_db must be >= 0 dB"),
-    (ProcessorProfile, "efficiency_mops_per_mw", 0.0, "processor efficiency and op rate must be positive"),
-    (ProcessorProfile, "op_rate_per_s", -1.0, "processor efficiency and op rate must be positive"),
-    (ProcessorProfile, "op_count", -1, "op count must be >= 0"),
 ]
 
 

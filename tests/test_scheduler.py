@@ -1,8 +1,5 @@
-import importlib.util
 import itertools
 import math
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -260,6 +257,16 @@ def test_validate_flags_short_feedback_delay():
     assert any(c.kind == "min-delay" for c in report.conflicts)
 
 
+def test_validate_checks_the_feedback_delay_of_every_bundle_group():
+    # the two bundle groups' feedback blocks touch; each answers its own group
+    params = CycleParams(n_tbphc=8, rep_pdsch=2, rep_pucch=1, n_switch=1, n_bundle=4, ack_bundling=True, dd2a_min=3)
+    timeline = build_proposed_cycle(params, Direction.DL)
+    assert validate(timeline, params).conflicts == ()
+    report = validate(timeline, params._replace(dd2a_min=53))
+    assert [(c.kind, c.tb_indices) for c in report.conflicts] == [("min-delay", (j, j)) for j in range(1, 9)]
+    assert [c.sf_index for c in report.conflicts] == [28] * 4 + [29] * 4
+
+
 def test_validate_flags_missing_switch():
     slots = [
         (SlotUse(Activity.RX_PDSCH, 1),),
@@ -446,19 +453,6 @@ def test_monte_carlo_rejects_an_uplink_cycle_that_misses_a_minimum_delay():
 
 
 # --- the benchmark's sweep grid --------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def bench_workloads():
-    root = Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return root, module
 
 
 def test_every_proposed_cycle_of_the_benchmark_sweep_lays_out_as_its_closed_form(table, bench_workloads):
