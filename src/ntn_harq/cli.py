@@ -87,27 +87,30 @@ def _note_auto_cap(config: ScenarioConfig, table) -> None:
 
 def render_timeline_text(timeline: SubframeTimeline, conflicts: ConflictReport | None = None) -> str:
     """One row per channel, one column per subframe; cells show the TB
-    index (or ``#`` for untagged activity)."""
+    index (or ``#`` for untagged activity), the later of two uses of one
+    channel in a subframe.  One pass over the segments writes every row."""
     width = 3
+    blank = " " * width
     n = len(timeline)
     header = "sf".ljust(8) + (f"%{width}d" * n) % tuple(range(timeline.origin, timeline.origin + n))
-    rows = []
-    for label, activity, _ in _CHANNEL_ROWS:
-        cells = []
-        for first, stop, uses in timeline.segments:
-            mark = ""
-            for use in uses:
-                if use.activity is activity:
-                    mark = "#" if use.tb_index is None else str(use.tb_index)
-            cells.append(mark.rjust(width) * (stop - first))
-        rows.append(label.ljust(8) + "".join(cells))
-    lines = [header, *rows]
+    cells = {activity: [] for activity in Activity}  # the idle row is never shown
+    written = dict.fromkeys(Activity, 0)  # columns of each row written so far
+    for first, stop, uses in timeline.segments:
+        for activity, tb in uses:
+            row = cells[activity]
+            done = written[activity]
+            if done > first:  # a use earlier in this run: the later one shows
+                row.pop()
+            elif done < first:
+                row.append(blank * (first - done))
+            row.append(("#" if tb is None else str(tb)).rjust(width) * (stop - first))
+            written[activity] = stop
+    lines = [header, *(label.ljust(8) + "".join(cells[activity]) + blank * (n - written[activity])
+                       for label, activity, _ in _CHANNEL_ROWS)]
     if conflicts:
         for c in conflicts.conflicts:
             tbs = ",".join("-" if t is None else str(t) for t in c.tb_indices)
-            lines.append(
-                f"! {c.kind} at SF {c.sf_index}: {' / '.join(c.activities)} (tb {tbs})"
-            )
+            lines.append(f"! {c.kind} at SF {c.sf_index}: {' / '.join(c.activities)} (tb {tbs})")
     return "\n".join(lines) + "\n"
 
 

@@ -7,14 +7,18 @@ out contiguously with the fixed delays and reports any slot claimed twice;
 the proposed builder uses the per-TB variable delays and is conflict-free
 by construction.
 
-A timeline is stored as blocks, one per repeated transmission: a use that
-claims ``width`` consecutive subframes from ``start``, kept sorted by
-start.  The builders and ``bs_view`` make one block per claim and sort
-once, so they cost O(n log n) in blocks whatever the repetition counts.
+A timeline is stored as blocks, one per repeated transmission, kept
+sorted by start.  A block, like a segment, is a plain ``(start, width,
+use, rank)`` tuple, since a NamedTuple call costs about 8x a tuple
+literal: ``use`` claims ``width`` consecutive subframes from ``start``,
+and uses that share a subframe are listed in ascending ``rank``, their
+claim order.  The builders and ``bs_view`` make one block per claim and
+sort once, so they cost O(n log n) in blocks whatever the repetitions.
 Consumers sweep the block endpoints once (``SubframeTimeline.segments``):
 a block alone over its whole span is a segment of its own, and only
 overlapping blocks (legacy attempts, BS views) pass through a heap.  The
-exports do per-subframe work only for the text they write;
+exports do per-subframe work only for the text they write, and the text
+grid is written in one pass over the segments;
 ``SubframeTimeline.slots`` expands the per-subframe view on demand.
 """
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from heapq import heappop, heappush
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError
@@ -54,20 +58,9 @@ class SlotUse(NamedTuple):
 _SWITCH_USE = SlotUse(Activity.SWITCH)
 
 Segment = tuple[int, int, tuple[SlotUse, ...]]
+Block = tuple[int, int, SlotUse, int]  # (start, width, use, rank)
 
-
-class Block(NamedTuple):
-    """``use`` claiming ``width`` subframes from position ``start``.  Uses
-    that share a subframe are listed in ascending ``rank``, the order in
-    which they were claimed."""
-
-    start: int
-    width: int
-    use: SlotUse
-    rank: int
-
-
-_by_position = attrgetter("start", "rank")
+_by_position = itemgetter(0, 3)  # (start, rank)
 
 
 class SubframeTimeline(Frozen):
@@ -102,7 +95,7 @@ class SubframeTimeline(Frozen):
     ) -> SubframeTimeline:
         """A timeline from per-subframe uses, one block per use."""
         claims = [(sf, use) for sf, uses in enumerate(slots) for use in uses]
-        blocks = tuple(Block(sf, 1, use, rank) for rank, (sf, use) in enumerate(claims))
+        blocks = tuple((sf, 1, use, rank) for rank, (sf, use) in enumerate(claims))
         return cls(blocks, len(slots), perspective, origin)
 
     def __len__(self) -> int:
@@ -176,7 +169,7 @@ class ConflictReport(NamedTuple):
 
 
 def _double_bookings(first: int, stop: int, uses: tuple[SlotUse, ...]) -> list[Conflict]:
-    activities = tuple(u.activity.value for u in uses)
+    activities = tuple(_LABELS[u.activity] for u in uses)
     tb_indices = tuple(u.tb_index for u in uses)
     return [Conflict(sf, activities, tb_indices) for sf in range(first, stop)]
 
@@ -193,19 +186,20 @@ def _lay_out(blocks: list[Block], n_switch: int) -> tuple[SubframeTimeline, list
     blocks.sort(key=_by_position)
     rank = len(blocks)  # switches rank after every claim
     laid_out = blocks[:1]
-    for a, b in zip(blocks, blocks[1:]):
-        gap = b.start - a.start - a.width
+    for (a_start, a_width, a_use, _), b in zip(blocks, blocks[1:]):
+        b_start, _, b_use, _ = b
+        gap = b_start - a_start - a_width
         if gap < 0:  # sorted by start, any overlap shows up between neighbours
-            attempt = SubframeTimeline(tuple(blocks), max(c.start + c.width for c in blocks))
+            attempt = SubframeTimeline(tuple(blocks), max(start + width for start, width, _, _ in blocks))
             return attempt, [c for seg in attempt.segments if len(seg[2]) >= 2 for c in _double_bookings(*seg)]
-        if gap and n_switch and (a.use.activity in RX_ACTIVITIES) != (b.use.activity in RX_ACTIVITIES):
+        if gap and n_switch and (a_use.activity in RX_ACTIVITIES) != (b_use.activity in RX_ACTIVITIES):
             width = min(n_switch, gap)
-            laid_out.append(Block(b.start - width, width, _SWITCH_USE, rank))
+            laid_out.append((b_start - width, width, _SWITCH_USE, rank))
             rank += 1
         laid_out.append(b)
-    length = blocks[-1].start + blocks[-1].width  # without overlaps the block that starts last ends last
+    length = blocks[-1][0] + blocks[-1][1]  # without overlaps the block that starts last ends last
     if n_switch:
-        laid_out.append(Block(length, n_switch, _SWITCH_USE, rank))
+        laid_out.append((length, n_switch, _SWITCH_USE, rank))
     return SubframeTimeline(tuple(laid_out), length + n_switch), []
 
 
@@ -219,11 +213,11 @@ def _legacy_claims(params: CycleParams, direction: Direction) -> list[Block]:
     if direction is Direction.DL:
         r = params.rep_pdsch
         data = p + params.n_dg2d
-        claims = [Block(0, p, SlotUse(_RX_PDCCH), 0)]
-        claims += [Block(data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), j) for j in tbs]
+        claims = [(0, p, SlotUse(_RX_PDCCH), 0)]
+        claims += [(data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), j) for j in tbs]
         for j in tbs:
             ack = fixed_positions(data + j * r - 1, params.dd2a_min)
-            claims.append(Block(ack, params.rep_pucch, SlotUse(_TX_PUCCH, j), len(claims)))
+            claims.append((ack, params.rep_pucch, SlotUse(_TX_PUCCH, j), len(claims)))
         return claims
     r = params.rep_pusch
     claims = []
@@ -231,9 +225,9 @@ def _legacy_claims(params: CycleParams, direction: Direction) -> list[Block]:
         # grants are paced at the data period so the granted blocks
         # land back to back
         grant_start = (j - 1) * r
-        claims.append(Block(grant_start, p, SlotUse(_RX_PDCCH, j), len(claims)))
+        claims.append((grant_start, p, SlotUse(_RX_PDCCH, j), len(claims)))
         data = fixed_positions(grant_start + p - 1, params.ug2d_min)
-        claims.append(Block(data, r, SlotUse(_TX_PUSCH, j), len(claims)))
+        claims.append((data, r, SlotUse(_TX_PUSCH, j), len(claims)))
     return claims
 
 
@@ -276,9 +270,9 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
     check_min_delay(params, direction)
     pad = delay_guard(params, direction)
     if params.grant_mode is GrantMode.MTBG:
-        claims = [Block(0, p, SlotUse(_RX_PDCCH), 0)]
+        claims = [(0, p, SlotUse(_RX_PDCCH), 0)]
     else:
-        claims = [Block(g * p, p, SlotUse(_RX_PDCCH, g + 1), g) for g in range(n)]
+        claims = [(g * p, p, SlotUse(_RX_PDCCH, g + 1), g) for g in range(n)]
     n_grants = len(claims)
 
     if direction is Direction.DL:
@@ -286,14 +280,14 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
         data = n_grants * p + params.n_dg2d
         placed_acks = set()
         for j, delay in enumerate(plan, 1):
-            claims.append(Block(data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), len(claims)))
+            claims.append((data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), len(claims)))
             ack = fixed_positions(data + j * r - 1, delay + pad)
             if params.ack_bundling:
                 if ack not in placed_acks:  # one block acknowledges the bundle
-                    claims.append(Block(ack, params.rep_pucch, SlotUse(_TX_PUCCH), len(claims)))
+                    claims.append((ack, params.rep_pucch, SlotUse(_TX_PUCCH), len(claims)))
                     placed_acks.add(ack)
             else:
-                claims.append(Block(ack, params.rep_pucch, SlotUse(_TX_PUCCH, j), len(claims)))
+                claims.append((ack, params.rep_pucch, SlotUse(_TX_PUCCH, j), len(claims)))
     else:
         for j, delay in enumerate(plan, 1):
             # delays are defined against the j-th grant's end; an MTBG
@@ -301,7 +295,7 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
             # sit, so the anchor is the same in both modes
             anchor = j * p - 1
             data = fixed_positions(anchor, delay + pad)
-            claims.append(Block(data, params.rep_pusch, SlotUse(_TX_PUSCH, j), len(claims)))
+            claims.append((data, params.rep_pusch, SlotUse(_TX_PUSCH, j), len(claims)))
 
     timeline, conflicts = _lay_out(claims, params.n_switch)
     if conflicts:  # construction guarantees this never happens
@@ -407,11 +401,11 @@ def bs_view(timeline: SubframeTimeline, rtt_ms: float) -> SubframeTimeline:
     # positions count from the new origin, half a round trip earlier; a
     # block moved further came from an earlier UE subframe, so it ranks
     # ahead of every block moved less
-    ranks = 1 + max((b.rank for b in timeline.blocks), default=0)
+    ranks = 1 + max((rank for _, _, _, rank in timeline.blocks), default=0)
     blocks = []
     for start, width, use, rank in timeline.blocks:
         offset = 0 if use.activity in RX_ACTIVITIES else 2 * shift if use.activity in TX_ACTIVITIES else shift
-        blocks.append(Block(start + offset, width, use, rank - offset * ranks))
+        blocks.append((start + offset, width, use, rank - offset * ranks))
     blocks.sort(key=_by_position)
     return SubframeTimeline(tuple(blocks), timeline.length + 2 * shift, Perspective.BS, timeline.origin - shift)
 
@@ -440,7 +434,7 @@ def export_timeline(timeline: SubframeTimeline) -> str:
         if stop - first == 1:
             parts.append(f"{origin + first}{line}")
         else:
-            parts.append(line.join(map(str, range(origin + first, origin + stop))) + line)
+            parts.append(line.join(map(repr, range(origin + first, origin + stop))) + line)
     return "".join(parts) or "\n"
 
 

@@ -3,8 +3,9 @@
 
 ``reference_validate`` is the slot-by-slot form of ``validate``: every
 list it builds is a scan over per-subframe slots.  The block sweep must
-report exactly its findings.  ``reference_segments`` and
-``reference_export`` expand blocks subframe by subframe the same way.
+report exactly its findings.  ``reference_segments``,
+``reference_export`` and ``reference_text`` expand blocks subframe by
+subframe the same way.
 """
 from __future__ import annotations
 
@@ -18,15 +19,18 @@ from hypothesis import strategies as st
 from ntn_harq.errors import MinDelayViolationError
 from ntn_harq.harq import CycleParams, Direction, GrantMode, check_min_delay, delay_guard, delay_plan
 from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
+from ntn_harq.cli import render_timeline_text
 from ntn_harq.scheduler import (
     RX_ACTIVITIES,
     Activity,
     Block,
     Conflict,
+    ConflictReport,
     Perspective,
     SlotUse,
     SubframeTimeline,
     bs_view,
+    build_legacy_cycle,
     build_proposed_cycle,
     export_timeline,
     validate,
@@ -196,8 +200,9 @@ def test_validate_matches_slot_reference(slots, params):
 def _covering(blocks: list[Block], length: int) -> list[list[Block]]:
     """The blocks covering each subframe, in rank order."""
     covering: list[list[Block]] = [[] for _ in range(length)]
-    for block in sorted(blocks, key=lambda b: b.rank):
-        for sf in range(block.start, block.start + block.width):
+    for block in sorted(blocks, key=lambda b: b[3]):
+        start, width, _, _ = block
+        for sf in range(start, start + width):
             covering[sf].append(block)
     return covering
 
@@ -211,7 +216,7 @@ def reference_segments(blocks: list[Block], length: int) -> list[tuple[int, int,
             first, _, uses = segments[-1]
             segments[-1] = (first, sf + 1, uses)
         else:
-            segments.append((sf, sf + 1, tuple(b.use for b in covered)))
+            segments.append((sf, sf + 1, tuple(use for _, _, use, _ in covered)))
             runs.append(covered)
     return segments
 
@@ -219,7 +224,7 @@ def reference_segments(blocks: list[Block], length: int) -> list[tuple[int, int,
 def reference_export(blocks: list[Block], length: int, perspective: Perspective, origin: int) -> str:
     lines = []
     for sf, covered in enumerate(_covering(blocks, length)):
-        for use in [b.use for b in covered] or [SlotUse(Activity.IDLE)]:
+        for use in [use for _, _, use, _ in covered] or [SlotUse(Activity.IDLE)]:
             tb = "" if use.tb_index is None else use.tb_index
             lines.append(f"{origin + sf},{perspective.value},{use.activity.value},{tb},{tb}\n")
     return "".join(lines) or "\n"
@@ -237,8 +242,9 @@ def block_layouts(draw):
         placed.append((start, width, draw(slot_uses)))
         end = start + width
     ranks = draw(st.permutations(range(len(placed))))
-    blocks = sorted((Block(*claim, rank) for claim, rank in zip(placed, ranks)), key=lambda b: (b.start, b.rank))
-    length = max((b.start + b.width for b in blocks), default=0) + draw(st.integers(0, 3))
+    blocks = sorted(((start, width, use, rank) for (start, width, use), rank in zip(placed, ranks)),
+                    key=lambda b: (b[0], b[3]))
+    length = max((start + width for start, width, _, _ in blocks), default=0) + draw(st.integers(0, 3))
     return blocks, length
 
 
@@ -248,5 +254,63 @@ def test_block_sweep_and_export_match_subframe_expansion(layout, perspective, or
     blocks, length = layout
     timeline = SubframeTimeline(tuple(blocks), length, perspective, origin)
     assert timeline.segments == reference_segments(blocks, length)
-    assert timeline.slots == [tuple(b.use for b in covered) for covered in _covering(blocks, length)]
+    assert timeline.slots == [tuple(use for _, _, use, _ in covered) for covered in _covering(blocks, length)]
     assert export_timeline(timeline) == reference_export(blocks, length, perspective, origin)
+
+
+# (label, activity) of each row of the text grid, top to bottom
+TEXT_ROWS = (("PDCCH", Activity.RX_PDCCH), ("PDSCH", Activity.RX_PDSCH), ("PUCCH", Activity.TX_PUCCH),
+             ("PUSCH", Activity.TX_PUSCH), ("switch", Activity.SWITCH))
+
+
+def reference_text(blocks: list[Block], length: int, origin: int, report: ConflictReport | None) -> str:
+    """The text grid written cell by cell: a row's cell shows the last use
+    of its channel among the uses covering that subframe, in rank order."""
+    covering = _covering(blocks, length)
+    lines = ["sf      " + "".join(f"{origin + sf:>3}" for sf in range(length))]
+    for label, activity in TEXT_ROWS:
+        row = label.ljust(8)
+        for covered in covering:
+            marks = ["#" if use.tb_index is None else str(use.tb_index)
+                     for _, _, use, _ in covered if use.activity is activity]
+            row += f"{marks[-1] if marks else '':>3}"
+        lines.append(row)
+    for c in report.conflicts if report is not None else ():
+        tbs = ",".join("-" if t is None else str(t) for t in c.tb_indices)
+        lines.append(f"! {c.kind} at SF {c.sf_index}: {' / '.join(c.activities)} (tb {tbs})")
+    return "\n".join(lines) + "\n"
+
+
+conflict_reports = st.none() | st.lists(st.builds(
+    Conflict,
+    st.integers(-200, 1200),
+    st.lists(st.sampled_from([a.value for a in Activity]), min_size=1, max_size=3).map(tuple),
+    st.lists(st.sampled_from([None, 1, 2, 3]), min_size=1, max_size=3).map(tuple),
+    st.sampled_from(["double-booking", "missing-switch", "min-delay"]),
+), max_size=3).map(lambda conflicts: ConflictReport(tuple(conflicts)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(block_layouts(), st.integers(-1200, 1200), conflict_reports)
+# two PDSCH uses share SFs 1-2: the later-ranked TB 1 shows there, and the grid pads out to SF 4
+@example(([(0, 3, SlotUse(Activity.RX_PDSCH, 1), 1), (1, 3, SlotUse(Activity.RX_PDSCH, 2), 0)], 6), 0, None)
+# an untagged feedback block between idle subframes, with a conflict line
+@example(([(2, 2, SlotUse(Activity.TX_PUCCH), 0)], 7), -3,
+         ConflictReport((Conflict(2, ("TxPUCCH", "RxPDSCH"), (None, 1)),)))
+def test_text_grid_matches_the_per_subframe_reference(layout, origin, report):
+    blocks, length = layout
+    timeline = SubframeTimeline(tuple(blocks), length, Perspective.UE, origin)
+    assert render_timeline_text(timeline, report) == reference_text(blocks, length, origin, report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cycles(), st.sampled_from([0, 7.5, 41]))
+def test_built_cycles_hold_plain_tuple_blocks(cycle, rtt_ms):
+    params, direction = cycle
+    legacy = build_legacy_cycle(params, direction)
+    built = [legacy.attempt if isinstance(legacy, ConflictReport) else legacy]
+    if reference_short_delay(params, direction) is None:
+        built.append(build_proposed_cycle(params, direction))
+    built += [bs_view(timeline, rtt_ms) for timeline in built]
+    for timeline in built:
+        assert all(type(block) is tuple for block in timeline.blocks)
