@@ -74,10 +74,13 @@ def _load_table(path: str | None):
     return load_bler_table(path) if path else default_table()
 
 
-def _note_auto_cap(config: ScenarioConfig, table) -> None:
+def _note_capped_or_ignored(config: ScenarioConfig, table) -> None:
     if auto_tbphc_capped(config, resolve(config, table)):
         print(f"note: auto cycle.n_tbphc stops at its cap of {MAX_AUTO_TBPHC} TBs per cycle, "
               f"although the HARQ budget of {config.max_harq} processes admits more",
+              file=sys.stderr)
+    if config.cycle.n_bundle != 1 and not config.cycle.ack_bundling:
+        print(f"note: cycle.n_bundle = {config.cycle.n_bundle} is ignored without cycle.ack_bundling = true",
               file=sys.stderr)
 
 
@@ -192,7 +195,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     table = _load_table(args.bler_table)
     result = run_scenario(config, table)
-    _note_auto_cap(config, table)
+    _note_capped_or_ignored(config, table)
     if result.goodput is None and config.monte_carlo.n_cycles > 0:
         print("note: legacy mode ignores monte_carlo.* (Monte Carlo goodput needs mode = proposed)",
               file=sys.stderr)
@@ -225,7 +228,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     table = _load_table(args.bler_table)
     text, status = render_timeline(config, args.perspective, args.format, table)
-    _note_auto_cap(config, table)
+    _note_capped_or_ignored(config, table)
     _emit(text, args.out)
     return status
 

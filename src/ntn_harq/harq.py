@@ -126,13 +126,18 @@ def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
 
 def delay_guard(params: CycleParams, direction: Direction) -> int:
     """Subframes added to every TB's variable delay so that the tightest
-    one meets the mandatory minimum, in O(1) without the plan.
+    one meets the mandatory minimum, in O(1) without the plan.  The
+    builder and the closed form both read it, so it alone decides whether
+    a proposed cycle can be laid out.
 
     DL: TB b+1 waits ``(n-1-b)*r + (b//g)*q`` beyond the switch gap, which
     falls within each group of ``g`` TBs and is linear across whole
     groups, so the least wait is the last TB's or that of the last TB of
-    the first or of the last whole group.  UL: TB 1's wait, though a later
-    TB's is shorter when data blocks are narrower than grant blocks.
+    the first or of the last whole group; every padded DL delay meets the
+    minimum.  UL: TB 1's wait, so TB 1's padded delay ``d1`` meets it, but
+    TB j's is ``d1 - (j-1)*(p-r)``: when grant blocks are wider than data
+    blocks (``p > r``) a later TB can fall short, first at
+    ``j = (d1 - m) // (p - r) + 2``, and MinDelayViolationError names it.
     """
     n = params.n_tbphc
     if direction is Direction.DL:
@@ -141,21 +146,13 @@ def delay_guard(params: CycleParams, direction: Direction) -> int:
         k = (n - 1) // g  # the last TB's group
         tightest = min(k * q, (n - g) * r, (n - k * g) * r + (k - 1) * q) if k else 0
         return max(0, params.dd2a_min - tightest)
-    return max(0, params.ug2d_min - (n - 1) * params.rep_pdcch)
-
-
-def check_min_delay(params: CycleParams, direction: Direction) -> None:
-    """Raise MinDelayViolationError for the first TB whose padded delay
-    stays below the mandatory minimum, in O(1).  Every padded DL delay and
-    TB 1's UL delay ``d1`` meet it; UL TB j's is ``d1 - (j-1)*(p-r)``, so
-    only ``p > r`` falls short, first at ``j = (d1 - m) // (p - r) + 2``."""
-    if direction is Direction.DL:
-        return
-    n, p, r, m = params.n_tbphc, params.rep_pdcch, params.rep_pusch, params.ug2d_min
-    d1 = (n - 1) * p + params.n_switch + delay_guard(params, direction)
+    p, r, m = params.rep_pdcch, params.rep_pusch, params.ug2d_min
+    pad = max(0, m - (n - 1) * p)
+    d1 = (n - 1) * p + params.n_switch + pad
     if p > r and d1 - (n - 1) * (p - r) < m:
         j = (d1 - m) // (p - r) + 2
         raise MinDelayViolationError(f"TB {j} grant-to-data delay {d1 - (j - 1) * (p - r)} < minimum {m}")
+    return pad
 
 
 def harq_for_tbphc(params: CycleParams, rtt_ms: float, ack_proc_sf: int) -> int:

@@ -22,7 +22,7 @@ from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
 from .errors import ConfigError, CurveNotFoundError, InfeasibleLinkError, MinDelayViolationError
 from .geometry import MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, OrbitGeometry, Payload, round_trip_time, slant_range
-from .harq import MAX_SUBFRAMES, CycleParams, Direction, GrantMode, check_min_delay, harq_for_tbphc, harq_processes
+from .harq import MAX_SUBFRAMES, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
 from .linkbudget import LinkBudgetParams, snr_db
 from .metrics import (
     DEFAULT_OP_RATE_PER_S,
@@ -523,7 +523,8 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
 
     Raises InfeasibleLinkError when no tabulated repetition count reaches
     the target BLER at the operating SNR, and MinDelayViolationError when
-    ``harq.check_min_delay`` finds an uplink TB short of its minimum delay.
+    ``harq.delay_guard``, read by the closed-form SUF, finds an uplink TB
+    short of its minimum delay.
     """
     if config.mode is SchedulingMode.LEGACY_FIXED and config.n_tbphc not in (None, 1):
         raise ConfigError(
@@ -534,7 +535,6 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     suf = suf_closed_form(params, config.direction, config.mode)
     gain = 0.0
     if config.mode is SchedulingMode.PROPOSED_VARIABLE:
-        check_min_delay(params, config.direction)
         baseline_params = _completed_cycle(config.cycle, config.cycle.n_tbphc, n_rep)
         baseline_suf = suf_closed_form(baseline_params, config.direction, SchedulingMode.LEGACY_FIXED)
         gain = suf / baseline_suf - 1.0

@@ -30,8 +30,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError
-from .harq import (SF_MS, Activity, CycleParams, Direction, GrantMode, check_min_delay, delay_guard, delay_plan,
-                   fixed_positions)
+from .harq import SF_MS, Activity, CycleParams, Direction, GrantMode, delay_guard, delay_plan, fixed_positions
 from .metrics import SchedulingMode, cycle_length_closed_form, throughput
 from .records import Frozen, IdentityEnum
 
@@ -261,13 +260,12 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
     TB (of TB 1 in UL) against the mandatory minimum, which is also the
     guard term of the closed-form cycle length.
 
-    Raises MinDelayViolationError through ``harq.check_min_delay`` when a
-    UL TB's padded delay misses the minimum; every padded DL delay meets it.
+    Raises MinDelayViolationError through ``delay_guard`` when a UL TB's
+    padded delay misses the minimum; every padded DL delay meets it.
     """
     n = params.n_tbphc
     p = params.rep_pdcch
     plan = delay_plan(params, direction)
-    check_min_delay(params, direction)
     pad = delay_guard(params, direction)
     if params.grant_mode is GrantMode.MTBG:
         claims = [(0, p, SlotUse(_RX_PDCCH), 0)]
@@ -468,7 +466,9 @@ def monte_carlo_goodput(
     order they failed, then fills its remaining slots with fresh TBs.  A
     cycle fails at most ``n_tbphc`` TBs, so the retry queue never holds
     more than ``n_tbphc`` entries and memory stays O(``n_tbphc``) for any
-    ``n_cycles``.  The same arguments give the same result.
+    ``n_cycles``.  The same arguments give the same result.  The cycle
+    length is the closed form's, so an uplink cycle that the builder
+    refuses raises the same MinDelayViolationError, from ``delay_guard``.
     """
     if not bler_per_attempt:
         raise InvalidInputError("bler_per_attempt must not be empty")
@@ -478,7 +478,6 @@ def monte_carlo_goodput(
         raise InvalidInputError("n_cycles must be >= 1")
     if tbs_bits <= 0:
         raise InvalidInputError("TB size must be positive")
-    check_min_delay(params, direction)
     cycle_len = cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
     n_slots = params.n_tbphc
     last = len(bler_per_attempt) - 1

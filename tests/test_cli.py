@@ -337,6 +337,24 @@ def test_auto_tbphc_at_its_cap_says_so(tmp_path, capsys, command):
         assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["run", "timeline"])
+def test_a_bundle_size_without_bundling_says_it_is_ignored(tmp_path, capsys, command):
+    path = tmp_path / "dl.cfg"
+    shutil.copy(PROFILES / "leo600_ltem_dl.cfg", path)
+    assert run_cli(command, path) == 0
+    plain = capsys.readouterr()
+    path.write_text(path.read_text() + "cycle.n_bundle = 4\n")
+    assert run_cli(command, path) == 0
+    noted = capsys.readouterr()
+    assert noted.out == plain.out
+    assert plain.err == ""
+    assert noted.err == "note: cycle.n_bundle = 4 is ignored without cycle.ack_bundling = true\n"
+    # with bundling on the size is read, so no note
+    path.write_text(path.read_text() + "cycle.ack_bundling = true\n")
+    assert run_cli(command, path) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_bad_axis_value_exits_before_any_point_runs(monkeypatch, capsys):
     def no_run(*args):
         raise AssertionError("a point ran before every axis value was parsed")

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from ntn_harq.errors import InvalidInputError
+from ntn_harq.errors import InvalidInputError, MinDelayViolationError
 from ntn_harq.harq import SF_SECONDS, CycleParams, Direction, GrantMode
 from ntn_harq.metrics import (
     DELAY_OP_COUNTS,
@@ -83,6 +83,17 @@ def test_legacy_closed_form_requires_single_tb():
 def test_closed_form_rejects_ul_bundling():
     params = CycleParams(n_tbphc=2, ack_bundling=True, n_bundle=2)
     with pytest.raises(InvalidInputError):
+        suf_closed_form(params, Direction.UL, PROPOSED)
+
+
+def test_closed_form_refuses_an_uplink_cycle_that_cannot_be_laid_out():
+    # grant blocks 8 SFs wide against 1-SF data: the padded UL delays fall
+    # 42, 35, 28, so TB 3 misses the minimum and no 58-SF cycle exists
+    params = CycleParams(n_tbphc=6, rep_pdcch=8, rep_pdsch=1, rep_pusch=1, n_switch=2, ug2d_min=35)
+    message = "^TB 3 grant-to-data delay 28 < minimum 35$"
+    with pytest.raises(MinDelayViolationError, match=message):
+        cycle_length_closed_form(params, Direction.UL, PROPOSED)
+    with pytest.raises(MinDelayViolationError, match=message):
         suf_closed_form(params, Direction.UL, PROPOSED)
 
 

@@ -13,11 +13,11 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ntn_harq.errors import MinDelayViolationError
-from ntn_harq.harq import CycleParams, Direction, GrantMode, check_min_delay, delay_guard, delay_plan
+from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, delay_plan
 from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
 from ntn_harq.cli import render_timeline_text
 from ntn_harq.scheduler import (
@@ -106,10 +106,13 @@ def cycles(draw):
 
 def reference_short_delay(params: CycleParams, direction: Direction) -> str | None:
     """The builder's per-TB check, written out: the message for the first
-    TB whose padded delay misses the minimum, or None."""
+    TB whose padded delay misses the minimum, or None.  The pad is read
+    off the plan (the tightest DL delay, TB 1's UL delay), not from
+    ``delay_guard``, the code it checks."""
     minimum = params.dd2a_min if direction is Direction.DL else params.ug2d_min
-    pad = delay_guard(params, direction)
-    for j, delay in enumerate(delay_plan(params, direction), 1):
+    plan = delay_plan(params, direction)
+    pad = max(0, minimum + params.n_switch - (min(plan) if direction is Direction.DL else plan[0]))
+    for j, delay in enumerate(plan, 1):
         if delay + pad < minimum:
             return f"TB {j} grant-to-data delay {delay + pad} < minimum {minimum}"
     return None
@@ -130,6 +133,62 @@ def test_proposed_cycle_matches_closed_form_and_validates(cycle, rtt_ms):
     assert validate(timeline, params).conflicts == ()
     view = bs_view(timeline, rtt_ms)
     assert Counter(u for _, u in uses(view)) == Counter(u for _, u in uses(timeline))
+
+
+# grant blocks 8 SFs wide against 1-SF data: the UL delays fall 42, 35, 28, so TB 3 is the first short one
+TB3_SHORT_UL = (CycleParams(n_tbphc=6, rep_pdcch=8, rep_pdsch=1, rep_pusch=1, n_switch=2, ug2d_min=35),
+                       Direction.UL)
+
+
+def _refusal(lay_out, params: CycleParams, direction: Direction) -> str | None:
+    try:
+        lay_out(params, direction)
+    except MinDelayViolationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycles())
+@example(TB3_SHORT_UL)
+def test_closed_form_refuses_exactly_the_cycles_the_builder_refuses(cycle):
+    params, direction = cycle
+    closed_form = _refusal(lambda p, d: cycle_length_closed_form(p, d, SchedulingMode.PROPOSED_VARIABLE),
+                           params, direction)
+    assert closed_form == _refusal(build_proposed_cycle, params, direction)
+
+
+def _padded_delays(timeline: SubframeTimeline, params: CycleParams, direction: Direction) -> list[int]:
+    """Each TB's delay as laid out: DL from its last data SF to the first SF
+    of its feedback (of its group's feedback block when bundled), UL from
+    the end of the j-th grant's slot ``j*p - 1`` to its first data SF."""
+    listed = uses(timeline)
+    if direction is Direction.UL:
+        starts = {}
+        for sf, u in listed:
+            if u.activity is Activity.TX_PUSCH:
+                starts.setdefault(u.tb_index, sf)
+        return [starts[j] - (j * params.rep_pdcch - 1) - 1 for j in range(1, params.n_tbphc + 1)]
+    data_end = {u.tb_index: sf for sf, u in listed if u.activity is Activity.RX_PDSCH}
+    feedback = [(sf, u.tb_index) for sf, u in listed if u.activity is Activity.TX_PUCCH]
+    if params.ack_bundling:  # the k-th block of rep_pucch feedback SFs answers the k-th group
+        blocks = [sf for i, (sf, _) in enumerate(feedback) if i % params.rep_pucch == 0]
+        ack = {j: blocks[(j - 1) // params.n_bundle] for j in data_end}
+    else:
+        ack = {}
+        for sf, j in feedback:
+            ack.setdefault(j, sf)
+    return [ack[j] - data_end[j] - 1 for j in range(1, params.n_tbphc + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycles())
+def test_every_tb_sits_its_planned_delay_plus_the_guard_from_its_anchor(cycle):
+    params, direction = cycle
+    assume(reference_short_delay(params, direction) is None)  # refusals: the test above
+    timeline = build_proposed_cycle(params, direction)
+    pad = delay_guard(params, direction)
+    assert _padded_delays(timeline, params, direction) == [d + pad for d in delay_plan(params, direction)]
 
 
 @settings(max_examples=500, deadline=None)
@@ -168,10 +227,10 @@ def test_min_delay_check_matches_the_per_tb_reference(direction, n, rep_pdcch, r
                          dd2a_min=min_delay, ug2d_min=min_delay)
     message = reference_short_delay(params, direction)
     if message is None:
-        check_min_delay(params, direction)
+        delay_guard(params, direction)
     else:
         with pytest.raises(MinDelayViolationError, match=f"^{re.escape(message)}$"):
-            check_min_delay(params, direction)
+            delay_guard(params, direction)
 
 
 slot_uses = st.builds(

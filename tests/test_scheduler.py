@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
 
 from ntn_harq import scenario, scheduler
 from ntn_harq.errors import ConfigError, InfeasibleLinkError, InvalidInputError, MinDelayViolationError
-from ntn_harq.harq import CycleParams, Direction, GrantMode, check_min_delay, delay_guard, fixed_positions
+from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, fixed_positions
 from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
 from ntn_harq.scheduler import (
     Activity,
@@ -472,10 +473,12 @@ def test_every_proposed_cycle_of_the_benchmark_sweep_lays_out_as_its_closed_form
     for params, direction in cycles:
         try:
             timeline = build_proposed_cycle(params, direction)
-        except MinDelayViolationError:
+        except MinDelayViolationError as exc:
+            with pytest.raises(MinDelayViolationError, match=f"^{re.escape(str(exc))}$"):
+                cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
             continue
         assert len(timeline) == cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
         assert validate(timeline, params).conflicts == ()
-        check_min_delay(params, direction)
+        delay_guard(params, direction)
         laid_out += 1
     assert (laid_out, len(cycles) - laid_out) == (354, 6)  # 6 NB-IoT uplink cycles with rep_pdcch = 8
