@@ -59,7 +59,7 @@ def _interp_log(points: Points, snr: float) -> float:
         if s0 <= snr <= s1:
             t = (snr - s0) / (s1 - s0)
             return 10.0 ** ((1.0 - t) * math.log10(b0) + t * math.log10(b1))
-    raise AssertionError("unreachable: snr inside curve range but no bracket found")
+    raise InvalidInputError(f"SNR must be a number, got {snr}")  # only NaN fails every comparison
 
 
 def bler_at(table: BlerTable, tbs: int, n_rep: int, snr: float) -> float:
@@ -71,8 +71,11 @@ def select_repetitions(table: BlerTable, tbs: int, snr: float, target_bler: floa
     """Smallest available repetition count whose BLER at ``snr`` meets the target.
 
     Raises InfeasibleLinkError when even the largest tabulated repetition
-    count misses the target, i.e. the link is too weak for this TBS.
+    count misses the target, i.e. the link is too weak for this TBS, and
+    InvalidInputError for a target outside (0, 1] or a NaN SNR.
     """
+    if not 0.0 < target_bler <= 1.0:
+        raise InvalidInputError(f"target BLER must lie in (0, 1], got {target_bler}")
     reps = table.reps_for(tbs)
     if not reps:
         raise CurveNotFoundError(f"no BLER curves for tbs={tbs}")

@@ -12,7 +12,7 @@ Exit status: 0 success, 2 infeasible link or an uplink schedule that
 misses a minimum delay (for sweep: at one point or more, the others still
 emitted; a point that fails its HARQ budget, has no BLER curve for its
 TB size or sets feedback bundling on an uplink cycle counts too), 3
-configuration error.
+configuration error or a command-line usage error.
 """
 from __future__ import annotations
 
@@ -297,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2, this tool's infeasible status, on a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (InfeasibleLinkError, MinDelayViolationError) as exc:

@@ -51,7 +51,7 @@ class OrbitGeometry(Validated, _OrbitFields):
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        if self.altitude_km <= 0:
+        if not self.altitude_km > 0:
             raise InvalidInputError(f"altitude must be positive, got {self.altitude_km}")
         for name in ("service_elevation_deg", "feeder_elevation_deg"):
             value = getattr(self, name)
@@ -67,7 +67,7 @@ def slant_range(altitude_km: float, elevation_deg: float) -> float:
     d = sqrt(R_E^2 sin^2(e) + h^2 + 2 h R_E) - R_E sin(e); equals the
     altitude at zenith and grows monotonically as the elevation drops.
     """
-    if altitude_km <= 0:
+    if not altitude_km > 0:
         raise InvalidInputError(f"altitude must be positive, got {altitude_km}")
     if not 0.0 <= elevation_deg <= 90.0:
         raise InvalidInputError(f"elevation must lie in [0, 90] degrees, got {elevation_deg}")

@@ -91,7 +91,7 @@ def required_harq_count(rtt_ms: float, rep_data: int) -> int:
     """Minimum number of HARQ processes that keeps a half-duplex sender
     busy across the whole round trip, given each TB occupies
     ``rep_data`` subframes."""
-    if rtt_ms <= 0 or rep_data < 1:
+    if not (rtt_ms > 0 and rep_data >= 1):
         raise InvalidInputError("rtt and repetitions must be positive")
     return math.ceil(rtt_ms / (rep_data * SF_MS))
 
@@ -166,7 +166,7 @@ def harq_processes(params: CycleParams, n_tbphc: int, data_sf: int, rtt_ms: floa
     scheduler's feedback-processing time (``ack_proc_sf`` subframes) before
     a process can be re-granted.  Only the grant, feedback and switch terms
     are read from ``params``, so a one-TB template sizes any TB count."""
-    if rtt_ms < 0 or ack_proc_sf < 0:
+    if not (rtt_ms >= 0 and ack_proc_sf >= 0):
         raise InvalidInputError("rtt and ack processing must be >= 0")
     cycle_sf = params.rep_pdcch + params.n_dg2d + data_sf + n_tbphc * params.rep_pucch
     cycle_ms = SF_MS * cycle_sf + 2.0 * params.n_switch * SF_MS

@@ -32,12 +32,12 @@ class LinkBudgetParams(Validated, _LinkFields):
     __slots__ = ()
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:
             raise InvalidInputError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-        if self.carrier_ghz <= 0:
+        if not self.carrier_ghz > 0:
             raise InvalidInputError(f"carrier frequency must be positive, got {self.carrier_ghz}")
         for name in ("loss_atm_db", "loss_shadow_db", "loss_scint_db", "loss_polar_db"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise InvalidInputError(f"{name} must be >= 0 dB")
 
 
@@ -47,9 +47,9 @@ def fspl_db(carrier_ghz: float, distance_m: float) -> float:
     32.45 + 20 log10(f_GHz) + 20 log10(d_m); identical to the Friis form
     92.45 + 20 log10(f_GHz) + 20 log10(d_km).
     """
-    if carrier_ghz <= 0:
+    if not carrier_ghz > 0:
         raise InvalidInputError(f"carrier frequency must be positive, got {carrier_ghz}")
-    if distance_m <= 0:
+    if not distance_m > 0:
         raise InvalidInputError(f"distance must be positive, got {distance_m}")
     return 10.0 * (3.245 + math.log10(carrier_ghz ** 2) + math.log10(distance_m ** 2))
 

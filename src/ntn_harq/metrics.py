@@ -45,32 +45,23 @@ def cycle_length_closed_form(
 ) -> int:
     """Exact HARQ-cycle length in subframes for the given scheduling mode.
 
-    Legacy fixed-delay cycles carry a single TB.  Variable-delay cycles
-    account for every grant block (one per TB under STBG), the packed data
-    region, the feedback chain and the mandatory-minimum guard, plus the
-    two switch gaps.
+    Variable-delay cycles account for every grant block (one per TB under
+    STBG), the packed data region, the feedback chain and the
+    mandatory-minimum guard, plus the two switch gaps.  A fixed-delay
+    cycle carries a single TB and is that one-TB variable-delay cycle less
+    one switch gap: its delay sits at the minimum itself, while
+    ``delay_guard`` pads a variable delay to the minimum plus the gap.
     """
     n = params.n_tbphc
+    if mode is SchedulingMode.LEGACY_FIXED and n != 1:
+        raise InvalidInputError("fixed-delay cycles schedule exactly one TB")
     p = params.rep_pdcch
     sw = params.n_switch
-    if mode is SchedulingMode.LEGACY_FIXED:
-        if n != 1:
-            raise InvalidInputError("fixed-delay cycles schedule exactly one TB")
-        if direction is Direction.DL:
-            return (
-                p
-                + params.n_dg2d
-                + params.rep_pdsch
-                + params.dd2a_min
-                + params.rep_pucch
-                + sw
-            )
-        return p + params.rep_pusch + params.ug2d_min + sw
     if direction is Direction.DL:
         grants = p if params.grant_mode is GrantMode.MTBG else n * p
         n_bundle = params.n_bundle if params.ack_bundling else 1
         wait = feedback_wait(n - 1, n_bundle, params.rep_pucch)
-        return (
+        length = (
             grants
             + params.n_dg2d
             + n * params.rep_pdsch
@@ -79,9 +70,11 @@ def cycle_length_closed_form(
             + delay_guard(params, direction)
             + 2 * sw
         )
-    if params.ack_bundling:
+    elif params.ack_bundling:
         raise InvalidInputError("feedback bundling applies to downlink cycles only")
-    return n * p + delay_guard(params, direction) + n * params.rep_pusch + 2 * sw
+    else:
+        length = n * p + delay_guard(params, direction) + n * params.rep_pusch + 2 * sw
+    return length - sw if mode is SchedulingMode.LEGACY_FIXED else length
 
 
 def suf_closed_form(params: CycleParams, direction: Direction, mode: SchedulingMode) -> float:
@@ -92,7 +85,7 @@ def suf_closed_form(params: CycleParams, direction: Direction, mode: SchedulingM
 def throughput(suf: float, tbs_bits: int) -> float:
     """Useful data rate in bits/s for a utilization factor and TB size,
     one TB per subframe at full utilization."""
-    if tbs_bits <= 0:
+    if not tbs_bits > 0:
         raise InvalidInputError("TB size must be positive")
     return suf * (tbs_bits / SF_SECONDS)
 
@@ -108,8 +101,8 @@ def delay_power(efficiency_mops_per_mw: float, op_rate_per_s: float, op_count: f
     op_rate * op_count divided by the processor efficiency; MOPS/mW
     reconciles to 1e9 ops-per-second per watt.
     """
-    if efficiency_mops_per_mw <= 0 or op_rate_per_s <= 0:
+    if not (efficiency_mops_per_mw > 0 and op_rate_per_s > 0):
         raise InvalidInputError("processor efficiency and op rate must be positive")
-    if op_count < 0:
+    if not op_count >= 0:
         raise InvalidInputError("op count must be >= 0")
     return op_rate_per_s * op_count / (efficiency_mops_per_mw * 1e9)

@@ -264,8 +264,8 @@ def _values(keys: tuple[str, ...], texts: tuple[str | None, ...]) -> dict[str, A
 # Apart from protocol.extended_harq, the scalar keys follow its field order.
 _GEOMETRY_KEYS = tuple(key for key in _SCHEMA if key.startswith("geometry."))
 _LINK_KEYS = tuple(key for key in _SCHEMA if key.startswith("link."))
-_CYCLE_KEYS = ("protocol", "cycle.rep_pdcch", "cycle.rep_pucch", "cycle.n_switch", "cycle.n_dg2d", "cycle.dd2a_min",
-               "cycle.ug2d_min", "cycle.n_bundle", "cycle.grant_mode", "cycle.ack_bundling")
+_CYCLE_KEYS = ("protocol", "direction", "cycle.rep_pdcch", "cycle.rep_pucch", "cycle.n_switch", "cycle.n_dg2d",
+               "cycle.dd2a_min", "cycle.ug2d_min", "cycle.n_bundle", "cycle.grant_mode", "cycle.ack_bundling")
 _SCALAR_KEYS = ("protocol", "protocol.extended_harq", "tbs_bits", "target_bler", "direction", "mode", "cycle.n_tbphc",
                 "cycle.n_a2g", "cycle.max_harq", "power.efficiency_mops_per_mw", "power.op_rate_per_s")
 _MONTE_CARLO_KEYS = tuple(key for key in _SCHEMA if key.startswith("monte_carlo."))
@@ -285,9 +285,10 @@ _monte_carlo_section = _section_of(MonteCarloSettings, _MONTE_CARLO_KEYS)
 def _cycle_section(texts: tuple[str | None, ...]) -> CycleParams:
     """The cycle template; a ``protocol`` timing value takes the protocol's.
     A minimum delay must leave room for the switch between receiving and
-    sending that it spans."""
+    sending that it spans, and only a downlink cycle bundles feedback."""
     values = _values(_CYCLE_KEYS, texts)
     protocol = values.pop("protocol")
+    direction = values.pop("direction")
     for name in ("n_switch", "dd2a_min", "ug2d_min"):
         if values[name] is None:
             values[name] = getattr(protocol, name)
@@ -297,6 +298,11 @@ def _cycle_section(texts: tuple[str | None, ...]) -> CycleParams:
                 f"cycle.{name} = {values[name]} is shorter than cycle.n_switch = {values['n_switch']}: "
                 f"a minimum delay spans the switch between receiving and sending"
             )
+    if values["ack_bundling"] and direction is Direction.UL:
+        raise ConfigError(
+            "cycle.ack_bundling = true needs direction = dl: feedback bundling "
+            "applies to downlink cycles only"
+        )
     return CycleParams(**values)
 
 
@@ -455,17 +461,11 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
     count per cycle -> cycle parameters.
 
     A legacy config keeps its configured TB count (one under ``auto``), so
-    multi-TB conflict attempts can still be rendered.  Raises ConfigError
-    when feedback bundling is set on an uplink cycle, CurveNotFoundError
-    when the table has no curve for the TB size, and InfeasibleLinkError
-    when no tabulated repetition count reaches the target BLER at the
-    operating SNR.
+    multi-TB conflict attempts can still be rendered.  Raises
+    CurveNotFoundError when the table has no curve for the TB size, and
+    InfeasibleLinkError when no tabulated repetition count reaches the
+    target BLER at the operating SNR.
     """
-    if config.cycle.ack_bundling and config.direction is Direction.UL:
-        raise ConfigError(
-            "cycle.ack_bundling = true needs direction = dl: feedback bundling "
-            "applies to downlink cycles only"
-        )
     rtt_ms, snr, n_rep = _operating_point(config.geometry, config.link, table, config.tbs_bits, config.target_bler)
     if isinstance(n_rep, str):
         raise InfeasibleLinkError(n_rep)

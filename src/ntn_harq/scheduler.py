@@ -393,7 +393,7 @@ def bs_view(timeline: SubframeTimeline, rtt_ms: float) -> SubframeTimeline:
     on one BS subframe keep the order of their UE subframes."""
     if timeline.perspective is not Perspective.UE:
         raise InvalidInputError("bs_view() expects a UE-perspective timeline")
-    if rtt_ms < 0:
+    if not rtt_ms >= 0:
         raise InvalidInputError("rtt must be >= 0")
     shift = math.ceil(rtt_ms / 2.0 / SF_MS)
     # positions count from the new origin, half a round trip earlier; a

@@ -56,6 +56,19 @@ def test_operating_point_selection(table, tbs, snr, expected):
     assert select_repetitions(table, tbs, snr, 0.1) == expected
 
 
+def test_a_nan_snr_is_rejected(table):
+    with pytest.raises(InvalidInputError, match="^SNR must be a number, got nan$"):
+        bler_at(table, 504, 24, math.nan)
+    with pytest.raises(InvalidInputError, match="^SNR must be a number, got nan$"):
+        select_repetitions(table, 504, math.nan, 0.1)
+
+
+@pytest.mark.parametrize("target", [math.nan, 0.0, -0.1, 1.5])
+def test_selection_rejects_a_target_outside_the_unit_interval(table, target):
+    with pytest.raises(InvalidInputError, match=r"^target BLER must lie in \(0, 1\], got "):
+        select_repetitions(table, 504, -5.6, target)
+
+
 def test_selection_infeasible_when_link_too_weak(table):
     with pytest.raises(InfeasibleLinkError):
         select_repetitions(table, 504, -40.0, 0.1)

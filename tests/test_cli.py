@@ -307,11 +307,32 @@ def test_a_minimum_delay_shorter_than_the_switch_gap_names_both_keys(ltem_copy, 
 @pytest.mark.parametrize("mode", ["proposed", "legacy"])
 def test_run_uplink_bundling_names_both_keys(ltem_copy, capsys, mode):
     ltem_copy.write_text(ltem_copy.read_text() + f"cycle.ack_bundling = true\nmode = {mode}\n")
-    assert run_cli("run", ltem_copy) == 3
-    assert capsys.readouterr().err == (
-        "config error: cycle.ack_bundling = true needs direction = dl: "
-        "feedback bundling applies to downlink cycles only\n"
-    )
+    for args in (["run", ltem_copy], ["timeline", ltem_copy], ["calibrate", ltem_copy, "--dry-run"],
+                 ["calibrate", ltem_copy]):
+        assert run_cli(*args) == 3
+        assert capsys.readouterr() == ("", (
+            "config error: cycle.ack_bundling = true needs direction = dl: "
+            "feedback bundling applies to downlink cycles only\n"
+        ))
+    assert ltem_copy.read_text().endswith(f"mode = {mode}\n")  # calibrate wrote nothing
+
+
+@pytest.mark.parametrize("args", [
+    ["timeline", LTEM, "--format", "pdf"],
+    [],
+    ["run"],
+    ["render", LTEM],
+], ids=["bad-choice", "no-command", "no-config", "unknown-command"])
+def test_a_usage_error_exits_3_not_the_infeasible_status(args, capsys):
+    assert run_cli(*args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ntn-harq") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    assert run_cli("--help") == 0
+    assert capsys.readouterr().out.startswith("usage: ntn-harq")
 
 
 @pytest.mark.parametrize("command", ["run", "timeline"])

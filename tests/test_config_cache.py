@@ -212,13 +212,15 @@ def test_point_errors_raise_on_every_call(table):
         (min_delay, MinDelayViolationError),
         ({"geometry.altitude_km": "3000"}, InfeasibleLinkError),
         ({"tbs_bits": "1000"}, CurveNotFoundError),
-        ({"cycle.ack_bundling": "true"}, ConfigError),
     )
     for raw, error in cases:
         config = config_from_mapping(raw)
         for _ in range(2):
             with pytest.raises(error):
                 run_scenario(config, table)
+    for _ in range(2):  # uplink bundling is refused when the cycle section is parsed
+        with pytest.raises(ConfigError, match="^cycle.ack_bundling = true needs direction = dl"):
+            config_from_mapping({"cycle.ack_bundling": "true"})
 
 
 def test_an_infeasible_point_is_resolved_once_and_raises_a_fresh_error_each_time(table):

@@ -71,7 +71,7 @@ def test_slant_range_monotonic_in_altitude():
         assert all(a < b for a, b in zip(ranges, ranges[1:]))
 
 
-@pytest.mark.parametrize("bad", [(0, 45), (-5, 45), (600, -1), (600, 90.5)])
+@pytest.mark.parametrize("bad", [(0, 45), (-5, 45), (600, -1), (600, 90.5), (math.nan, 45), (600, math.nan)])
 def test_slant_range_rejects_bad_inputs(bad):
     with pytest.raises(InvalidInputError):
         slant_range(*bad)
@@ -118,6 +118,8 @@ def test_transparent_exceeds_regenerative():
 def test_orbit_geometry_validation():
     with pytest.raises(InvalidInputError):
         OrbitGeometry(0, Payload.REGENERATIVE, 30)
+    with pytest.raises(InvalidInputError, match="altitude must be positive, got nan"):
+        OrbitGeometry(math.nan, Payload.REGENERATIVE, 30)
     with pytest.raises(InvalidInputError):
         OrbitGeometry(600, Payload.REGENERATIVE, 5)
     with pytest.raises(InvalidInputError):

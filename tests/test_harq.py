@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ntn_harq.errors import InvalidInputError
@@ -8,6 +10,7 @@ from ntn_harq.harq import (
     delay_plan,
     fixed_positions,
     harq_for_tbphc,
+    harq_processes,
     required_harq_count,
 )
 
@@ -77,6 +80,17 @@ def test_required_harq_count_rejects_bad_inputs():
         required_harq_count(0, 1)
     with pytest.raises(InvalidInputError):
         required_harq_count(20, 0)
+    with pytest.raises(InvalidInputError):
+        required_harq_count(math.nan, 1)
+
+
+def test_harq_sizing_rejects_a_bad_round_trip():
+    params = CycleParams(n_tbphc=4, rep_pdsch=12)
+    for rtt in (-1.0, math.nan):
+        with pytest.raises(InvalidInputError, match="^rtt and ack processing must be >= 0$"):
+            harq_processes(params, 4, 48, rtt, 0)
+        with pytest.raises(InvalidInputError, match="^rtt and ack processing must be >= 0$"):
+            harq_for_tbphc(params, rtt, 0)
 
 
 def test_harq_for_tbphc_degenerate_rtt():

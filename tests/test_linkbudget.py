@@ -42,7 +42,7 @@ def test_fspl_against_friis(distance_m, frozen_db):
     assert got == pytest.approx(frozen_db, abs=0.05)
 
 
-@pytest.mark.parametrize("bad", [(0, 1), (2, 0), (-1, 1), (2, -5)])
+@pytest.mark.parametrize("bad", [(0, 1), (2, 0), (-1, 1), (2, -5), (math.nan, 1e6), (2, math.nan)])
 def test_fspl_rejects_bad_inputs(bad):
     with pytest.raises(InvalidInputError):
         fspl_db(*bad)
@@ -86,5 +86,8 @@ def test_each_loss_term_subtracts_exactly(field):
 def test_params_validation():
     with pytest.raises(InvalidInputError):
         LinkBudgetParams(23, -4.9, 0, 2.0)
+    for field in ("bandwidth_hz", "carrier_ghz", "loss_atm_db", "loss_shadow_db", "loss_scint_db", "loss_polar_db"):
+        with pytest.raises(InvalidInputError):
+            EVAL_PARAMS._replace(**{field: math.nan})
     with pytest.raises(InvalidInputError):
         LinkBudgetParams(23, -4.9, 180e3, 2.0, loss_shadow_db=-1)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -153,6 +154,8 @@ def test_throughput_validation():
         throughput(0.5, 0)
     with pytest.raises(InvalidInputError):
         throughput(0.5, -504)
+    with pytest.raises(InvalidInputError):
+        throughput(0.5, math.nan)
 
 
 # --- monotonicity ------------------------------------------------------------
@@ -240,6 +243,9 @@ DELAY_POWER_BAD_VALUES = {
     "efficiency": (0.0, 1000.0, 6, "processor efficiency and op rate must be positive"),
     "op_rate": (144.0, -1.0, 6, "processor efficiency and op rate must be positive"),
     "op_count": (144.0, 1000.0, -1, "op count must be >= 0"),
+    "efficiency_nan": (math.nan, 1000.0, 6, "processor efficiency and op rate must be positive"),
+    "op_rate_nan": (144.0, math.nan, 6, "processor efficiency and op rate must be positive"),
+    "op_count_nan": (144.0, 1000.0, math.nan, "op count must be >= 0"),
 }
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ntn_harq.errors import MinDelayViolationError
+from ntn_harq.errors import InvalidInputError, MinDelayViolationError
 from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, delay_plan
 from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
 from ntn_harq.cli import render_timeline_text
@@ -156,6 +156,28 @@ def test_closed_form_refuses_exactly_the_cycles_the_builder_refuses(cycle):
     closed_form = _refusal(lambda p, d: cycle_length_closed_form(p, d, SchedulingMode.PROPOSED_VARIABLE),
                            params, direction)
     assert closed_form == _refusal(build_proposed_cycle, params, direction)
+
+
+def _one_tb(cycle: tuple[CycleParams, Direction]) -> tuple[CycleParams, Direction]:
+    params, direction = cycle
+    return params._replace(n_tbphc=1), direction
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycles().map(_one_tb))
+def test_legacy_closed_form_matches_the_legacy_builder(cycle):
+    # the builder places the fixed delay block by block, apart from the closed form
+    params, direction = cycle
+    built = build_legacy_cycle(params, direction)
+    assert isinstance(built, SubframeTimeline)  # one TB never double-books a subframe
+    assert len(built) == cycle_length_closed_form(params, direction, SchedulingMode.LEGACY_FIXED)
+
+
+@pytest.mark.parametrize("mode", SchedulingMode)
+def test_both_closed_forms_refuse_an_uplink_cycle_that_bundles_feedback(mode):
+    params = CycleParams(ack_bundling=True, n_bundle=2)
+    with pytest.raises(InvalidInputError, match="^feedback bundling applies to downlink cycles only$"):
+        cycle_length_closed_form(params, Direction.UL, mode)
 
 
 def _padded_delays(timeline: SubframeTimeline, params: CycleParams, direction: Direction) -> list[int]:

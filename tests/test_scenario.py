@@ -120,6 +120,17 @@ def test_parse_rejects_bad_line():
         parse_config_text("just words\n")
 
 
+def test_uplink_bundling_is_refused_when_the_config_is_parsed():
+    assert config_from_mapping({"cycle.ack_bundling": "true", "direction": "dl"}).cycle.ack_bundling
+    for mode in ("proposed", "legacy"):
+        with pytest.raises(ConfigError, match="^cycle.ack_bundling = true needs direction = dl: feedback bundling "
+                                              "applies to downlink cycles only$"):
+            config_from_mapping({"cycle.ack_bundling": "true", "mode": mode})
+    # a config that breaks both cycle rules reports the minimum delay first
+    with pytest.raises(ConfigError, match="^cycle.ug2d_min = 0 is shorter than cycle.n_switch = 1: "):
+        config_from_mapping({"cycle.ack_bundling": "true", "cycle.ug2d_min": "0"})
+
+
 def test_mapping_rejects_bad_values():
     with pytest.raises(ConfigError):
         config_from_mapping({"tbs_bits": "many"})

@@ -353,8 +353,9 @@ def test_bs_view_grant_position_example():
 
 
 def test_bs_view_rejects_negative_rtt():
-    with pytest.raises(InvalidInputError):
-        bs_view(SubframeTimeline.from_slots(slots=[()]), -1)
+    for rtt in (-1, math.nan):
+        with pytest.raises(InvalidInputError, match="^rtt must be >= 0$"):
+            bs_view(SubframeTimeline.from_slots(slots=[()]), rtt)
 
 
 # --- export ----------------------------------------------------------------
