@@ -29,6 +29,11 @@ class GrantMode(IdentityEnum):
     MTBG = "mtbg"  # one control grant schedules the whole cycle
 
 
+# the hot paths read members as globals: a read off the enum class costs
+# about ten times as much on Python 3.11
+_DL = Direction.DL
+
+
 class Activity(IdentityEnum):
     RX_PDCCH = "RxPDCCH"
     RX_PDSCH = "RxPDSCH"
@@ -91,8 +96,8 @@ def required_harq_count(rtt_ms: float, rep_data: int) -> int:
     """Minimum number of HARQ processes that keeps a half-duplex sender
     busy across the whole round trip, given each TB occupies
     ``rep_data`` subframes."""
-    if not (rtt_ms > 0 and rep_data >= 1):
-        raise InvalidInputError("rtt and repetitions must be positive")
+    if not (0 < rtt_ms < math.inf and 1 <= rep_data < math.inf):
+        raise InvalidInputError("rtt and repetitions must be positive and finite")
     return math.ceil(rtt_ms / (rep_data * SF_MS))
 
 
@@ -114,7 +119,7 @@ def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
     gap.
     """
     n, sw = params.n_tbphc, params.n_switch
-    if direction is Direction.DL:
+    if direction is _DL:
         n_bundle = params.n_bundle if params.ack_bundling else 1
         r = params.rep_pdsch
         return tuple((n - 1 - b) * r + feedback_wait(b, n_bundle, params.rep_pucch) + sw for b in range(n))
@@ -140,7 +145,7 @@ def delay_guard(params: CycleParams, direction: Direction) -> int:
     ``j = (d1 - m) // (p - r) + 2``, and MinDelayViolationError names it.
     """
     n = params.n_tbphc
-    if direction is Direction.DL:
+    if direction is _DL:
         g = params.n_bundle if params.ack_bundling else 1
         r, q = params.rep_pdsch, params.rep_pucch
         k = (n - 1) // g  # the last TB's group
@@ -166,8 +171,8 @@ def harq_processes(params: CycleParams, n_tbphc: int, data_sf: int, rtt_ms: floa
     scheduler's feedback-processing time (``ack_proc_sf`` subframes) before
     a process can be re-granted.  Only the grant, feedback and switch terms
     are read from ``params``, so a one-TB template sizes any TB count."""
-    if not (rtt_ms >= 0 and ack_proc_sf >= 0):
-        raise InvalidInputError("rtt and ack processing must be >= 0")
+    if not (0 <= rtt_ms < math.inf and 0 <= ack_proc_sf < math.inf):
+        raise InvalidInputError("rtt and ack processing must be finite and >= 0")
     cycle_sf = params.rep_pdcch + params.n_dg2d + data_sf + n_tbphc * params.rep_pucch
     cycle_ms = SF_MS * cycle_sf + 2.0 * params.n_switch * SF_MS
     wait_ms = rtt_ms + ack_proc_sf * SF_MS

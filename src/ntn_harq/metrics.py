@@ -17,6 +17,8 @@ class SchedulingMode(IdentityEnum):
     PROPOSED_VARIABLE = "proposed"
 
 
+_DL, _MTBG, _LEGACY = Direction.DL, GrantMode.MTBG, SchedulingMode.LEGACY_FIXED  # globals: see harq._DL
+
 # Operations per delay evaluation, counted off the three delay formulas as
 # written: two subtractions, two multiplications and two additions for the
 # plain DL and UL forms; the bundled form adds a division and a floor.
@@ -28,16 +30,6 @@ DELAY_OP_COUNTS = {
 
 # Worst case: delays recomputed every subframe.
 DEFAULT_OP_RATE_PER_S = 1000.0
-
-
-def suf_generic(n_data: int, n_rep: int, n_hc: int) -> float:
-    """Subframe utilization: data subframes over repetitions times cycle
-    length (each TB's repetitions carry one TB of unique payload)."""
-    if n_rep < 1 or n_hc < 1 or n_data < 1:
-        raise InvalidInputError("n_data, n_rep and n_hc must be >= 1")
-    if n_data > n_rep * n_hc:
-        raise InvalidInputError("data subframes cannot exceed n_rep * n_hc")
-    return n_data / (n_rep * n_hc)
 
 
 def cycle_length_closed_form(
@@ -53,12 +45,12 @@ def cycle_length_closed_form(
     ``delay_guard`` pads a variable delay to the minimum plus the gap.
     """
     n = params.n_tbphc
-    if mode is SchedulingMode.LEGACY_FIXED and n != 1:
+    if mode is _LEGACY and n != 1:
         raise InvalidInputError("fixed-delay cycles schedule exactly one TB")
     p = params.rep_pdcch
     sw = params.n_switch
-    if direction is Direction.DL:
-        grants = p if params.grant_mode is GrantMode.MTBG else n * p
+    if direction is _DL:
+        grants = p if params.grant_mode is _MTBG else n * p
         n_bundle = params.n_bundle if params.ack_bundling else 1
         wait = feedback_wait(n - 1, n_bundle, params.rep_pucch)
         length = (
@@ -74,7 +66,7 @@ def cycle_length_closed_form(
         raise InvalidInputError("feedback bundling applies to downlink cycles only")
     else:
         length = n * p + delay_guard(params, direction) + n * params.rep_pusch + 2 * sw
-    return length - sw if mode is SchedulingMode.LEGACY_FIXED else length
+    return length - sw if mode is _LEGACY else length
 
 
 def suf_closed_form(params: CycleParams, direction: Direction, mode: SchedulingMode) -> float:

@@ -10,15 +10,19 @@ any attribute raises ``AttributeError``.  Every enum subclasses
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter
 from typing import Any
 
 
 class IdentityEnum(Enum):
     """Base of the package's enums.  Members are singletons, so hashing by
     identity agrees with equality, and it runs in C where ``Enum.__hash__``
-    runs Python code on every set or dict lookup."""
+    runs Python code on every set or dict lookup.  ``value`` reads the
+    member's ``_value_`` in C too, where Enum's own getter makes two
+    Python calls per read."""
 
     __hash__ = object.__hash__
+    value = property(attrgetter("_value_"))
 
 
 class Validated:

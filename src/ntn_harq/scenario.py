@@ -15,6 +15,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
@@ -37,6 +38,8 @@ if TYPE_CHECKING:
     from .scheduler import GoodputResult
 
 MAX_AUTO_TBPHC = 512
+
+_UL, _LEGACY, _PROPOSED = Direction.UL, SchedulingMode.LEGACY_FIXED, SchedulingMode.PROPOSED_VARIABLE  # see harq._DL
 
 # The bound of every cache here: the five config sections, the operating
 # points and completed cycles.  Full, they retain under 8 MB (see the
@@ -269,6 +272,10 @@ _CYCLE_KEYS = ("protocol", "direction", "cycle.rep_pdcch", "cycle.rep_pucch", "c
 _SCALAR_KEYS = ("protocol", "protocol.extended_harq", "tbs_bits", "target_bler", "direction", "mode", "cycle.n_tbphc",
                 "cycle.n_a2g", "cycle.max_harq", "power.efficiency_mops_per_mw", "power.op_rate_per_s")
 _MONTE_CARLO_KEYS = tuple(key for key in _SCHEMA if key.startswith("monte_carlo."))
+# every schema key without a text, and a reader of each section's texts
+_UNSET = dict.fromkeys(_SCHEMA)
+_geometry_texts, _link_texts, _cycle_texts, _scalar_texts, _monte_carlo_texts = (
+    itemgetter(*keys) for keys in (_GEOMETRY_KEYS, _LINK_KEYS, _CYCLE_KEYS, _SCALAR_KEYS, _MONTE_CARLO_KEYS))
 
 
 def _section_of(cls: type, keys: tuple[str, ...]) -> Callable[[tuple[str | None, ...]], Any]:
@@ -298,7 +305,7 @@ def _cycle_section(texts: tuple[str | None, ...]) -> CycleParams:
                 f"cycle.{name} = {values[name]} is shorter than cycle.n_switch = {values['n_switch']}: "
                 f"a minimum delay spans the switch between receiving and sending"
             )
-    if values["ack_bundling"] and direction is Direction.UL:
+    if values["ack_bundling"] and direction is _UL:
         raise ConfigError(
             "cycle.ack_bundling = true needs direction = dl: feedback bundling "
             "applies to downlink cycles only"
@@ -325,16 +332,19 @@ def _raise_first_bad_key(raw: Mapping[str, str]) -> None:
 
 def config_from_mapping(raw: Mapping[str, str]) -> ScenarioConfig:
     """Build a validated ScenarioConfig from raw string values.  Each
-    section is one cache lookup on the texts of its keys."""
-    if not raw.keys() <= _SCHEMA.keys():
+    section is one cache lookup on the texts of its keys: one merge puts
+    every schema key's text, None where absent, in one map, and one
+    ``itemgetter`` per section reads its texts off that map."""
+    texts = {**_UNSET, **raw}  # not `_UNSET | raw`, which refuses a Mapping that is not a dict
+    if len(texts) != len(_UNSET):
         _raise_first_bad_key(raw)  # raises: a key outside the schema is bad
     try:
         return ScenarioConfig(  # positional, in field order: the fastest call
-            _geometry_section(tuple(map(raw.get, _GEOMETRY_KEYS))),
-            _link_section(tuple(map(raw.get, _LINK_KEYS))),
-            _cycle_section(tuple(map(raw.get, _CYCLE_KEYS))),
-            *_scalar_section(tuple(map(raw.get, _SCALAR_KEYS))),
-            _monte_carlo_section(tuple(map(raw.get, _MONTE_CARLO_KEYS))),
+            _geometry_section(_geometry_texts(texts)),
+            _link_section(_link_texts(texts)),
+            _cycle_section(_cycle_texts(texts)),
+            *_scalar_section(_scalar_texts(texts)),
+            _monte_carlo_section(_monte_carlo_texts(texts)),
         )
     except ConfigError:
         _raise_first_bad_key(raw)
@@ -469,7 +479,7 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
     rtt_ms, snr, n_rep = _operating_point(config.geometry, config.link, table, config.tbs_bits, config.target_bler)
     if isinstance(n_rep, str):
         raise InfeasibleLinkError(n_rep)
-    if config.mode is SchedulingMode.LEGACY_FIXED:
+    if config.mode is _LEGACY:
         n_tbphc = config.n_tbphc or 1
     else:
         n_tbphc = select_tbphc(config, n_rep, rtt_ms)
@@ -482,7 +492,7 @@ def auto_tbphc_capped(config: ScenarioConfig, resolved: ResolvedScenario) -> boo
     although the HARQ budget admits more."""
     return (
         config.n_tbphc is None
-        and config.mode is SchedulingMode.PROPOSED_VARIABLE
+        and config.mode is _PROPOSED
         and resolved.params.n_tbphc == MAX_AUTO_TBPHC
         and _harq_needed(config, MAX_AUTO_TBPHC + 1, resolved.n_rep, resolved.rtt_ms) <= config.max_harq
     )
@@ -513,7 +523,7 @@ CSV_COLUMNS = tuple(name for name in ScenarioResult._fields if name != "goodput"
 
 
 def _power_scheme(config: ScenarioConfig) -> str:
-    if config.direction is Direction.UL:
+    if config.direction is _UL:
         return "ug2d"
     return "dd2a_bundled" if config.cycle.ack_bundling else "dd2a"
 
@@ -526,17 +536,18 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     ``harq.delay_guard``, read by the closed-form SUF, finds an uplink TB
     short of its minimum delay.
     """
-    if config.mode is SchedulingMode.LEGACY_FIXED and config.n_tbphc not in (None, 1):
+    mode = config.mode
+    if mode is _LEGACY and config.n_tbphc not in (None, 1):
         raise ConfigError(
             "legacy fixed-delay scheduling carries one TB per cycle; use the timeline "
             "command to inspect multi-TB attempts"
         )
     rtt_ms, snr, n_rep, params = resolve(config, table)
-    suf = suf_closed_form(params, config.direction, config.mode)
+    suf = suf_closed_form(params, config.direction, mode)
     gain = 0.0
-    if config.mode is SchedulingMode.PROPOSED_VARIABLE:
+    if mode is _PROPOSED:
         baseline_params = _completed_cycle(config.cycle, config.cycle.n_tbphc, n_rep)
-        baseline_suf = suf_closed_form(baseline_params, config.direction, SchedulingMode.LEGACY_FIXED)
+        baseline_suf = suf_closed_form(baseline_params, config.direction, _LEGACY)
         gain = suf / baseline_suf - 1.0
     rate = throughput(suf, config.tbs_bits)
     required = harq_for_tbphc(params, rtt_ms, config.n_a2g)
@@ -544,7 +555,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
                           DELAY_OP_COUNTS[_power_scheme(config)])
     goodput = None
     mc = config.monte_carlo
-    if mc.n_cycles > 0 and config.mode is SchedulingMode.PROPOSED_VARIABLE:
+    if mc.n_cycles > 0 and mode is _PROPOSED:
         from .scheduler import monte_carlo_goodput  # here, so runs without Monte Carlo never load the scheduler
         goodput = monte_carlo_goodput(
             params,
@@ -554,23 +565,11 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
             mc.seed,
             config.tbs_bits,
         )
-    return ScenarioResult(
-        scenario_id=config.scenario_id,
-        altitude_km=config.geometry.altitude_km,
-        payload=config.geometry.payload.value,
-        elevation_deg=config.geometry.service_elevation_deg,
-        rtt_ms=rtt_ms,
-        snr_db=snr,
-        tbs_bits=config.tbs_bits,
-        n_rep=n_rep,
-        mode=config.mode.value,
-        n_tbphc=params.n_tbphc,
-        n_harq_required=required,
-        suf=suf,
-        throughput_bps=rate,
-        gain_pct=100.0 * gain,
-        power_nw=power_w * 1e9,
-        goodput=goodput,
+    geometry = config.geometry
+    return ScenarioResult(  # positional, in field order: the fastest call
+        config.scenario_id, geometry.altitude_km, geometry.payload.value, geometry.service_elevation_deg,
+        rtt_ms, snr, config.tbs_bits, n_rep, mode.value, params.n_tbphc, required, suf, rate, 100.0 * gain,
+        power_w * 1e9, goodput,
     )
 
 
@@ -665,7 +664,7 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     skipped: list[tuple[str, Exception]] = []
     for p, a in product(range(1, 9), range(5)):
         candidate = config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a,
-                                    n_tbphc=None, mode=SchedulingMode.PROPOSED_VARIABLE)
+                                    n_tbphc=None, mode=_PROPOSED)
         try:
             gain_pct = run_scenario(candidate, table).gain_pct
         except _POINT_ERRORS as exc:

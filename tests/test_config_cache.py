@@ -10,6 +10,7 @@ different meaning stay apart.
 from __future__ import annotations
 
 import itertools
+import types
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -147,6 +148,21 @@ def test_the_first_bad_key_in_mapping_order_names_the_error(first, second):
     for _ in range(2):
         with pytest.raises(ConfigError, match=f"^{error}"):
             config_from_mapping(raw)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_one_unknown_key_among_valid_ones_is_named(position):
+    items = [("geometry.altitude_km", "1200"), ("mode", "legacy"), ("tbs_bits", "144")]
+    items.insert(position, ("link.bogus", "1"))
+    with pytest.raises(ConfigError, match="^unknown configuration key 'link.bogus'$"):
+        config_from_mapping(dict(items))
+
+
+def test_a_read_only_mapping_gives_the_same_config():
+    raw = {"geometry.altitude_km": "1200", "mode": "legacy", "cycle.rep_pdcch": "2", "monte_carlo.seed": "7"}
+    assert config_from_mapping(types.MappingProxyType(raw)) == config_from_mapping(raw)
+    with pytest.raises(ConfigError, match="^unknown configuration key 'link.bogus'$"):
+        config_from_mapping(types.MappingProxyType({**raw, "link.bogus": "1"}))
 
 
 def test_one_text_under_two_keys_is_parsed_per_key():

@@ -82,15 +82,22 @@ def test_required_harq_count_rejects_bad_inputs():
         required_harq_count(20, 0)
     with pytest.raises(InvalidInputError):
         required_harq_count(math.nan, 1)
+    with pytest.raises(InvalidInputError):
+        required_harq_count(math.inf, 1)
+    with pytest.raises(InvalidInputError):
+        required_harq_count(20, math.inf)
 
 
 def test_harq_sizing_rejects_a_bad_round_trip():
     params = CycleParams(n_tbphc=4, rep_pdsch=12)
-    for rtt in (-1.0, math.nan):
-        with pytest.raises(InvalidInputError, match="^rtt and ack processing must be >= 0$"):
+    for rtt in (-1.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="^rtt and ack processing must be finite and >= 0$"):
             harq_processes(params, 4, 48, rtt, 0)
-        with pytest.raises(InvalidInputError, match="^rtt and ack processing must be >= 0$"):
+        with pytest.raises(InvalidInputError, match="^rtt and ack processing must be finite and >= 0$"):
             harq_for_tbphc(params, rtt, 0)
+    for ack_proc_sf in (-1, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="^rtt and ack processing must be finite and >= 0$"):
+            harq_for_tbphc(params, 20.0, ack_proc_sf)
 
 
 def test_harq_for_tbphc_degenerate_rtt():

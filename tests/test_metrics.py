@@ -11,32 +11,11 @@ from ntn_harq.metrics import (
     cycle_length_closed_form,
     delay_power,
     suf_closed_form,
-    suf_generic,
     throughput,
 )
 
 LEGACY = SchedulingMode.LEGACY_FIXED
 PROPOSED = SchedulingMode.PROPOSED_VARIABLE
-
-
-# --- generic SUF ----------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "n_data,n_rep,n_hc,expected",
-    [(1, 4, 11, 1 / 44), (7, 1, 7, 1.0), (1, 1, 8, 0.125)],
-)
-def test_suf_generic(n_data, n_rep, n_hc, expected):
-    assert suf_generic(n_data, n_rep, n_hc) == pytest.approx(expected, rel=1e-12)
-
-
-def test_suf_generic_validation():
-    with pytest.raises(InvalidInputError):
-        suf_generic(1, 0, 8)
-    with pytest.raises(InvalidInputError):
-        suf_generic(0, 1, 8)
-    with pytest.raises(InvalidInputError):
-        suf_generic(9, 1, 8)  # more data SFs than the cycle can hold
 
 
 # --- closed forms -----------------------------------------------------------
@@ -70,9 +49,7 @@ def test_proposed_dl_closed_form_example():
 def test_single_tb_closed_form_consistent_with_generic():
     params = CycleParams(n_tbphc=1, rep_pdcch=1, rep_pusch=12, ug2d_min=3, n_switch=1)
     length = cycle_length_closed_form(params, Direction.UL, LEGACY)
-    assert suf_closed_form(params, Direction.UL, LEGACY) == pytest.approx(
-        suf_generic(12, 12, length)
-    )
+    assert suf_closed_form(params, Direction.UL, LEGACY) == 1 / length
 
 
 def test_legacy_closed_form_requires_single_tb():

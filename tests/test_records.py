@@ -9,6 +9,7 @@ from ``_replace``.
 from __future__ import annotations
 
 import re
+from enum import Enum
 
 import pytest
 
@@ -17,6 +18,7 @@ from ntn_harq.errors import InvalidInputError
 from ntn_harq.geometry import OrbitGeometry, Payload
 from ntn_harq.harq import CycleParams, Direction, GrantMode
 from ntn_harq.linkbudget import LinkBudgetParams
+from ntn_harq.records import IdentityEnum
 from ntn_harq.metrics import SchedulingMode
 from ntn_harq.scenario import (
     PROTOCOLS,
@@ -179,3 +181,17 @@ def test_a_bad_value_raises_from_construction_and_from_replace(cls, field, bad, 
         good._replace(**{field: bad})
     with pytest.raises(InvalidInputError, match=exact):
         cls._make(bad if name == field else value for name, value in zip(cls._fields, good))
+
+
+ENUMS = (Direction, GrantMode, Activity, SchedulingMode, Payload, Perspective)
+
+
+def test_every_enum_subclasses_identity_enum():
+    assert set(IdentityEnum.__subclasses__()) == set(ENUMS)
+
+
+@pytest.mark.parametrize("cls", ENUMS, ids=lambda cls: cls.__name__)
+def test_a_member_value_reads_as_enum_reads_it(cls):
+    for member in cls:
+        assert member.value == Enum.__dict__["value"].__get__(member)
+        assert cls(member.value) is member

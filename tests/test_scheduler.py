@@ -353,8 +353,8 @@ def test_bs_view_grant_position_example():
 
 
 def test_bs_view_rejects_negative_rtt():
-    for rtt in (-1, math.nan):
-        with pytest.raises(InvalidInputError, match="^rtt must be >= 0$"):
+    for rtt in (-1, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="^rtt must be finite and >= 0$"):
             bs_view(SubframeTimeline.from_slots(slots=[()]), rtt)
 
 
