@@ -81,13 +81,18 @@ class CycleParams(Validated, _CycleFields):
         for name in ("n_switch", "n_dg2d", "dd2a_min", "ug2d_min"):
             if getattr(self, name) < 0:
                 raise InvalidInputError(f"{name} must be >= 0")
+        for name, count in zip(self._fields, self[:10]):  # every field ahead of grant_mode is a count
+            if not isinstance(count, int):
+                raise InvalidInputError(f"{name} must be an integer, got {count!r}")
 
 
 def fixed_positions(anchor_sf: int, fixed_delay: int) -> int:
     """Position scheduled a fixed delay after its anchor subframe.
 
     DL: feedback position from the last data subframe.  UL: first data
-    subframe from the last grant subframe.
+    subframe from the last grant subframe.  Every delayed block of both
+    builders lands here: legacy at the minimum delay, proposed at its
+    variable delay plus the guard pad.
     """
     return anchor_sf + fixed_delay + 1
 

@@ -2,9 +2,10 @@
 
 Timelines are UE-perspective by default: each 1 ms slot holds at most one
 activity on a half-duplex UE, and that single-occupancy rule is exactly
-what conflict detection checks.  The legacy builder lays transport blocks
-out contiguously with the fixed delays and reports any slot claimed twice;
-the proposed builder uses the per-TB variable delays and is conflict-free
+what conflict detection checks.  One layout, two delay policies: both
+builders place grant, data and feedback blocks the same way.  The legacy
+builder waits the fixed minimum delays and reports any slot claimed twice;
+the proposed builder waits the per-TB variable delays and is conflict-free
 by construction.
 
 A timeline is stored as blocks, one per repeated transmission, kept
@@ -203,51 +204,59 @@ def _lay_out(blocks: list[Block], n_switch: int) -> tuple[SubframeTimeline, list
 
 
 # ---------------------------------------------------------------------------
-# legacy fixed-delay cycles
+# cycle layout: one layout, two delay policies
 
 
-def _legacy_claims(params: CycleParams, direction: Direction) -> list[Block]:
-    p = params.rep_pdcch
-    tbs = range(1, params.n_tbphc + 1)
-    if direction is Direction.DL:
-        r = params.rep_pdsch
-        data = p + params.n_dg2d
-        claims = [(0, p, SlotUse(_RX_PDCCH), 0)]
-        claims += [(data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), j) for j in tbs]
-        for j in tbs:
-            ack = fixed_positions(data + j * r - 1, params.dd2a_min)
-            claims.append((ack, params.rep_pucch, SlotUse(_TX_PUCCH, j), len(claims)))
-        return claims
-    r = params.rep_pusch
-    claims = []
-    for j in tbs:
-        # grants are paced at the data period so the granted blocks
-        # land back to back
-        grant_start = (j - 1) * r
-        claims.append((grant_start, p, SlotUse(_RX_PDCCH, j), len(claims)))
-        data = fixed_positions(grant_start + p - 1, params.ug2d_min)
-        claims.append((data, r, SlotUse(_TX_PUSCH, j), len(claims)))
+def _cycle_claims(params: CycleParams, direction: Direction, delays: Sequence[int], pad: int, pitch: int,
+                  shared_grant: bool, bundled: bool) -> list[Block]:
+    """Every grant, data and feedback block of a cycle, ranked in claim order.
+    TB j's grant starts at ``(j-1)*pitch``, or one untagged grant at 0
+    serves every TB (``shared_grant``).  DL: data back to back after the
+    last grant, then the feedback, one untagged block per position when
+    ``bundled``.  UL: grant j, then data j.  Each delayed block lands at
+    ``fixed_positions(anchor, delay + pad)``."""
+    p, tbs = params.rep_pdcch, range(1, len(delays) + 1)
+    claims = [(0, p, SlotUse(_RX_PDCCH), 0)] if shared_grant else []
+    if direction is Direction.UL:
+        # listed by position, grants first, but ranked as claimed: TB j's
+        # own grant, then its data, anchored on its grant slot even when a
+        # shared grant leaves that slot idle
+        r, step = params.rep_pusch, 1 if shared_grant else 2
+        if not shared_grant:
+            claims = [((j - 1) * pitch, p, SlotUse(_RX_PDCCH, j), step * (j - 1)) for j in tbs]
+        return claims + [(fixed_positions((j - 1) * pitch + p - 1, delay + pad), r, SlotUse(_TX_PUSCH, j),
+                          1 + step * (j - 1)) for j, delay in zip(tbs, delays)]
+    if not shared_grant:
+        claims = [((j - 1) * pitch, p, SlotUse(_RX_PDCCH, j), j - 1) for j in tbs]
+    r, q = params.rep_pdsch, params.rep_pucch
+    data = claims[-1][0] + p + params.n_dg2d
+    claims += [(data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), len(claims) + j - 1) for j in tbs]
+    acks = [fixed_positions(data + j * r - 1, delay + pad) for j, delay in zip(tbs, delays)]
+    if bundled:  # one block acknowledges the bundle
+        claims += [(ack, q, SlotUse(_TX_PUCCH), len(claims) + k) for k, ack in enumerate(dict.fromkeys(acks))]
+    else:
+        claims += [(ack, q, SlotUse(_TX_PUCCH, j), len(claims) + j - 1) for j, ack in zip(tbs, acks)]
     return claims
 
 
 def build_legacy_cycle(
     params: CycleParams, direction: Direction
 ) -> SubframeTimeline | ConflictReport:
-    """Lay out one fixed-delay cycle.
+    """Lay out one fixed-delay cycle: every TB waits the minimum delay.
 
-    Transport blocks are scheduled contiguously and their feedback (DL) or
-    granted data (UL) sits at the fixed delay.  If any two activities claim
-    the same slot the attempt is returned as a ConflictReport instead of a
-    timeline; with a single TB the cycle always succeeds.
+    Downlink has one grant for the cycle, and uplink grants are paced at
+    the data period so the granted data blocks land back to back;
+    ``grant_mode`` and ``ack_bundling`` are not read.  If any two
+    activities claim the same slot the attempt is returned as a
+    ConflictReport instead of a timeline; one TB always succeeds.
     """
-    timeline, conflicts = _lay_out(_legacy_claims(params, direction), params.n_switch)
+    dl = direction is Direction.DL
+    delays = [params.dd2a_min if dl else params.ug2d_min] * params.n_tbphc
+    claims = _cycle_claims(params, direction, delays, 0, params.rep_pusch, dl, False)
+    timeline, conflicts = _lay_out(claims, params.n_switch)
     if conflicts:
         return ConflictReport(conflicts=tuple(conflicts), attempt=timeline)
     return timeline
-
-
-# ---------------------------------------------------------------------------
-# proposed variable-delay cycles
 
 
 def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeTimeline:
@@ -263,38 +272,8 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
     Raises MinDelayViolationError through ``delay_guard`` when a UL TB's
     padded delay misses the minimum; every padded DL delay meets it.
     """
-    n = params.n_tbphc
-    p = params.rep_pdcch
-    plan = delay_plan(params, direction)
-    pad = delay_guard(params, direction)
-    if params.grant_mode is GrantMode.MTBG:
-        claims = [(0, p, SlotUse(_RX_PDCCH), 0)]
-    else:
-        claims = [(g * p, p, SlotUse(_RX_PDCCH, g + 1), g) for g in range(n)]
-    n_grants = len(claims)
-
-    if direction is Direction.DL:
-        r = params.rep_pdsch
-        data = n_grants * p + params.n_dg2d
-        placed_acks = set()
-        for j, delay in enumerate(plan, 1):
-            claims.append((data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), len(claims)))
-            ack = fixed_positions(data + j * r - 1, delay + pad)
-            if params.ack_bundling:
-                if ack not in placed_acks:  # one block acknowledges the bundle
-                    claims.append((ack, params.rep_pucch, SlotUse(_TX_PUCCH), len(claims)))
-                    placed_acks.add(ack)
-            else:
-                claims.append((ack, params.rep_pucch, SlotUse(_TX_PUCCH, j), len(claims)))
-    else:
-        for j, delay in enumerate(plan, 1):
-            # delays are defined against the j-th grant's end; an MTBG
-            # cycle keeps the same clock, idling where those grants would
-            # sit, so the anchor is the same in both modes
-            anchor = j * p - 1
-            data = fixed_positions(anchor, delay + pad)
-            claims.append((data, params.rep_pusch, SlotUse(_TX_PUSCH, j), len(claims)))
-
+    claims = _cycle_claims(params, direction, delay_plan(params, direction), delay_guard(params, direction),
+                           params.rep_pdcch, params.grant_mode is GrantMode.MTBG, params.ack_bundling)
     timeline, conflicts = _lay_out(claims, params.n_switch)
     if conflicts:  # construction guarantees this never happens
         raise AssertionError(f"variable-delay layout double-booked: {conflicts[0]}")

@@ -263,3 +263,11 @@ def test_cycle_params_validation():
     with pytest.raises(InvalidInputError):
         CycleParams(n_bundle=0)
 
+
+@pytest.mark.parametrize("value", [math.inf, 2.5, 2.0])
+@pytest.mark.parametrize("name", CycleParams._fields[:10])
+def test_cycle_params_rejects_a_count_that_is_not_an_integer(name, value):
+    # a count that passes its bound but is no integer would reach the closed
+    # forms: an infinite or fractional repetition count gives such a length
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got {value!r}$"):
+        CycleParams(**{name: value})

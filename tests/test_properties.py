@@ -17,9 +17,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ntn_harq.errors import InvalidInputError, MinDelayViolationError
-from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, delay_plan
+from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, delay_plan, fixed_positions
 from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
-from ntn_harq.cli import render_timeline_text
+from ntn_harq.cli import render_timeline_svg, render_timeline_text
 from ntn_harq.scheduler import (
     RX_ACTIVITIES,
     Activity,
@@ -171,6 +171,59 @@ def test_legacy_closed_form_matches_the_legacy_builder(cycle):
     built = build_legacy_cycle(params, direction)
     assert isinstance(built, SubframeTimeline)  # one TB never double-books a subframe
     assert len(built) == cycle_length_closed_form(params, direction, SchedulingMode.LEGACY_FIXED)
+
+
+def reference_legacy_claims(params: CycleParams, direction: Direction) -> list[tuple[int, int, SlotUse]]:
+    """The legacy policy written out, in claim order: DL one untagged grant
+    at 0, data back to back after it and each TB's feedback at the fixed
+    delay from its last data SF; UL grant j at ``(j-1)*rep_pusch`` (paced
+    at the data period), then its data at the fixed delay from the grant's
+    last SF."""
+    p, tbs = params.rep_pdcch, range(1, params.n_tbphc + 1)
+    if direction is Direction.DL:
+        r, data = params.rep_pdsch, params.rep_pdcch + params.n_dg2d
+        return ([(0, p, SlotUse(Activity.RX_PDCCH))]
+                + [(data + (j - 1) * r, r, SlotUse(Activity.RX_PDSCH, j)) for j in tbs]
+                + [(fixed_positions(data + j * r - 1, params.dd2a_min), params.rep_pucch,
+                    SlotUse(Activity.TX_PUCCH, j)) for j in tbs])
+    r = params.rep_pusch
+    return [claim for j in tbs for claim in (
+        ((j - 1) * r, p, SlotUse(Activity.RX_PDCCH, j)),
+        (fixed_positions((j - 1) * r + p - 1, params.ug2d_min), r, SlotUse(Activity.TX_PUSCH, j)),
+    )]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycles())
+def test_legacy_cycle_lays_out_the_fixed_delay_policy_in_claim_order(cycle):
+    params, direction = cycle
+    expected = reference_legacy_claims(params, direction)
+    for grant_mode in GrantMode:  # the legacy policy reads neither field
+        for ack_bundling in (False, True):
+            built = build_legacy_cycle(params._replace(grant_mode=grant_mode, ack_bundling=ack_bundling), direction)
+            attempt = built.attempt if isinstance(built, ConflictReport) else built
+            # switch blocks rank after every claim, so rank order is claim order
+            claims = sorted((b for b in attempt.blocks if b[2].activity is not Activity.SWITCH), key=lambda b: b[3])
+            assert [(start, width, use) for start, width, use, _ in claims] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycles(), st.sampled_from([0, 7.5, 41]), st.data())
+def test_ranks_do_not_change_the_output_of_a_conflict_free_cycle(cycle, rtt_ms, data):
+    # no two blocks of a built proposed cycle share a subframe, so the claim
+    # order that ranks record never decides what a subframe shows
+    params, direction = cycle
+    assume(reference_short_delay(params, direction) is None)
+    timeline = build_proposed_cycle(params, direction)
+    ranks = data.draw(st.permutations(range(len(timeline.blocks))))
+    reranked = SubframeTimeline(
+        tuple(sorted(((start, width, use, rank) for (start, width, use, _), rank in zip(timeline.blocks, ranks)),
+                     key=lambda b: (b[0], b[3]))),
+        timeline.length,
+    )
+    for ours, theirs in ((timeline, reranked), (bs_view(timeline, rtt_ms), bs_view(reranked, rtt_ms))):
+        for write in (export_timeline, render_timeline_text, render_timeline_svg):
+            assert write(theirs) == write(ours)
 
 
 @pytest.mark.parametrize("mode", SchedulingMode)
