@@ -61,6 +61,7 @@ _CHANNEL_ROWS = (
     ("PUSCH", Activity.TX_PUSCH, "#e45756"),
     ("switch", Activity.SWITCH, "#b0b0b0"),
 )
+_LEGACY = SchedulingMode.LEGACY_FIXED  # a global: see harq._DL
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -118,6 +119,9 @@ def render_timeline_text(timeline: SubframeTimeline, conflicts: ConflictReport |
 
 
 def render_timeline_svg(timeline: SubframeTimeline, conflicts: ConflictReport | None = None) -> str:
+    """One row per channel, one column per subframe.  A run of subframes
+    with at most one use writes each subframe (its index, rect and TB
+    label) as one string; runs where uses overlap write cell by cell."""
     cell_w, cell_h, left, top = 18, 22, 70, 24
     width = left + len(timeline) * cell_w + 10
     height = top + len(_CHANNEL_ROWS) * cell_h + 40
@@ -125,28 +129,36 @@ def render_timeline_svg(timeline: SubframeTimeline, conflicts: ConflictReport | 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="10">'
     ]
-    for row, (label, _, _) in enumerate(_CHANNEL_ROWS):
+    rows = {}  # activity -> its row's rect and the head of a TB label, each after the x attribute
+    for row, (label, activity, fill) in enumerate(_CHANNEL_ROWS):
         y = top + row * cell_h
         parts.append(f'<text x="4" y="{y + 14}">{label}</text>')
+        rows[activity] = (f'" y="{y}" width="{cell_w - 1}" height="{cell_h - 1}" fill="{fill}"/>',
+                          f'" y="{y + 14}" fill="white">')
     label = f'" y="{top - 8}">'
+    origin = timeline.origin
     for first, stop, uses in timeline.segments:
-        # markup of each cell in this run's columns, after its x attribute
-        cells = []
-        for row, (_, activity, fill) in enumerate(_CHANNEL_ROWS):
-            y = top + row * cell_h
-            for use in uses:
-                if use.activity is activity:
-                    cells.append((
-                        f'" y="{y}" width="{cell_w - 1}" height="{cell_h - 1}" fill="{fill}"/>',
-                        None if use.tb_index is None else f'" y="{y + 14}" fill="white">{use.tb_index}</text>',
-                    ))
-        for i in range(first, stop):
-            x = left + i * cell_w
-            parts.append(f'<text x="{x + 3}{label}{timeline.origin + i}</text>')
-            for rect, text in cells:
-                parts.append(f'<rect x="{x}{rect}')
-                if text:
-                    parts.append(f'<text x="{x + 5}{text}')
+        columns = zip(range(left + first * cell_w, left + stop * cell_w, cell_w), range(origin + first, origin + stop))
+        if len(uses) > 1:
+            drawn = [(rows[channel], tb) for channel in rows for activity, tb in uses if activity is channel]
+            for x, sf in columns:
+                parts.append(f'<text x="{x + 3}{label}{sf}</text>')
+                for (rect, text), tb in drawn:
+                    parts.append(f'<rect x="{x}{rect}')
+                    if tb is not None:
+                        parts.append(f'<text x="{x + 5}{text}{tb}</text>')
+            continue
+        activity, tb = uses[0] if uses else (None, None)
+        if activity not in rows:  # idle: the index alone
+            parts += [f'<text x="{x + 3}{label}{sf}</text>' for x, sf in columns]
+            continue
+        rect, text = rows[activity]
+        if tb is None:
+            parts += [f'<text x="{x + 3}{label}{sf}</text><rect x="{x}{rect}' for x, sf in columns]
+        else:
+            text = f'{text}{tb}</text>'
+            parts += [f'<text x="{x + 3}{label}{sf}</text><rect x="{x}{rect}<text x="{x + 5}{text}'
+                      for x, sf in columns]
     if conflicts:
         y = top + len(_CHANNEL_ROWS) * cell_h + 16
         for c in conflicts.conflicts:
@@ -172,7 +184,7 @@ def render_timeline(config: ScenarioConfig, perspective: str, fmt: str, table: B
     from .scheduler import ConflictReport, bs_view, build_legacy_cycle, build_proposed_cycle, export_timeline
     resolved = resolve(config, table)
     conflicts = None
-    if config.mode is SchedulingMode.LEGACY_FIXED:
+    if config.mode is _LEGACY:
         timeline = build_legacy_cycle(resolved.params, config.direction)
         if isinstance(timeline, ConflictReport):
             conflicts, timeline = timeline, timeline.attempt

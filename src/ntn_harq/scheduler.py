@@ -8,19 +8,21 @@ builder waits the fixed minimum delays and reports any slot claimed twice;
 the proposed builder waits the per-TB variable delays and is conflict-free
 by construction.
 
-A timeline is stored as blocks, one per repeated transmission, kept
-sorted by start.  A block, like a segment, is a plain ``(start, width,
-use, rank)`` tuple, since a NamedTuple call costs about 8x a tuple
-literal: ``use`` claims ``width`` consecutive subframes from ``start``,
-and uses that share a subframe are listed in ascending ``rank``, their
-claim order.  The builders and ``bs_view`` make one block per claim and
-sort once, so they cost O(n log n) in blocks whatever the repetitions.
-Consumers sweep the block endpoints once (``SubframeTimeline.segments``):
-a block alone over its whole span is a segment of its own, and only
-overlapping blocks (legacy attempts, BS views) pass through a heap.  The
-exports do per-subframe work only for the text they write, and the text
-grid is written in one pass over the segments;
-``SubframeTimeline.slots`` expands the per-subframe view on demand.
+A timeline is stored as blocks kept sorted by start.  A block, like a
+segment, is a plain ``(start, width, use, rank)`` tuple, and a use a
+plain ``(activity, tb_index)`` tuple, since a NamedTuple call costs
+several times a tuple literal (a two-field use 320 ns against 36 ns):
+``use`` claims ``width`` subframes from ``start``, and uses that share a
+subframe are listed in ascending ``rank``, their claim order.  The
+builders and ``bs_view`` make one block per claim and sort once, so they
+cost O(n log n) in blocks whatever the repetitions.  Consumers sweep the
+block endpoints once (``SubframeTimeline.segments``): a block alone over
+its whole span is a segment of its own, and only overlapping blocks
+(legacy attempts, BS views) pass through a heap.  The exports do
+per-subframe work only for the text they write: the text grid is one
+pass over the segments, and the SVG grid one string per subframe where
+uses do not overlap; ``SubframeTimeline.slots`` expands the per-subframe
+view on demand.
 """
 from __future__ import annotations
 
@@ -40,7 +42,9 @@ TX_ACTIVITIES = frozenset({Activity.TX_PUCCH, Activity.TX_PUSCH})
 # before Python 3.12 a member read off its class goes through
 # EnumType.__getattr__, ten times slower than a global, so loops read these
 _RX_PDCCH, _RX_PDSCH, _TX_PUCCH, _TX_PUSCH, _SWITCH, _IDLE = Activity
+_DL, _UL, _MTBG, _PROPOSED = Direction.DL, Direction.UL, GrantMode.MTBG, SchedulingMode.PROPOSED_VARIABLE
 _LABELS = {activity: activity.value for activity in Activity}  # a dict read costs about half a .value read
+_DATA_TO_FEEDBACK, _GRANT_TO_DATA = (_RX_PDSCH.value, _TX_PUCCH.value), (_RX_PDCCH.value, _TX_PUSCH.value)
 
 
 class Perspective(IdentityEnum):
@@ -48,18 +52,13 @@ class Perspective(IdentityEnum):
     BS = "BS"
 
 
-class SlotUse(NamedTuple):
-    """One activity claiming one subframe; TB j uses HARQ process j."""
+_UE, _BS = Perspective
 
-    activity: Activity
-    tb_index: int | None = None
-
-
-_SWITCH_USE = SlotUse(Activity.SWITCH)
-
+SlotUse = tuple[Activity, int | None]  # (activity, tb_index); TB j uses HARQ process j
 Segment = tuple[int, int, tuple[SlotUse, ...]]
 Block = tuple[int, int, SlotUse, int]  # (start, width, use, rank)
 
+_SWITCH_USE: SlotUse = (_SWITCH, None)
 _by_position = itemgetter(0, 3)  # (start, rank)
 
 
@@ -169,8 +168,8 @@ class ConflictReport(NamedTuple):
 
 
 def _double_bookings(first: int, stop: int, uses: tuple[SlotUse, ...]) -> list[Conflict]:
-    activities = tuple(_LABELS[u.activity] for u in uses)
-    tb_indices = tuple(u.tb_index for u in uses)
+    activities = tuple(_LABELS[activity] for activity, _ in uses)
+    tb_indices = tuple(tb for _, tb in uses)
     return [Conflict(sf, activities, tb_indices) for sf in range(first, stop)]
 
 
@@ -192,7 +191,7 @@ def _lay_out(blocks: list[Block], n_switch: int) -> tuple[SubframeTimeline, list
         if gap < 0:  # sorted by start, any overlap shows up between neighbours
             attempt = SubframeTimeline(tuple(blocks), max(start + width for start, width, _, _ in blocks))
             return attempt, [c for seg in attempt.segments if len(seg[2]) >= 2 for c in _double_bookings(*seg)]
-        if gap and n_switch and (a_use.activity in RX_ACTIVITIES) != (b_use.activity in RX_ACTIVITIES):
+        if gap and n_switch and (a_use[0] in RX_ACTIVITIES) != (b_use[0] in RX_ACTIVITIES):
             width = min(n_switch, gap)
             laid_out.append((b_start - width, width, _SWITCH_USE, rank))
             rank += 1
@@ -216,26 +215,26 @@ def _cycle_claims(params: CycleParams, direction: Direction, delays: Sequence[in
     ``bundled``.  UL: grant j, then data j.  Each delayed block lands at
     ``fixed_positions(anchor, delay + pad)``."""
     p, tbs = params.rep_pdcch, range(1, len(delays) + 1)
-    claims = [(0, p, SlotUse(_RX_PDCCH), 0)] if shared_grant else []
-    if direction is Direction.UL:
+    claims = [(0, p, (_RX_PDCCH, None), 0)] if shared_grant else []
+    if direction is _UL:
         # listed by position, grants first, but ranked as claimed: TB j's
         # own grant, then its data, anchored on its grant slot even when a
         # shared grant leaves that slot idle
         r, step = params.rep_pusch, 1 if shared_grant else 2
         if not shared_grant:
-            claims = [((j - 1) * pitch, p, SlotUse(_RX_PDCCH, j), step * (j - 1)) for j in tbs]
-        return claims + [(fixed_positions((j - 1) * pitch + p - 1, delay + pad), r, SlotUse(_TX_PUSCH, j),
+            claims = [((j - 1) * pitch, p, (_RX_PDCCH, j), step * (j - 1)) for j in tbs]
+        return claims + [(fixed_positions((j - 1) * pitch + p - 1, delay + pad), r, (_TX_PUSCH, j),
                           1 + step * (j - 1)) for j, delay in zip(tbs, delays)]
     if not shared_grant:
-        claims = [((j - 1) * pitch, p, SlotUse(_RX_PDCCH, j), j - 1) for j in tbs]
+        claims = [((j - 1) * pitch, p, (_RX_PDCCH, j), j - 1) for j in tbs]
     r, q = params.rep_pdsch, params.rep_pucch
     data = claims[-1][0] + p + params.n_dg2d
-    claims += [(data + (j - 1) * r, r, SlotUse(_RX_PDSCH, j), len(claims) + j - 1) for j in tbs]
+    claims += [(data + (j - 1) * r, r, (_RX_PDSCH, j), len(claims) + j - 1) for j in tbs]
     acks = [fixed_positions(data + j * r - 1, delay + pad) for j, delay in zip(tbs, delays)]
     if bundled:  # one block acknowledges the bundle
-        claims += [(ack, q, SlotUse(_TX_PUCCH), len(claims) + k) for k, ack in enumerate(dict.fromkeys(acks))]
+        claims += [(ack, q, (_TX_PUCCH, None), len(claims) + k) for k, ack in enumerate(dict.fromkeys(acks))]
     else:
-        claims += [(ack, q, SlotUse(_TX_PUCCH, j), len(claims) + j - 1) for j, ack in zip(tbs, acks)]
+        claims += [(ack, q, (_TX_PUCCH, j), len(claims) + j - 1) for j, ack in zip(tbs, acks)]
     return claims
 
 
@@ -246,11 +245,14 @@ def build_legacy_cycle(
 
     Downlink has one grant for the cycle, and uplink grants are paced at
     the data period so the granted data blocks land back to back;
-    ``grant_mode`` and ``ack_bundling`` are not read.  If any two
-    activities claim the same slot the attempt is returned as a
-    ConflictReport instead of a timeline; one TB always succeeds.
+    ``grant_mode`` is not read, and ``ack_bundling`` only to refuse an
+    uplink cycle, as the closed form does.  If any two activities claim
+    the same slot the attempt is returned as a ConflictReport instead of a
+    timeline; one TB always succeeds.
     """
-    dl = direction is Direction.DL
+    dl = direction is _DL
+    if not dl and params.ack_bundling:
+        raise InvalidInputError("feedback bundling applies to downlink cycles only")
     delays = [params.dd2a_min if dl else params.ug2d_min] * params.n_tbphc
     claims = _cycle_claims(params, direction, delays, 0, params.rep_pusch, dl, False)
     timeline, conflicts = _lay_out(claims, params.n_switch)
@@ -273,7 +275,7 @@ def build_proposed_cycle(params: CycleParams, direction: Direction) -> SubframeT
     padded delay misses the minimum; every padded DL delay meets it.
     """
     claims = _cycle_claims(params, direction, delay_plan(params, direction), delay_guard(params, direction),
-                           params.rep_pdcch, params.grant_mode is GrantMode.MTBG, params.ack_bundling)
+                           params.rep_pdcch, params.grant_mode is _MTBG, params.ack_bundling)
     timeline, conflicts = _lay_out(claims, params.n_switch)
     if conflicts:  # construction guarantees this never happens
         raise AssertionError(f"variable-delay layout double-booked: {conflicts[0]}")
@@ -296,11 +298,11 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
     not, answers the k-th bundle group, and the last grant slot grants
     every TB without its own.
     """
-    if timeline.perspective is not Perspective.UE:
+    if timeline.perspective is not _UE:
         raise InvalidInputError("validate() checks UE-perspective timelines")
     findings: list[Conflict] = []
     switches = 0  # switch uses on the positions swept so far
-    last_use, last_rx, switches_at_last = None, False, 0  # the last occupied single use
+    last_activity, last_tb, last_rx, switches_at_last = None, None, False, 0  # the last occupied single use
     data_end: dict[int, int] = {}
     ack_start: dict[int, int] = {}
     ack_blocks: list[int] = []  # first slot of each block of rep_pucch feedback slots
@@ -312,20 +314,19 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
         if len(uses) != 1:
             if uses:
                 findings.extend(_double_bookings(first, stop, uses))
-                switches += (stop - first) * sum(u.activity is _SWITCH for u in uses)
+                switches += (stop - first) * sum(activity is _SWITCH for activity, _ in uses)
             continue
-        use = uses[0]
-        activity, tb = use
+        activity, tb = uses[0]
         if activity is _SWITCH:
             switches += stop - first
             continue
         if activity is _IDLE:
             continue
         rx = activity in RX_ACTIVITIES
-        if last_use is not None and rx != last_rx and switches - switches_at_last < params.n_switch:
-            pair = (last_use.activity.value, activity.value)
-            findings.append(Conflict(first, pair, (last_use.tb_index, tb), "missing-switch"))
-        last_use, last_rx, switches_at_last = use, rx, switches
+        if last_activity is not None and rx != last_rx and switches - switches_at_last < params.n_switch:
+            pair = (_LABELS[last_activity], _LABELS[activity])
+            findings.append(Conflict(first, pair, (last_tb, tb), "missing-switch"))
+        last_activity, last_tb, last_rx, switches_at_last = activity, tb, rx, switches
         if activity is _RX_PDSCH:
             if tb is not None:
                 data_end[tb] = stop - 1
@@ -351,12 +352,11 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
         else:
             continue
         if ack - data_end[j] - 1 < params.dd2a_min:
-            findings.append(Conflict(ack, (Activity.RX_PDSCH.value, Activity.TX_PUCCH.value), (j, j), "min-delay"))
+            findings.append(Conflict(ack, _DATA_TO_FEEDBACK, (j, j), "min-delay"))
     for j in sorted(data_start):
         end = grant_end.get(j, shared_grant_end)
         if end is not None and data_start[j] - end - 1 < params.ug2d_min:
-            pair = (Activity.RX_PDCCH.value, Activity.TX_PUSCH.value)
-            findings.append(Conflict(data_start[j], pair, (j, j), "min-delay"))
+            findings.append(Conflict(data_start[j], _GRANT_TO_DATA, (j, j), "min-delay"))
     findings.sort(key=lambda c: (c.sf_index, c.kind))
     return ConflictReport(conflicts=tuple(findings))
 
@@ -370,7 +370,7 @@ def bs_view(timeline: SubframeTimeline, rtt_ms: float) -> SubframeTimeline:
     half the round trip earlier at the BS, uplink arrivals half later.
     Switch and idle slots stay on the shared wall clock.  Uses that land
     on one BS subframe keep the order of their UE subframes."""
-    if timeline.perspective is not Perspective.UE:
+    if timeline.perspective is not _UE:
         raise InvalidInputError("bs_view() expects a UE-perspective timeline")
     if not 0 <= rtt_ms < math.inf:
         raise InvalidInputError("rtt must be finite and >= 0")
@@ -381,10 +381,10 @@ def bs_view(timeline: SubframeTimeline, rtt_ms: float) -> SubframeTimeline:
     ranks = 1 + max((rank for _, _, _, rank in timeline.blocks), default=0)
     blocks = []
     for start, width, use, rank in timeline.blocks:
-        offset = 0 if use.activity in RX_ACTIVITIES else 2 * shift if use.activity in TX_ACTIVITIES else shift
+        offset = 0 if use[0] in RX_ACTIVITIES else 2 * shift if use[0] in TX_ACTIVITIES else shift
         blocks.append((start + offset, width, use, rank - offset * ranks))
     blocks.sort(key=_by_position)
-    return SubframeTimeline(tuple(blocks), timeline.length + 2 * shift, Perspective.BS, timeline.origin - shift)
+    return SubframeTimeline(tuple(blocks), timeline.length + 2 * shift, _BS, timeline.origin - shift)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,7 @@ def monte_carlo_goodput(
         raise InvalidInputError("n_cycles must be >= 1")
     if tbs_bits <= 0:
         raise InvalidInputError("TB size must be positive")
-    cycle_len = cycle_length_closed_form(params, direction, SchedulingMode.PROPOSED_VARIABLE)
+    cycle_len = cycle_length_closed_form(params, direction, _PROPOSED)
     n_slots = params.n_tbphc
     last = len(bler_per_attempt) - 1
     # attempt index -> index of the next attempt; indices stop at the last

@@ -4,8 +4,8 @@
 ``reference_validate`` is the slot-by-slot form of ``validate``: every
 list it builds is a scan over per-subframe slots.  The block sweep must
 report exactly its findings.  ``reference_segments``,
-``reference_export`` and ``reference_text`` expand blocks subframe by
-subframe the same way.
+``reference_export``, ``reference_text`` and ``reference_svg`` expand
+blocks subframe by subframe the same way.
 """
 from __future__ import annotations
 
@@ -41,29 +41,29 @@ from timeline_uses import uses
 
 def reference_validate(slots: list[tuple[SlotUse, ...]], params: CycleParams) -> list[Conflict]:
     findings = [
-        Conflict(sf, tuple(u.activity.value for u in uses), tuple(u.tb_index for u in uses))
+        Conflict(sf, tuple(activity.value for activity, _ in uses), tuple(tb for _, tb in uses))
         for sf, uses in enumerate(slots)
         if len(uses) >= 2
     ]
     single = [(sf, uses[0]) for sf, uses in enumerate(slots) if len(uses) == 1]
-    occupied = [(sf, u) for sf, u in single if u.activity not in (Activity.IDLE, Activity.SWITCH)]
-    for (sf_a, a), (sf_b, b) in zip(occupied, occupied[1:]):
-        if (a.activity in RX_ACTIVITIES) == (b.activity in RX_ACTIVITIES):
+    occupied = [(sf, u) for sf, u in single if u[0] not in (Activity.IDLE, Activity.SWITCH)]
+    for (sf_a, (a, tb_a)), (sf_b, (b, tb_b)) in zip(occupied, occupied[1:]):
+        if (a in RX_ACTIVITIES) == (b in RX_ACTIVITIES):
             continue
-        n_sw = sum(u.activity is Activity.SWITCH for sf in range(sf_a + 1, sf_b) for u in slots[sf])
+        n_sw = sum(activity is Activity.SWITCH for sf in range(sf_a + 1, sf_b) for activity, _ in slots[sf])
         if n_sw < params.n_switch:
-            findings.append(Conflict(sf_b, (a.activity.value, b.activity.value), (a.tb_index, b.tb_index),
-                                     "missing-switch"))
+            findings.append(Conflict(sf_b, (a.value, b.value), (tb_a, tb_b), "missing-switch"))
 
     def of(activity):
-        return [(sf, u) for sf, u in single if u.activity is activity]
+        """(sf, tb_index) of each singly-used slot of ``activity``."""
+        return [(sf, tb) for sf, (use_activity, tb) in single if use_activity is activity]
 
     pdsch, pucch, pusch, grants = (of(a) for a in (Activity.RX_PDSCH, Activity.TX_PUCCH, Activity.TX_PUSCH,
                                                     Activity.RX_PDCCH))
     blocks = [sf for i, (sf, _) in enumerate(pucch) if i % params.rep_pucch == 0]  # first slot of each feedback block
-    for j in sorted({u.tb_index for _, u in pdsch if u.tb_index is not None}):
-        data_end = max(sf for sf, u in pdsch if u.tb_index == j)
-        tagged = [sf for sf, u in pucch if u.tb_index == j]
+    for j in sorted({tb for _, tb in pdsch if tb is not None}):
+        data_end = max(sf for sf, tb in pdsch if tb == j)
+        tagged = [sf for sf, tb in pucch if tb == j]
         if tagged:
             ack = min(tagged)
         elif (j - 1) // params.n_bundle < len(blocks):
@@ -72,9 +72,9 @@ def reference_validate(slots: list[tuple[SlotUse, ...]], params: CycleParams) ->
             continue
         if ack - data_end - 1 < params.dd2a_min:
             findings.append(Conflict(ack, ("RxPDSCH", "TxPUCCH"), (j, j), "min-delay"))
-    for j in sorted({u.tb_index for _, u in pusch if u.tb_index is not None}):
-        data_start = min(sf for sf, u in pusch if u.tb_index == j)
-        tagged = [sf for sf, u in grants if u.tb_index == j]
+    for j in sorted({tb for _, tb in pusch if tb is not None}):
+        data_start = min(sf for sf, tb in pusch if tb == j)
+        tagged = [sf for sf, tb in grants if tb == j]
         grant_end = max(tagged) if tagged else max((sf for sf, _ in grants), default=None)
         if grant_end is not None and data_start - grant_end - 1 < params.ug2d_min:
             findings.append(Conflict(data_start, ("RxPDCCH", "TxPUSCH"), (j, j), "min-delay"))
@@ -182,14 +182,14 @@ def reference_legacy_claims(params: CycleParams, direction: Direction) -> list[t
     p, tbs = params.rep_pdcch, range(1, params.n_tbphc + 1)
     if direction is Direction.DL:
         r, data = params.rep_pdsch, params.rep_pdcch + params.n_dg2d
-        return ([(0, p, SlotUse(Activity.RX_PDCCH))]
-                + [(data + (j - 1) * r, r, SlotUse(Activity.RX_PDSCH, j)) for j in tbs]
+        return ([(0, p, (Activity.RX_PDCCH, None))]
+                + [(data + (j - 1) * r, r, (Activity.RX_PDSCH, j)) for j in tbs]
                 + [(fixed_positions(data + j * r - 1, params.dd2a_min), params.rep_pucch,
-                    SlotUse(Activity.TX_PUCCH, j)) for j in tbs])
+                    (Activity.TX_PUCCH, j)) for j in tbs])
     r = params.rep_pusch
     return [claim for j in tbs for claim in (
-        ((j - 1) * r, p, SlotUse(Activity.RX_PDCCH, j)),
-        (fixed_positions((j - 1) * r + p - 1, params.ug2d_min), r, SlotUse(Activity.TX_PUSCH, j)),
+        ((j - 1) * r, p, (Activity.RX_PDCCH, j)),
+        (fixed_positions((j - 1) * r + p - 1, params.ug2d_min), r, (Activity.TX_PUSCH, j)),
     )]
 
 
@@ -198,12 +198,17 @@ def reference_legacy_claims(params: CycleParams, direction: Direction) -> list[t
 def test_legacy_cycle_lays_out_the_fixed_delay_policy_in_claim_order(cycle):
     params, direction = cycle
     expected = reference_legacy_claims(params, direction)
-    for grant_mode in GrantMode:  # the legacy policy reads neither field
+    for grant_mode in GrantMode:  # the legacy policy reads neither field, bar refusing uplink bundling
         for ack_bundling in (False, True):
-            built = build_legacy_cycle(params._replace(grant_mode=grant_mode, ack_bundling=ack_bundling), direction)
+            varied = params._replace(grant_mode=grant_mode, ack_bundling=ack_bundling)
+            if ack_bundling and direction is Direction.UL:
+                with pytest.raises(InvalidInputError, match="^feedback bundling applies to downlink cycles only$"):
+                    build_legacy_cycle(varied, direction)
+                continue
+            built = build_legacy_cycle(varied, direction)
             attempt = built.attempt if isinstance(built, ConflictReport) else built
             # switch blocks rank after every claim, so rank order is claim order
-            claims = sorted((b for b in attempt.blocks if b[2].activity is not Activity.SWITCH), key=lambda b: b[3])
+            claims = sorted((b for b in attempt.blocks if b[2][0] is not Activity.SWITCH), key=lambda b: b[3])
             assert [(start, width, use) for start, width, use, _ in claims] == expected
 
 
@@ -233,6 +238,14 @@ def test_both_closed_forms_refuse_an_uplink_cycle_that_bundles_feedback(mode):
         cycle_length_closed_form(params, Direction.UL, mode)
 
 
+@pytest.mark.parametrize("build", [build_legacy_cycle, build_proposed_cycle], ids=lambda build: build.__name__)
+def test_both_builders_refuse_an_uplink_cycle_that_bundles_feedback(build):
+    # as the closed forms do, so no builder lays out a cycle whose length the closed form refuses
+    params = CycleParams(ack_bundling=True, n_bundle=2)
+    with pytest.raises(InvalidInputError, match="^feedback bundling applies to downlink cycles only$"):
+        build(params, Direction.UL)
+
+
 def _padded_delays(timeline: SubframeTimeline, params: CycleParams, direction: Direction) -> list[int]:
     """Each TB's delay as laid out: DL from its last data SF to the first SF
     of its feedback (of its group's feedback block when bundled), UL from
@@ -240,12 +253,12 @@ def _padded_delays(timeline: SubframeTimeline, params: CycleParams, direction: D
     listed = uses(timeline)
     if direction is Direction.UL:
         starts = {}
-        for sf, u in listed:
-            if u.activity is Activity.TX_PUSCH:
-                starts.setdefault(u.tb_index, sf)
+        for sf, (activity, tb) in listed:
+            if activity is Activity.TX_PUSCH:
+                starts.setdefault(tb, sf)
         return [starts[j] - (j * params.rep_pdcch - 1) - 1 for j in range(1, params.n_tbphc + 1)]
-    data_end = {u.tb_index: sf for sf, u in listed if u.activity is Activity.RX_PDSCH}
-    feedback = [(sf, u.tb_index) for sf, u in listed if u.activity is Activity.TX_PUCCH]
+    data_end = {tb: sf for sf, (activity, tb) in listed if activity is Activity.RX_PDSCH}
+    feedback = [(sf, tb) for sf, (activity, tb) in listed if activity is Activity.TX_PUCCH]
     if params.ack_bundling:  # the k-th block of rep_pucch feedback SFs answers the k-th group
         blocks = [sf for i, (sf, _) in enumerate(feedback) if i % params.rep_pucch == 0]
         ack = {j: blocks[(j - 1) // params.n_bundle] for j in data_end}
@@ -308,11 +321,7 @@ def test_min_delay_check_matches_the_per_tb_reference(direction, n, rep_pdcch, r
             delay_guard(params, direction)
 
 
-slot_uses = st.builds(
-    SlotUse,
-    st.sampled_from(Activity),
-    st.sampled_from([None, 1, 2, 3]),
-)
+slot_uses = st.tuples(st.sampled_from(Activity), st.sampled_from([None, 1, 2, 3]))
 
 
 @settings(max_examples=500, deadline=None)
@@ -323,7 +332,7 @@ slot_uses = st.builds(
                            "rep_pucch": st.integers(1, 3)}).map(lambda fields: CycleParams(**fields)),
 )
 # two touching untagged feedback blocks answer TB 1 and TB 2: one run of feedback would answer TB 1 only
-@example([(SlotUse(Activity.RX_PDSCH, 1),), (SlotUse(Activity.RX_PDSCH, 2),)] + [(SlotUse(Activity.TX_PUCCH),)] * 4,
+@example([((Activity.RX_PDSCH, 1),), ((Activity.RX_PDSCH, 2),)] + [((Activity.TX_PUCCH, None),)] * 4,
          CycleParams(rep_pucch=2, n_switch=0, dd2a_min=5))
 def test_validate_matches_slot_reference(slots, params):
     timeline = SubframeTimeline.from_slots(slots)
@@ -358,9 +367,9 @@ def reference_segments(blocks: list[Block], length: int) -> list[tuple[int, int,
 def reference_export(blocks: list[Block], length: int, perspective: Perspective, origin: int) -> str:
     lines = []
     for sf, covered in enumerate(_covering(blocks, length)):
-        for use in [use for _, _, use, _ in covered] or [SlotUse(Activity.IDLE)]:
-            tb = "" if use.tb_index is None else use.tb_index
-            lines.append(f"{origin + sf},{perspective.value},{use.activity.value},{tb},{tb}\n")
+        for activity, tb in [use for _, _, use, _ in covered] or [(Activity.IDLE, None)]:
+            tb = "" if tb is None else tb
+            lines.append(f"{origin + sf},{perspective.value},{activity.value},{tb},{tb}\n")
     return "".join(lines) or "\n"
 
 
@@ -405,8 +414,8 @@ def reference_text(blocks: list[Block], length: int, origin: int, report: Confli
     for label, activity in TEXT_ROWS:
         row = label.ljust(8)
         for covered in covering:
-            marks = ["#" if use.tb_index is None else str(use.tb_index)
-                     for _, _, use, _ in covered if use.activity is activity]
+            marks = ["#" if tb is None else str(tb)
+                     for _, _, (use_activity, tb), _ in covered if use_activity is activity]
             row += f"{marks[-1] if marks else '':>3}"
         lines.append(row)
     for c in report.conflicts if report is not None else ():
@@ -427,14 +436,56 @@ conflict_reports = st.none() | st.lists(st.builds(
 @settings(max_examples=400, deadline=None)
 @given(block_layouts(), st.integers(-1200, 1200), conflict_reports)
 # two PDSCH uses share SFs 1-2: the later-ranked TB 1 shows there, and the grid pads out to SF 4
-@example(([(0, 3, SlotUse(Activity.RX_PDSCH, 1), 1), (1, 3, SlotUse(Activity.RX_PDSCH, 2), 0)], 6), 0, None)
+@example(([(0, 3, (Activity.RX_PDSCH, 1), 1), (1, 3, (Activity.RX_PDSCH, 2), 0)], 6), 0, None)
 # an untagged feedback block between idle subframes, with a conflict line
-@example(([(2, 2, SlotUse(Activity.TX_PUCCH), 0)], 7), -3,
+@example(([(2, 2, (Activity.TX_PUCCH, None), 0)], 7), -3,
          ConflictReport((Conflict(2, ("TxPUCCH", "RxPDSCH"), (None, 1)),)))
 def test_text_grid_matches_the_per_subframe_reference(layout, origin, report):
     blocks, length = layout
     timeline = SubframeTimeline(tuple(blocks), length, Perspective.UE, origin)
     assert render_timeline_text(timeline, report) == reference_text(blocks, length, origin, report)
+
+
+# (label, activity, fill) of each row of the SVG grid, top to bottom
+SVG_ROWS = tuple((label, activity, fill) for (label, activity), fill
+                 in zip(TEXT_ROWS, ("#4c78a8", "#72b7b2", "#f58518", "#e45756", "#b0b0b0")))
+
+
+def reference_svg(blocks: list[Block], length: int, origin: int, report: ConflictReport | None) -> str:
+    """The SVG grid written cell by cell: each subframe's index label, then
+    per row, top to bottom, a rect (and a TB label when tagged) for every
+    use of that row's channel covering the subframe, in rank order."""
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{70 + 18 * length + 10}" height="{24 + 22 * 5 + 40}" '
+             'font-family="monospace" font-size="10">']
+    parts += [f'<text x="4" y="{24 + 22 * row + 14}">{label}</text>' for row, (label, _, _) in enumerate(SVG_ROWS)]
+    for sf, covered in enumerate(_covering(blocks, length)):
+        x = 70 + 18 * sf
+        parts.append(f'<text x="{x + 3}" y="16">{origin + sf}</text>')
+        for row, (_, activity, fill) in enumerate(SVG_ROWS):
+            y = 24 + 22 * row
+            for _, _, (use_activity, tb), _ in covered:
+                if use_activity is activity:
+                    parts.append(f'<rect x="{x}" y="{y}" width="17" height="21" fill="{fill}"/>')
+                    if tb is not None:
+                        parts.append(f'<text x="{x + 5}" y="{y + 14}" fill="white">{tb}</text>')
+    y = 24 + 22 * 5 + 16
+    for c in report.conflicts if report is not None else ():
+        parts.append(f'<text x="4" y="{y}" fill="#c00">{c.kind} at SF {c.sf_index}: {" / ".join(c.activities)}</text>')
+        y += 14
+    return "".join(parts) + "</svg>\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_layouts(), st.integers(-1200, 1200), conflict_reports)
+# two PDSCH uses share SFs 1-2, both drawn there in rank order, between idle subframes
+@example(([(0, 3, (Activity.RX_PDSCH, 1), 1), (1, 3, (Activity.RX_PDSCH, 2), 0)], 6), 0, None)
+# an untagged feedback block draws rects without TB labels, with a conflict line
+@example(([(2, 2, (Activity.TX_PUCCH, None), 0)], 7), -3,
+         ConflictReport((Conflict(2, ("TxPUCCH", "RxPDSCH"), (None, 1)),)))
+def test_svg_grid_matches_the_per_subframe_reference(layout, origin, report):
+    blocks, length = layout
+    timeline = SubframeTimeline(tuple(blocks), length, Perspective.UE, origin)
+    assert render_timeline_svg(timeline, report) == reference_svg(blocks, length, origin, report)
 
 
 @settings(max_examples=100, deadline=None)
@@ -448,3 +499,7 @@ def test_built_cycles_hold_plain_tuple_blocks(cycle, rtt_ms):
     built += [bs_view(timeline, rtt_ms) for timeline in built]
     for timeline in built:
         assert all(type(block) is tuple for block in timeline.blocks)
+        # every use is a plain (activity, tb_index) pair
+        for _, _, use, _ in timeline.blocks:
+            assert type(use) is tuple and len(use) == 2
+            assert type(use[0]) is Activity and (use[1] is None or type(use[1]) is int)

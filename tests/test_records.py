@@ -34,7 +34,6 @@ from ntn_harq.scheduler import (
     ConflictReport,
     GoodputResult,
     Perspective,
-    SlotUse,
     SubframeTimeline,
 )
 
@@ -58,8 +57,8 @@ def _result() -> dict:
 
 
 def _timeline() -> dict:
-    return dict(blocks=((0, 2, SlotUse(Activity.RX_PDCCH, 1), 0),
-                        (5, 3, SlotUse(Activity.TX_PUSCH, 1), 1)), length=9)
+    return dict(blocks=((0, 2, (Activity.RX_PDCCH, 1), 0),
+                        (5, 3, (Activity.TX_PUSCH, 1), 1)), length=9)
 
 
 # type -> (fresh required values, field names in order, defaults of the others)

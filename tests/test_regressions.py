@@ -19,7 +19,7 @@ from ntn_harq.scenario import (
     parse_config_text,
     select_tbphc,
 )
-from ntn_harq.scheduler import Activity, SlotUse, SubframeTimeline, validate
+from ntn_harq.scheduler import Activity, SubframeTimeline, validate
 
 PROFILES = sorted((Path(__file__).resolve().parent.parent / "profiles").glob("*.cfg"))
 
@@ -29,9 +29,9 @@ def test_validate_measures_feedback_from_its_first_slot(n_feedback):
     # feedback starts two SFs after the data against a 3-SF minimum,
     # however many SFs the feedback repeats over
     slots = [
-        (SlotUse(Activity.RX_PDSCH, 1),),
-        (SlotUse(Activity.SWITCH),),
-        *[(SlotUse(Activity.TX_PUCCH, 1),)] * n_feedback,
+        ((Activity.RX_PDSCH, 1),),
+        ((Activity.SWITCH, None),),
+        *[((Activity.TX_PUCCH, 1),)] * n_feedback,
     ]
     params = CycleParams(dd2a_min=3, n_switch=1, rep_pucch=n_feedback)
     report = validate(SubframeTimeline.from_slots(slots), params)

@@ -13,7 +13,6 @@ from ntn_harq.scheduler import (
     Activity,
     ConflictReport,
     Perspective,
-    SlotUse,
     SubframeTimeline,
     bs_view,
     build_legacy_cycle,
@@ -26,10 +25,6 @@ from ntn_harq.scheduler import (
 from timeline_uses import uses
 
 DATA_ACT = {Direction.DL: Activity.RX_PDSCH, Direction.UL: Activity.TX_PUSCH}
-
-
-def activities(timeline, kind):
-    return [(timeline.origin + i, u) for i, uses in enumerate(timeline.slots) for u in uses if u.activity is kind]
 
 
 # --- legacy cycles --------------------------------------------------------
@@ -163,9 +158,9 @@ def test_proposed_single_tb_degenerates_to_legacy_plus_switch():
 
     def sequence(tl):
         return [
-            u.activity
-            for _, u in uses(tl)
-            if u.activity not in (Activity.IDLE, Activity.SWITCH)
+            activity
+            for _, (activity, _) in uses(tl)
+            if activity not in (Activity.IDLE, Activity.SWITCH)
         ]
 
     assert sequence(proposed) == sequence(legacy)
@@ -220,11 +215,11 @@ def test_proposed_realized_delays_meet_minimum():
         timeline = build_proposed_cycle(params, Direction.DL)
         data_end = {}
         ack_start = {}
-        for i, u in uses(timeline):
-            if u.activity is Activity.RX_PDSCH:
-                data_end[u.tb_index] = i
-            if u.activity is Activity.TX_PUCCH and u.tb_index is not None:
-                ack_start.setdefault(u.tb_index, i)
+        for i, (activity, tb) in uses(timeline):
+            if activity is Activity.RX_PDSCH:
+                data_end[tb] = i
+            if activity is Activity.TX_PUCCH and tb is not None:
+                ack_start.setdefault(tb, i)
         for j in range(1, n + 1):
             assert ack_start[j] - data_end[j] - 1 >= params.dd2a_min
 
@@ -234,8 +229,8 @@ def test_proposed_realized_delays_meet_minimum():
 
 def test_validate_flags_hand_built_overlap():
     slots = [
-        (SlotUse(Activity.RX_PDSCH, 1),),
-        (SlotUse(Activity.RX_PDSCH, 2), SlotUse(Activity.TX_PUCCH, 1)),
+        ((Activity.RX_PDSCH, 1),),
+        ((Activity.RX_PDSCH, 2), (Activity.TX_PUCCH, 1)),
     ]
     timeline = SubframeTimeline.from_slots(slots=slots)
     report = validate(timeline, CycleParams(n_tbphc=2, dd2a_min=0, n_switch=0))
@@ -248,10 +243,10 @@ def test_validate_flags_hand_built_overlap():
 def test_validate_flags_short_feedback_delay():
     # feedback 2 SFs after the data with a 3-SF minimum
     slots = [
-        (SlotUse(Activity.RX_PDSCH, 1),),
+        ((Activity.RX_PDSCH, 1),),
         (),
-        (SlotUse(Activity.SWITCH),),
-        (SlotUse(Activity.TX_PUCCH, 1),),
+        ((Activity.SWITCH, None),),
+        ((Activity.TX_PUCCH, 1),),
     ]
     timeline = SubframeTimeline.from_slots(slots=slots)
     report = validate(timeline, CycleParams(n_tbphc=1, dd2a_min=3, n_switch=1))
@@ -270,11 +265,11 @@ def test_validate_checks_the_feedback_delay_of_every_bundle_group():
 
 def test_validate_flags_missing_switch():
     slots = [
-        (SlotUse(Activity.RX_PDSCH, 1),),
+        ((Activity.RX_PDSCH, 1),),
         (),
         (),
         (),
-        (SlotUse(Activity.TX_PUCCH, 1),),
+        ((Activity.TX_PUCCH, 1),),
     ]
     timeline = SubframeTimeline.from_slots(slots=slots)
     report = validate(timeline, CycleParams(n_tbphc=1, dd2a_min=3, n_switch=1))
@@ -322,11 +317,11 @@ def test_bs_view_shifts_ul_and_dl_oppositely():
     timeline = build_proposed_cycle(params, Direction.UL)
     # one-way flight of 8 SFs
     view = bs_view(timeline, 16)
-    ue_data = [i for i, u in uses(timeline) if u.activity is Activity.TX_PUSCH]
-    bs_data = [i for i, u in uses(view) if u.activity is Activity.TX_PUSCH]
+    ue_data = [i for i, (activity, _) in uses(timeline) if activity is Activity.TX_PUSCH]
+    bs_data = [i for i, (activity, _) in uses(view) if activity is Activity.TX_PUSCH]
     assert bs_data == [i + 8 for i in ue_data]
-    ue_grant = [i for i, u in uses(timeline) if u.activity is Activity.RX_PDCCH]
-    bs_grant = [i for i, u in uses(view) if u.activity is Activity.RX_PDCCH]
+    ue_grant = [i for i, (activity, _) in uses(timeline) if activity is Activity.RX_PDCCH]
+    bs_grant = [i for i, (activity, _) in uses(view) if activity is Activity.RX_PDCCH]
     assert bs_grant == [i - 8 for i in ue_grant]
     # the grant->data turnaround widens by the full round trip at the BS
     assert (bs_data[0] - bs_grant[-1]) - (ue_data[0] - ue_grant[-1]) == 16
@@ -338,17 +333,17 @@ def test_bs_view_feedback_arrives_one_way_later():
     params = CycleParams(n_tbphc=2, rep_pdsch=4, dd2a_min=3, grant_mode=GrantMode.MTBG)
     timeline = build_proposed_cycle(params, Direction.DL)
     view = bs_view(timeline, 16)
-    ue_acks = [i for i, u in uses(timeline) if u.activity is Activity.TX_PUCCH]
-    bs_acks = [i for i, u in uses(view) if u.activity is Activity.TX_PUCCH]
+    ue_acks = [i for i, (activity, _) in uses(timeline) if activity is Activity.TX_PUCCH]
+    bs_acks = [i for i, (activity, _) in uses(view) if activity is Activity.TX_PUCCH]
     assert bs_acks == [i + 8 for i in ue_acks]
 
 
 def test_bs_view_grant_position_example():
     slots = [() for _ in range(12)]
-    slots[10] = (SlotUse(Activity.RX_PDCCH),)
+    slots[10] = ((Activity.RX_PDCCH, None),)
     timeline = SubframeTimeline.from_slots(slots=slots)
     view = bs_view(timeline, 20)
-    positions = [i for i, u in uses(view) if u.activity is Activity.RX_PDCCH]
+    positions = [i for i, (activity, _) in uses(view) if activity is Activity.RX_PDCCH]
     assert positions == [0]
 
 
@@ -363,9 +358,9 @@ def test_bs_view_rejects_negative_rtt():
 
 def test_export_format():
     slots = [
-        (SlotUse(Activity.RX_PDCCH),),
+        ((Activity.RX_PDCCH, None),),
         (),
-        (SlotUse(Activity.TX_PUSCH, 1),),
+        ((Activity.TX_PUSCH, 1),),
     ]
     timeline = SubframeTimeline.from_slots(slots=slots)
     assert export_timeline(timeline) == (

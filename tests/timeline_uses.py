@@ -5,7 +5,7 @@ from ntn_harq.scheduler import SlotUse, SubframeTimeline
 
 
 def uses(timeline: SubframeTimeline) -> list[tuple[int, SlotUse]]:
-    """All (time_index, use) pairs of ``timeline`` in slot order."""
+    """All (time_index, (activity, tb_index)) pairs of ``timeline`` in slot order."""
     return [
         (timeline.origin + sf, use)
         for first, stop, slot_uses in timeline.segments
