@@ -92,11 +92,19 @@ def _note_capped_or_ignored(config: ScenarioConfig, table) -> None:
 def render_timeline_text(timeline: SubframeTimeline, conflicts: ConflictReport | None = None) -> str:
     """One row per channel, one column per subframe; cells show the TB
     index (or ``#`` for untagged activity), the later of two uses of one
-    channel in a subframe.  One pass over the segments writes every row."""
+    channel in a subframe.  One pass over the segments writes every row.
+
+    The header is ``"%3d"`` of every SF index, which pads only -99..99, so
+    only those are formatted; the runs of wider indices on either side are
+    written by ``scheduler.index_run``, unpadded, from its digit tables."""
+    from .scheduler import index_run  # see render_timeline
     width = 3
     blank = " " * width
     n = len(timeline)
-    header = "sf".ljust(8) + (f"%{width}d" * n) % tuple(range(timeline.origin, timeline.origin + n))
+    origin, end = timeline.origin, timeline.origin + n
+    padded, wide = min(max(origin, -99), end), min(max(origin, 100), end)  # first padded, first wide index
+    header = ("sf".ljust(8) + index_run(origin, padded, "")
+              + (f"%{width}d" * (wide - padded)) % tuple(range(padded, wide)) + index_run(wide, end, ""))
     cells = {activity: [] for activity in Activity}  # the idle row is never shown
     written = dict.fromkeys(Activity, 0)  # columns of each row written so far
     for first, stop, uses in timeline.segments:

@@ -33,6 +33,7 @@ from ntn_harq.scheduler import (
     build_legacy_cycle,
     build_proposed_cycle,
     export_timeline,
+    index_run,
     validate,
 )
 
@@ -392,13 +393,55 @@ def block_layouts(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(block_layouts(), st.sampled_from(Perspective), st.integers(-40, 40).filter(bool))
+@given(block_layouts(), st.sampled_from(Perspective), st.integers(-1500, 2500).filter(bool))
+# one PDSCH run crosses SF 1000, where the index gains a digit
+@example(([(0, 30, (Activity.RX_PDSCH, 1), 0)], 40), Perspective.UE, 995)
+# overlapping uses, then an idle run from SF -119 across -100 and 0
+@example(([(0, 3, (Activity.TX_PUCCH, None), 1), (1, 5, (Activity.RX_PDSCH, 2), 0)], 150), Perspective.BS, -125)
 def test_block_sweep_and_export_match_subframe_expansion(layout, perspective, origin):
     blocks, length = layout
     timeline = SubframeTimeline(tuple(blocks), length, perspective, origin)
     assert timeline.segments == reference_segments(blocks, length)
     assert timeline.slots == [tuple(use for _, _, use, _ in covered) for covered in _covering(blocks, length)]
     assert export_timeline(timeline) == reference_export(blocks, length, perspective, origin)
+
+
+csv_tails = st.builds(lambda view, activity, tb: f",{view},{activity},{tb},{tb}\n", st.sampled_from(["UE", "BS"]),
+                      st.sampled_from([a.value for a in Activity]), st.sampled_from(["", "1", "512"]))
+# starts just below an index where the run changes how it writes (-100
+# for the text header, 0 for repr, each thousand for a new head)
+near_a_boundary = st.builds(lambda boundary, offset: boundary + offset,
+                            st.sampled_from([-2000, -1000, -100, 0, 1000, 2000, 10_000, 100_000, 199_000]),
+                            st.integers(-40, 5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-3000, 200_000) | near_a_boundary,
+       st.integers(0, 2500) | st.integers(0, 50),  # short runs, most of an export's, as often as long ones
+       st.just("") | csv_tails)
+@example(-125, 2500, "")  # across -100, 0, 1000 and 2000
+@example(-3000, 2500, ",BS,Idle,,\n")  # negative indices only
+@example(995, 10, ",UE,RxPDSCH,1,1\n")
+@example(200_000, 0, "")  # an empty run
+@example(999, 1, "")  # stops where the thousands start
+def test_index_run_matches_one_format_per_index(first, length, tail):
+    assert index_run(first, first + length, tail) == "".join(f"{i}{tail}" for i in range(first, first + length))
+
+
+@pytest.mark.parametrize("direction", Direction)
+def test_largest_benchmark_cycles_export_and_head_their_text_grid_per_subframe(direction):
+    """The benchmark's largest cycles, n512 at 24 repetitions, and their BS
+    views at 20 ms, whose origin is negative: the export equals the per-SF
+    reference, and the text grid's header is ``"%3d"`` of every index,
+    4-digit columns included."""
+    ue = build_proposed_cycle(CycleParams(n_tbphc=512, rep_pdsch=24, rep_pusch=24), direction)
+    bs = bs_view(ue, 20.0)
+    assert bs.origin < 0 and len(ue) > 1000
+    for timeline in (ue, bs):
+        n, origin = len(timeline), timeline.origin
+        assert export_timeline(timeline) == reference_export(list(timeline.blocks), n, timeline.perspective, origin)
+        header = render_timeline_text(timeline).split("\n", 1)[0]
+        assert header == "sf      " + ("%3d" * n) % tuple(range(origin, origin + n))
 
 
 # (label, activity) of each row of the text grid, top to bottom
