@@ -94,17 +94,17 @@ def render_timeline_text(timeline: SubframeTimeline, conflicts: ConflictReport |
     index (or ``#`` for untagged activity), the later of two uses of one
     channel in a subframe.  One pass over the segments writes every row.
 
-    The header is ``"%3d"`` of every SF index, which pads only -99..99, so
-    only those are formatted; the runs of wider indices on either side are
-    written by ``scheduler.index_run``, unpadded, from its digit tables."""
+    The header is ``"%3d"`` of every SF index.  It pads only -99..99, and
+    below -99 it writes what ``repr`` does, so the indices up to 99 are
+    formatted in one go; the run of indices from 100 on is written by
+    ``scheduler.index_run``, unpadded, from its digit tables."""
     from .scheduler import index_run  # see render_timeline
     width = 3
     blank = " " * width
     n = len(timeline)
     origin, end = timeline.origin, timeline.origin + n
-    padded, wide = min(max(origin, -99), end), min(max(origin, 100), end)  # first padded, first wide index
-    header = ("sf".ljust(8) + index_run(origin, padded, "")
-              + (f"%{width}d" * (wide - padded)) % tuple(range(padded, wide)) + index_run(wide, end, ""))
+    wide = min(max(origin, 100), end)  # the first index "%3d" does not pad
+    header = "sf".ljust(8) + (f"%{width}d" * (wide - origin)) % tuple(range(origin, wide)) + index_run(wide, end, "")
     cells = {activity: [] for activity in Activity}  # the idle row is never shown
     written = dict.fromkeys(Activity, 0)  # columns of each row written so far
     for first, stop, uses in timeline.segments:
@@ -239,6 +239,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         axes.append((key.strip(), [v.strip() for v in values.split(",") if v.strip()]))
     table = _load_table(args.bler_table)
     results, infeasible = sweep(raw, axes, table)
+    if any(result.goodput is not None for result in results):
+        print("note: sweep writes no Monte Carlo goodput (run one point for it)", file=sys.stderr)
     text = results_to_csv(results) + "".join(f"# infeasible {label}: {reason}\n" for label, reason in infeasible)
     _emit(text, args.out)
     return EXIT_INFEASIBLE if infeasible else EXIT_OK

@@ -422,18 +422,12 @@ def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
             )
         return config.n_tbphc
 
-    def fits(n: int) -> bool:
-        return _harq_needed(config, n, n_rep, rtt_ms) <= config.max_harq
-
-    # the HARQ count needed grows with n: double n while it fits, then
-    # bisect between the last n that fits and the first that does not
-    best, high = 0, 1
-    while high <= MAX_AUTO_TBPHC and fits(high):
-        best, high = high, 2 * high
-    high = min(high, MAX_AUTO_TBPHC + 1)
+    # the HARQ count needed grows with n and is ceil(n * (1 + wait / cycle)) >= n,
+    # so no n above max_harq fits: bisect once below the budget and the cap
+    best, high = 0, min(config.max_harq, MAX_AUTO_TBPHC) + 1
     while high - best > 1:
         n = (best + high) // 2
-        best, high = (n, high) if fits(n) else (best, n)
+        best, high = (n, high) if _harq_needed(config, n, n_rep, rtt_ms) <= config.max_harq else (best, n)
     if not best:
         raise ConfigError(
             f"even one TB per cycle needs more than {config.max_harq} HARQ processes "
@@ -653,29 +647,28 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     best reproduces the protocol's published throughput gain.
 
     The search covers rep_pdcch in [1, 8] and n_a2g in [0, 4] with the TB
-    count re-selected per candidate; ties break toward the smallest pair.
+    count re-selected per candidate and Monte Carlo off (the gain reads no
+    goodput); ties break toward the smallest pair.
     A candidate that fails as a sweep point can (its HARQ budget, say, or
     an uplink minimum delay) is skipped and listed in ``skipped``; when every one
     fails, the first one's error is raised.  A result outside the
     protocol's tolerance is flagged degraded rather than hidden.
     """
     target = config.protocol.target_gain_pct
-    best: tuple[float, int, int, float] | None = None
+    scored: list[tuple[float, int, int, float]] = []  # (distance to the target, rep_pdcch, n_a2g, gain)
     skipped: list[tuple[str, Exception]] = []
     for p, a in product(range(1, 9), range(5)):
         candidate = config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a,
-                                    n_tbphc=None, mode=_PROPOSED)
+                                    n_tbphc=None, mode=_PROPOSED, monte_carlo=MonteCarloSettings())
         try:
             gain_pct = run_scenario(candidate, table).gain_pct
         except _POINT_ERRORS as exc:
             skipped.append((f"rep_pdcch={p} n_a2g={a}", exc))
             continue
-        key = (abs(gain_pct - target), p, a, gain_pct)
-        if best is None or key[:3] < best[:3]:
-            best = key
-    if best is None:
+        scored.append((abs(gain_pct - target), p, a, gain_pct))
+    if not scored:
         raise skipped[0][1]
-    distance, p, a, gain_pct = best
+    distance, p, a, gain_pct = min(scored)  # each pair once, so a tie goes to the smallest pair
     return CalibrationResult(
         rep_pdcch=p,
         n_a2g=a,

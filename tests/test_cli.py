@@ -206,6 +206,18 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert len(lines) == 5  # header + 4 combinations
 
 
+def test_sweep_notes_that_it_writes_no_monte_carlo_goodput(ltem_copy, capsys):
+    args = ["--axis", "monte_carlo.bler_per_attempt=0.1,0.5", "--axis", "mode=legacy,proposed"]
+    assert run_cli("sweep", LTEM, *args) == 0
+    plain = capsys.readouterr()
+    ltem_copy.write_text(ltem_copy.read_text() + "monte_carlo.n_cycles = 50\n")
+    assert run_cli("sweep", ltem_copy, *args) == 0
+    captured = capsys.readouterr()
+    assert plain.err == ""
+    assert captured.out == plain.out
+    assert captured.err == "note: sweep writes no Monte Carlo goodput (run one point for it)\n"
+
+
 def test_sweep_bad_axis(tmp_path):
     assert run_cli("sweep", LTEM, "--axis", "nonsense=1,2") == 3
 

@@ -4,9 +4,10 @@ and only the commands that lay out a timeline load ``ntn_harq.scheduler``.
 Defining the package's records as dataclasses cost about 20 ms of every
 cold start, and ``import dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
 and ``tokenize`` for another 10 ms.  Compiling and running the scheduler
-costs about 10 ms more, which ``run`` and ``calibrate`` need only for
-Monte Carlo goodput.  One stray decorator or top-level import would bring
-them back, so each process below reports what it loaded.
+costs about 10 ms more, which ``run`` and ``sweep`` need only for
+Monte Carlo goodput, and ``calibrate`` not at all.  One stray decorator
+or top-level import would bring them back, so each process below reports
+what it loaded.
 """
 from __future__ import annotations
 
@@ -74,6 +75,7 @@ def monte_carlo_profile(tmp_path_factory):
         ("sweep", False),
         ("timeline", True),
         ("run-monte-carlo", True),
+        ("calibrate-monte-carlo", False),
     ],
 )
 def test_only_the_commands_that_lay_out_a_timeline_load_the_scheduler(monte_carlo_profile, command, loads):
@@ -84,6 +86,7 @@ def test_only_the_commands_that_lay_out_a_timeline_load_the_scheduler(monte_carl
         "sweep": ["sweep", str(PROFILE), "--axis", "direction=ul,dl", "--axis", "mode=legacy,proposed"],
         "timeline": ["timeline", str(PROFILE)],
         "run-monte-carlo": ["run", str(monte_carlo_profile)],
+        "calibrate-monte-carlo": ["calibrate", str(monte_carlo_profile), "--dry-run"],
     }[command]
     before, after = probe(("ntn_harq.scheduler",), args)
     assert before == []

@@ -73,7 +73,7 @@ def assert_select_tbphc_matches_linear_scan(config, table):
 
 
 @pytest.mark.parametrize("extended", ["false", "true"])
-@pytest.mark.parametrize("max_harq", [1, 8, 64, 1024])
+@pytest.mark.parametrize("max_harq", [1, 8, 64, 512, 513, 1024])
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.stem)
 def test_select_tbphc_bisection_matches_linear_scan(profile, max_harq, extended, table):
     raw = parse_config_text(profile.read_text())

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ntn_harq import scenario, scheduler
 from ntn_harq.errors import ConfigError, InfeasibleLinkError
 from ntn_harq.metrics import SchedulingMode
 from ntn_harq.scenario import (
@@ -372,6 +373,34 @@ def test_calibrate_nbiot(table):
     result = calibrate(config_from_mapping(NBIOT_EXT), table)
     assert abs(result.gain_pct - 31.0) <= 3.0
     assert not result.degraded
+
+
+def test_calibrate_breaks_a_tie_toward_the_smallest_pair(monkeypatch, table):
+    # (5, 0) lands one point above the target and (2, 3) one below; every
+    # other pair lands ten points off
+    config = config_from_mapping({})
+    target = config.protocol.target_gain_pct
+    offsets = {(5, 0): 1.0, (2, 3): -1.0}
+    real_run = scenario.run_scenario
+
+    def run(candidate, table):
+        offset = offsets.get((candidate.cycle.rep_pdcch, candidate.n_a2g), 10.0)
+        return real_run(candidate, table)._replace(gain_pct=target + offset)
+
+    monkeypatch.setattr(scenario, "run_scenario", run)
+    result = calibrate(config, table)
+    assert (result.rep_pdcch, result.n_a2g, result.gain_pct) == (2, 3, target - 1.0)
+
+
+def test_calibrate_runs_no_monte_carlo(monkeypatch, table):
+    raw = {"monte_carlo.n_cycles": "200", "monte_carlo.bler_per_attempt": "0.1,0"}
+    expected = calibrate(config_from_mapping({}), table)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibrate ran a Monte Carlo simulation")
+
+    monkeypatch.setattr(scheduler, "monte_carlo_goodput", refuse)
+    assert calibrate(config_from_mapping(raw), table) == expected
 
 
 def test_calibrate_reports_degraded_when_target_unreachable(table):
