@@ -239,7 +239,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         axes.append((key.strip(), [v.strip() for v in values.split(",") if v.strip()]))
     table = _load_table(args.bler_table)
     results, infeasible = sweep(raw, axes, table)
-    if any(result.goodput is not None for result in results):
+    # texts that sweep has parsed; like sweep, dict() gives a key on two axes the later axis's values
+    n_cycles = dict(axes).get("monte_carlo.n_cycles", [raw.get("monte_carlo.n_cycles", "0")])
+    if any(int(text) > 0 for text in n_cycles):
         print("note: sweep writes no Monte Carlo goodput (run one point for it)", file=sys.stderr)
     text = results_to_csv(results) + "".join(f"# infeasible {label}: {reason}\n" for label, reason in infeasible)
     _emit(text, args.out)

@@ -167,18 +167,18 @@ def delay_guard(params: CycleParams, direction: Direction) -> int:
 
 def harq_for_tbphc(params: CycleParams, rtt_ms: float, ack_proc_sf: int) -> int:
     """HARQ processes needed to sustain the cycle ``params`` lays out."""
-    return harq_processes(params, params.n_tbphc, params.n_tbphc * params.rep_pdsch, rtt_ms, ack_proc_sf)
+    return harq_processes(params, params.n_tbphc, params.rep_pdsch, rtt_ms, ack_proc_sf)
 
 
-def harq_processes(params: CycleParams, n_tbphc: int, data_sf: int, rtt_ms: float, ack_proc_sf: int) -> int:
-    """HARQ processes needed to sustain ``n_tbphc`` TBs per cycle, whose data
-    blocks fill ``data_sf`` subframes, across the round trip plus the
-    scheduler's feedback-processing time (``ack_proc_sf`` subframes) before
-    a process can be re-granted.  Only the grant, feedback and switch terms
-    are read from ``params``, so a one-TB template sizes any TB count."""
+def harq_processes(params: CycleParams, n_tbphc: int, n_rep: int, rtt_ms: float, ack_proc_sf: int) -> int:
+    """HARQ processes needed to sustain ``n_tbphc`` TBs per cycle, each of
+    ``n_rep`` data subframes, across the round trip plus the scheduler's
+    feedback-processing time (``ack_proc_sf`` subframes) before a process
+    can be re-granted.  Only the grant, feedback and switch terms are read
+    from ``params``, so a one-TB template sizes any TB count."""
     if not (0 <= rtt_ms < math.inf and 0 <= ack_proc_sf < math.inf):
         raise InvalidInputError("rtt and ack processing must be finite and >= 0")
-    cycle_sf = params.rep_pdcch + params.n_dg2d + data_sf + n_tbphc * params.rep_pucch
+    cycle_sf = params.rep_pdcch + params.n_dg2d + n_tbphc * (n_rep + params.rep_pucch)
     cycle_ms = SF_MS * cycle_sf + 2.0 * params.n_switch * SF_MS
     wait_ms = rtt_ms + ack_proc_sf * SF_MS
     return math.ceil(n_tbphc * (1.0 + wait_ms / cycle_ms))

@@ -404,17 +404,12 @@ def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
 # pipeline
 
 
-def _harq_needed(config: ScenarioConfig, n_tbphc: int, n_rep: int, rtt_ms: float) -> int:
-    """HARQ processes that ``n_tbphc`` TBs of ``n_rep`` repetitions need."""
-    return harq_processes(config.cycle, n_tbphc, n_tbphc * n_rep, rtt_ms, config.n_a2g)
-
-
 def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
     """Resolve the TB count per variable-delay cycle: the configured value
     (validated against the HARQ budget) or the largest feasible one.  Each
     candidate n is sized on the template's scalars, building no cycle."""
     if config.n_tbphc is not None:
-        if (count := _harq_needed(config, config.n_tbphc, n_rep, rtt_ms)) > config.max_harq:
+        if (count := harq_processes(config.cycle, config.n_tbphc, n_rep, rtt_ms, config.n_a2g)) > config.max_harq:
             raise ConfigError(
                 f"cycle.n_tbphc={config.n_tbphc} needs {count} HARQ processes, more than "
                 f"the configured maximum of {config.max_harq}; the HARQ-process sizing "
@@ -424,10 +419,11 @@ def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
 
     # the HARQ count needed grows with n and is ceil(n * (1 + wait / cycle)) >= n,
     # so no n above max_harq fits: bisect once below the budget and the cap
-    best, high = 0, min(config.max_harq, MAX_AUTO_TBPHC) + 1
+    template, n_a2g, budget = config.cycle, config.n_a2g, config.max_harq
+    best, high = 0, min(budget, MAX_AUTO_TBPHC) + 1
     while high - best > 1:
         n = (best + high) // 2
-        best, high = (n, high) if _harq_needed(config, n, n_rep, rtt_ms) <= config.max_harq else (best, n)
+        best, high = (n, high) if harq_processes(template, n, n_rep, rtt_ms, n_a2g) <= budget else (best, n)
     if not best:
         raise ConfigError(
             f"even one TB per cycle needs more than {config.max_harq} HARQ processes "
@@ -488,7 +484,8 @@ def auto_tbphc_capped(config: ScenarioConfig, resolved: ResolvedScenario) -> boo
         config.n_tbphc is None
         and config.mode is _PROPOSED
         and resolved.params.n_tbphc == MAX_AUTO_TBPHC
-        and _harq_needed(config, MAX_AUTO_TBPHC + 1, resolved.n_rep, resolved.rtt_ms) <= config.max_harq
+        and harq_processes(config.cycle, MAX_AUTO_TBPHC + 1, resolved.n_rep, resolved.rtt_ms, config.n_a2g)
+        <= config.max_harq
     )
 
 
@@ -540,7 +537,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     suf = suf_closed_form(params, config.direction, mode)
     gain = 0.0
     if mode is _PROPOSED:
-        baseline_params = _completed_cycle(config.cycle, config.cycle.n_tbphc, n_rep)
+        baseline_params = _completed_cycle(config.cycle, 1, n_rep)
         baseline_suf = suf_closed_form(baseline_params, config.direction, _LEGACY)
         gain = suf / baseline_suf - 1.0
     rate = throughput(suf, config.tbs_bits)
@@ -582,6 +579,8 @@ def results_to_csv(results: list[ScenarioResult]) -> str:
 
 # the errors of one point, which sweep and calibrate report and go on past
 _POINT_ERRORS = (InfeasibleLinkError, MinDelayViolationError, CurveNotFoundError, ConfigError)
+# the Monte Carlo settings of every point that sweep and calibrate run: neither reads goodput
+_NO_MONTE_CARLO = MonteCarloSettings()
 
 
 def sweep(
@@ -602,6 +601,7 @@ def sweep(
     shorter than the switch gap); the sweep goes on past those.  A label
     is the point's ``scenario_id`` followed by one ``key=value`` per axis,
     in axis order, so points with distinct axis values never share one.
+    Points run with Monte Carlo off, so no result carries a goodput.
     """
     for key, options in axes:
         if key not in _SCHEMA:
@@ -620,7 +620,7 @@ def sweep(
         config = None
         try:
             config = config_from_mapping(raw)
-            results.append(run_scenario(config, table))
+            results.append(run_scenario(config._replace(monte_carlo=_NO_MONTE_CARLO), table))
         except _POINT_ERRORS as exc:
             if config is None:  # keys in conflict at this point; the id reads none of the cycle keys
                 config = config_from_mapping({k: v for k, v in raw.items() if not k.startswith("cycle.")})
@@ -659,7 +659,7 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     skipped: list[tuple[str, Exception]] = []
     for p, a in product(range(1, 9), range(5)):
         candidate = config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a,
-                                    n_tbphc=None, mode=_PROPOSED, monte_carlo=MonteCarloSettings())
+                                    n_tbphc=None, mode=_PROPOSED, monte_carlo=_NO_MONTE_CARLO)
         try:
             gain_pct = run_scenario(candidate, table).gain_pct
         except _POINT_ERRORS as exc:

@@ -218,6 +218,27 @@ def test_sweep_notes_that_it_writes_no_monte_carlo_goodput(ltem_copy, capsys):
     assert captured.err == "note: sweep writes no Monte Carlo goodput (run one point for it)\n"
 
 
+@pytest.mark.parametrize(
+    "axes, noted",
+    [
+        (["geometry.altitude_km=600,1200", "mode=legacy"], True),
+        (["monte_carlo.n_cycles=0"], False),
+        (["monte_carlo.n_cycles=0,20"], True),
+        (["monte_carlo.n_cycles=50", "monte_carlo.n_cycles=0"], False),
+        (["monte_carlo.n_cycles=0", "mode=legacy", "monte_carlo.n_cycles=20"], True),
+    ],
+)
+def test_sweep_notes_once_when_some_point_sets_monte_carlo(ltem_copy, capsys, axes, noted):
+    args = [arg for axis in axes for arg in ("--axis", axis)]
+    assert run_cli("sweep", LTEM, *args) == 0
+    plain = capsys.readouterr()
+    ltem_copy.write_text(ltem_copy.read_text() + "monte_carlo.n_cycles = 50\n")
+    assert run_cli("sweep", ltem_copy, *args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out
+    assert captured.err == ("note: sweep writes no Monte Carlo goodput (run one point for it)\n" if noted else "")
+
+
 def test_sweep_bad_axis(tmp_path):
     assert run_cli("sweep", LTEM, "--axis", "nonsense=1,2") == 3
 

@@ -4,8 +4,8 @@ and only the commands that lay out a timeline load ``ntn_harq.scheduler``.
 Defining the package's records as dataclasses cost about 20 ms of every
 cold start, and ``import dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
 and ``tokenize`` for another 10 ms.  Compiling and running the scheduler
-costs about 10 ms more, which ``run`` and ``sweep`` need only for
-Monte Carlo goodput, and ``calibrate`` not at all.  One stray decorator
+costs about 10 ms more, which ``run`` needs only for Monte Carlo
+goodput, and ``sweep`` and ``calibrate`` not at all.  One stray decorator
 or top-level import would bring them back, so each process below reports
 what it loaded.
 """
@@ -76,6 +76,7 @@ def monte_carlo_profile(tmp_path_factory):
         ("timeline", True),
         ("run-monte-carlo", True),
         ("calibrate-monte-carlo", False),
+        ("sweep-monte-carlo", False),
     ],
 )
 def test_only_the_commands_that_lay_out_a_timeline_load_the_scheduler(monte_carlo_profile, command, loads):
@@ -87,6 +88,8 @@ def test_only_the_commands_that_lay_out_a_timeline_load_the_scheduler(monte_carl
         "timeline": ["timeline", str(PROFILE)],
         "run-monte-carlo": ["run", str(monte_carlo_profile)],
         "calibrate-monte-carlo": ["calibrate", str(monte_carlo_profile), "--dry-run"],
+        "sweep-monte-carlo": ["sweep", str(monte_carlo_profile), "--axis", "direction=ul,dl", "--axis",
+                              "mode=legacy,proposed"],
     }[command]
     before, after = probe(("ntn_harq.scheduler",), args)
     assert before == []

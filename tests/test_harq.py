@@ -92,7 +92,7 @@ def test_harq_sizing_rejects_a_bad_round_trip():
     params = CycleParams(n_tbphc=4, rep_pdsch=12)
     for rtt in (-1.0, math.nan, math.inf):
         with pytest.raises(InvalidInputError, match="^rtt and ack processing must be finite and >= 0$"):
-            harq_processes(params, 4, 48, rtt, 0)
+            harq_processes(params, 4, 12, rtt, 0)
         with pytest.raises(InvalidInputError, match="^rtt and ack processing must be finite and >= 0$"):
             harq_for_tbphc(params, rtt, 0)
     for ack_proc_sf in (-1, math.nan, math.inf):

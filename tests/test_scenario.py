@@ -347,6 +347,19 @@ def test_sweep_rejects_an_axis_with_no_values(table):
         sweep({}, axes, table)
 
 
+def test_sweep_runs_no_monte_carlo(monkeypatch, table):
+    axes = [("geometry.altitude_km", ["600", "3000"]), ("mode", ["legacy", "proposed"])]
+    expected = sweep({}, axes, table)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep ran a Monte Carlo simulation")
+
+    monkeypatch.setattr(scheduler, "monte_carlo_goodput", refuse)
+    rows, infeasible = sweep({"monte_carlo.n_cycles": "200", "monte_carlo.bler_per_attempt": "0.1,0"}, axes, table)
+    assert [row.goodput for row in rows] == [None, None]
+    assert (rows, infeasible) == expected
+
+
 def test_csv_deterministic(table):
     rows, _ = sweep({}, [("geometry.altitude_km", ["600", "1200"])], table)
     again, _ = sweep({}, [("geometry.altitude_km", ["600", "1200"])], table)
