@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
@@ -179,5 +178,4 @@ def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
 def default_table() -> BlerTable:
     """The packaged NTN TDL-A PUSCH table, read once per process.  Every
     call returns the same table, so callers must not change its curves."""
-    text = resources.files("ntn_harq").joinpath("data", DEFAULT_TABLE_RESOURCE).read_text()
-    return load_bler_table(text.splitlines())
+    return load_bler_table(Path(__file__).with_name("data") / DEFAULT_TABLE_RESOURCE)

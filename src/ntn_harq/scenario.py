@@ -447,9 +447,15 @@ def _operating_point(geometry: OrbitGeometry, link: LinkBudgetParams, table: Ble
                      target_bler: float) -> tuple[float, float, int | str]:
     """The round trip in ms, the operating SNR in dB and the repetition
     count that reaches the target there, or the reason no count does: a
-    value, not an exception.  A missing curve raises."""
+    value, not an exception.  A missing curve raises, and so does a slant
+    range that rounds to 0 km or an SNR that overflows."""
     rtt_ms = round_trip_time(geometry)
-    snr = snr_db(link, slant_range(geometry.altitude_km, geometry.service_elevation_deg) * 1000.0)
+    distance_km = slant_range(geometry.altitude_km, geometry.service_elevation_deg)
+    if not distance_km > 0:
+        raise ConfigError(f"bad value for geometry.altitude_km: {geometry.altitude_km!r} rounds the slant range to 0")
+    snr = snr_db(link, distance_km * 1000.0)
+    if not isfinite(snr):
+        raise ConfigError(f"link.eirp_dbm, link.g_over_t_db and link.loss_*_db overflow the SNR to {snr} dB")
     try:
         return rtt_ms, snr, select_repetitions(table, tbs_bits, snr, target_bler)
     except InfeasibleLinkError as exc:
@@ -542,8 +548,10 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
         gain = suf / baseline_suf - 1.0
     rate = throughput(suf, config.tbs_bits)
     required = harq_for_tbphc(params, rtt_ms, config.n_a2g)
-    power_w = delay_power(config.power_efficiency_mops_per_mw, config.power_op_rate_per_s,
-                          DELAY_OP_COUNTS[_power_scheme(config)])
+    power_nw = delay_power(config.power_efficiency_mops_per_mw, config.power_op_rate_per_s,
+                           DELAY_OP_COUNTS[_power_scheme(config)]) * 1e9
+    if not isfinite(power_nw):
+        raise ConfigError("power.op_rate_per_s over power.efficiency_mops_per_mw overflows the delay power")
     goodput = None
     mc = config.monte_carlo
     if mc.n_cycles > 0 and mode is _PROPOSED:
@@ -560,7 +568,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     return ScenarioResult(  # positional, in field order: the fastest call
         config.scenario_id, geometry.altitude_km, geometry.payload.value, geometry.service_elevation_deg,
         rtt_ms, snr, config.tbs_bits, n_rep, mode.value, params.n_tbphc, required, suf, rate, 100.0 * gain,
-        power_w * 1e9, goodput,
+        power_nw, goodput,
     )
 
 

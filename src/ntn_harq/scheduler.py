@@ -21,8 +21,7 @@ its whole span is a segment of its own, and only overlapping blocks
 (legacy attempts, BS views) pass through a heap.  The exports do
 per-subframe work only for the text they write: the text grid is one
 pass over the segments, and the SVG grid one string per subframe where
-uses do not overlap; ``SubframeTimeline.slots`` expands the per-subframe
-view on demand.  A run of consecutive SF indices, each followed by the
+uses do not overlap.  A run of consecutive SF indices, each followed by the
 same text (a CSV line of the export, nothing in the text grid's header),
 is written by ``index_run`` from digit tables, one join per thousand
 indices, not one ``repr`` or ``"%3d"`` per index.
@@ -88,18 +87,6 @@ class SubframeTimeline(Frozen):
         set_slot(self, "origin", origin)
         set_slot(self, "_segments", None)  # swept on first use
 
-    @classmethod
-    def from_slots(
-        cls,
-        slots: Sequence[Sequence[SlotUse]],
-        perspective: Perspective = Perspective.UE,
-        origin: int = 0,
-    ) -> SubframeTimeline:
-        """A timeline from per-subframe uses, one block per use."""
-        claims = [(sf, use) for sf, uses in enumerate(slots) for use in uses]
-        blocks = tuple((sf, 1, use, rank) for rank, (sf, use) in enumerate(claims))
-        return cls(blocks, len(slots), perspective, origin)
-
     def __len__(self) -> int:
         return self.length
 
@@ -134,14 +121,6 @@ class SubframeTimeline(Frozen):
                 active[rank] = use
                 heappush(ends, (stop, rank))
         object.__setattr__(self, "_segments", out)
-        return out
-
-    @property
-    def slots(self) -> list[tuple[SlotUse, ...]]:
-        """The uses of every position, expanded from the blocks."""
-        out: list[tuple[SlotUse, ...]] = []
-        for first, stop, uses in self.segments:
-            out.extend([uses] * (stop - first))
         return out
 
 
@@ -404,6 +383,8 @@ def index_run(first: int, stop: int, tail: str) -> str:
     is one join of its three-digit endings behind a shared head, so no
     index is formatted on its own.  Negative indices (BS views only) go
     through ``repr``."""
+    if stop - first == 1:  # most runs of an export are one SF wide
+        return f"{first}{tail}"
     out = ""
     if first < 1000 and first < stop:
         if first < 0:

@@ -314,6 +314,49 @@ def test_sweep_reports_uplink_bundling_and_missing_curves_and_goes_on(ltem_copy,
     ]
 
 
+def test_an_altitude_whose_slant_range_rounds_to_zero_is_one_bad_point(ltem_copy, capsys):
+    # 1e-300 km passes the (0, 35786] range, but the slant range it gives is 0.0 km
+    assert run_cli("sweep", LTEM, "--axis", "geometry.altitude_km=1e-300,600") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[1:2]] == ["600"]
+    assert lines[2:] == [
+        "# infeasible leo1e-300-transparent-lte-m-ul-proposed-tbs504 geometry.altitude_km=1e-300: "
+        "bad value for geometry.altitude_km: 1e-300 rounds the slant range to 0"
+    ]
+    ltem_copy.write_text(ltem_copy.read_text() + "geometry.altitude_km = 1e-300\n")
+    for command in ("run", "timeline"):
+        assert run_cli(command, ltem_copy) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad value for geometry.altitude_km" in captured.err
+
+
+@pytest.mark.parametrize(
+    "fixed, key, bad, good",
+    [
+        ("link.eirp_dbm = 1e308", "link.g_over_t_db", "1e308", "-4.9"),
+        ("power.efficiency_mops_per_mw = 1e-308", "power.op_rate_per_s", "1e308", "1e-300"),
+        ("power.efficiency_mops_per_mw = 1e300", "power.op_rate_per_s", "1e308", "1000"),  # inf / inf
+    ],
+    ids=["snr", "power", "power-nan"],
+)
+def test_finite_values_that_overflow_a_column_are_refused(ltem_copy, capsys, fixed, key, bad, good):
+    keys = (fixed.split(" = ")[0], key)
+    base = ltem_copy.read_text() + fixed + "\n"
+    ltem_copy.write_text(base + f"{key} = {bad}\n")
+    assert run_cli("run", ltem_copy) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(k in captured.err for k in keys), captured.err
+    # as a sweep point it is reported, and the sweep goes on
+    ltem_copy.write_text(base)
+    assert run_cli("sweep", ltem_copy, "--axis", f"{key}={bad},{good}") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and "inf" not in lines[1].split(",")
+    assert lines[2].startswith(f"# infeasible leo600-transparent-lte-m-ul-proposed-tbs504 {key}={bad}: ")
+    assert all(k in lines[2] for k in keys), lines[2]
+
+
 def test_a_minimum_delay_shorter_than_the_switch_gap_names_both_keys(ltem_copy, tmp_path, capsys):
     ltem_copy.write_text(ltem_copy.read_text() + "cycle.dd2a_min = 0\n")
     for args in (["run", ltem_copy], ["calibrate", ltem_copy], ["calibrate", ltem_copy, "--dry-run"],

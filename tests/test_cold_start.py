@@ -1,13 +1,18 @@
-"""A cold ``ntn-harq`` process loads neither ``dataclasses`` nor ``inspect``,
-and only the commands that lay out a timeline load ``ntn_harq.scheduler``.
+"""A cold ``ntn-harq`` process loads none of ``dataclasses``, ``inspect``
+and ``importlib.resources``, and only the commands that lay out a
+timeline load ``ntn_harq.scheduler``.
 
 Defining the package's records as dataclasses cost about 20 ms of every
 cold start, and ``import dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
-and ``tokenize`` for another 10 ms.  Compiling and running the scheduler
+and ``tokenize`` for another 10 ms.  From Python 3.12 on,
+``importlib.resources`` imports ``inspect`` too, so the packaged BLER table
+is read by its file path.  Compiling and running the scheduler
 costs about 10 ms more, which ``run`` needs only for Monte Carlo
 goodput, and ``sweep`` and ``calibrate`` not at all.  One stray decorator
 or top-level import would bring them back, so each process below reports
-what it loaded.
+what it loaded.  The unwanted-module probe also runs under ``-S``, without
+``site``: a ``.pth`` file of the installed packages may import one of
+these modules itself, which hides whether the package imports it too.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PROFILE = ROOT / "profiles" / "leo600_ltem_ul.cfg"
-UNWANTED = ("dataclasses", "inspect")
+UNWANTED = ("dataclasses", "inspect", "importlib.resources")
 
 # prints the unwanted modules loaded before and after importing the CLI and
 # running it on the given arguments, as the last line of stdout
@@ -35,12 +40,12 @@ print(json.dumps([before, [name for name in {unwanted} if name in sys.modules]])
 """
 
 
-def probe(modules: tuple[str, ...], args: list[str]) -> tuple[list[str], list[str]]:
-    """Which of ``modules`` a fresh interpreter holds before importing the
-    CLI, and which after running it on ``args``."""
+def probe(modules: tuple[str, ...], args: list[str], flags: tuple[str, ...] = ()) -> tuple[list[str], list[str]]:
+    """Which of ``modules`` a fresh interpreter, started with ``flags``,
+    holds before importing the CLI, and which after running it on ``args``."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(unwanted=modules), *args],
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE.format(unwanted=modules), *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     before, after = json.loads(proc.stdout.splitlines()[-1])
@@ -53,10 +58,11 @@ def probe(modules: tuple[str, ...], args: list[str]) -> tuple[list[str], list[st
     ids=["import", "run", "calibrate"],
 )
 def test_a_cold_process_leaves_dataclasses_and_inspect_unloaded(args):
-    before, after = probe(UNWANTED, args)
-    if before:
-        pytest.skip(f"the interpreter loads {before} before the package is imported")
-    assert after == [], f"ntn-harq {' '.join(args[:1]) or 'import'} loaded {after}"
+    for flags in ((), ("-S",)):
+        before, after = probe(UNWANTED, args, flags)
+        assert not flags or before == [], f"python -S loads {before} before the package is imported"
+        loaded = [name for name in after if name not in before]
+        assert loaded == [], f"ntn-harq {' '.join(args[:1]) or 'import'} loaded {loaded}{' under -S' * bool(flags)}"
 
 
 @pytest.fixture(scope="module")

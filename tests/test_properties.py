@@ -325,22 +325,6 @@ def test_min_delay_check_matches_the_per_tb_reference(direction, n, rep_pdcch, r
 slot_uses = st.tuples(st.sampled_from(Activity), st.sampled_from([None, 1, 2, 3]))
 
 
-@settings(max_examples=500, deadline=None)
-@given(
-    st.lists(st.lists(slot_uses, max_size=3).map(tuple), max_size=16),
-    st.fixed_dictionaries({"n_switch": st.integers(0, 2), "dd2a_min": st.integers(0, 5), "ug2d_min": st.integers(0, 5),
-                           "n_bundle": st.integers(1, 3),
-                           "rep_pucch": st.integers(1, 3)}).map(lambda fields: CycleParams(**fields)),
-)
-# two touching untagged feedback blocks answer TB 1 and TB 2: one run of feedback would answer TB 1 only
-@example([((Activity.RX_PDSCH, 1),), ((Activity.RX_PDSCH, 2),)] + [((Activity.TX_PUCCH, None),)] * 4,
-         CycleParams(rep_pucch=2, n_switch=0, dd2a_min=5))
-def test_validate_matches_slot_reference(slots, params):
-    timeline = SubframeTimeline.from_slots(slots)
-    assert timeline.slots == slots
-    assert list(validate(timeline, params).conflicts) == reference_validate(slots, params)
-
-
 def _covering(blocks: list[Block], length: int) -> list[list[Block]]:
     """The blocks covering each subframe, in rank order."""
     covering: list[list[Block]] = [[] for _ in range(length)]
@@ -392,6 +376,24 @@ def block_layouts(draw):
     return blocks, length
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    block_layouts(),
+    st.fixed_dictionaries({"n_switch": st.integers(0, 2), "dd2a_min": st.integers(0, 5), "ug2d_min": st.integers(0, 5),
+                           "n_bundle": st.integers(1, 3),
+                           "rep_pucch": st.integers(1, 3)}).map(lambda fields: CycleParams(**fields)),
+)
+# two touching untagged feedback blocks answer TB 1 and TB 2: one run of feedback would answer TB 1 only
+@example(([(0, 1, (Activity.RX_PDSCH, 1), 0), (1, 1, (Activity.RX_PDSCH, 2), 1)]
+          + [(sf, 1, (Activity.TX_PUCCH, None), sf) for sf in range(2, 6)], 6),
+         CycleParams(rep_pucch=2, n_switch=0, dd2a_min=5))
+def test_validate_matches_slot_reference(layout, params):
+    blocks, length = layout
+    slots = [tuple(use for _, _, use, _ in covered) for covered in _covering(blocks, length)]
+    timeline = SubframeTimeline(tuple(blocks), length)
+    assert list(validate(timeline, params).conflicts) == reference_validate(slots, params)
+
+
 @settings(max_examples=400, deadline=None)
 @given(block_layouts(), st.sampled_from(Perspective), st.integers(-1500, 2500).filter(bool))
 # one PDSCH run crosses SF 1000, where the index gains a digit
@@ -402,7 +404,6 @@ def test_block_sweep_and_export_match_subframe_expansion(layout, perspective, or
     blocks, length = layout
     timeline = SubframeTimeline(tuple(blocks), length, perspective, origin)
     assert timeline.segments == reference_segments(blocks, length)
-    assert timeline.slots == [tuple(use for _, _, use, _ in covered) for covered in _covering(blocks, length)]
     assert export_timeline(timeline) == reference_export(blocks, length, perspective, origin)
 
 

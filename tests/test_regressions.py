@@ -28,13 +28,13 @@ PROFILES = sorted((Path(__file__).resolve().parent.parent / "profiles").glob("*.
 def test_validate_measures_feedback_from_its_first_slot(n_feedback):
     # feedback starts two SFs after the data against a 3-SF minimum,
     # however many SFs the feedback repeats over
-    slots = [
-        ((Activity.RX_PDSCH, 1),),
-        ((Activity.SWITCH, None),),
-        *[((Activity.TX_PUCCH, 1),)] * n_feedback,
-    ]
+    blocks = (
+        (0, 1, (Activity.RX_PDSCH, 1), 0),
+        (1, 1, (Activity.SWITCH, None), 1),
+        *[(sf, 1, (Activity.TX_PUCCH, 1), sf) for sf in range(2, 2 + n_feedback)],
+    )
     params = CycleParams(dd2a_min=3, n_switch=1, rep_pucch=n_feedback)
-    report = validate(SubframeTimeline.from_slots(slots), params)
+    report = validate(SubframeTimeline(blocks, 2 + n_feedback), params)
     assert [(c.kind, c.sf_index) for c in report.conflicts] == [("min-delay", 2)]
 
 

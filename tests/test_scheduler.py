@@ -176,10 +176,8 @@ def test_proposed_ul_packs_without_idle_when_guard_saturated():
     # grants cover the minimum wait, so nothing idles inside the cycle
     params = CycleParams(n_tbphc=6, rep_pdcch=1, rep_pusch=12, ug2d_min=3, n_switch=1)
     timeline = build_proposed_cycle(params, Direction.UL)
-    occupied = [i for i, uses in enumerate(timeline.slots) if uses]
-    first, last = occupied[0], occupied[-1]
-    for i in range(first, last + 1):
-        assert timeline.slots[i], f"idle SF {i} inside the packed cycle"
+    occupied = sorted({i for i, _ in uses(timeline)})
+    assert occupied == list(range(occupied[0], occupied[-1] + 1)), "idle SF inside the packed cycle"
 
 
 def test_proposed_min_delay_violation():
@@ -228,11 +226,12 @@ def test_proposed_realized_delays_meet_minimum():
 
 
 def test_validate_flags_hand_built_overlap():
-    slots = [
-        ((Activity.RX_PDSCH, 1),),
-        ((Activity.RX_PDSCH, 2), (Activity.TX_PUCCH, 1)),
-    ]
-    timeline = SubframeTimeline.from_slots(slots=slots)
+    blocks = (
+        (0, 1, (Activity.RX_PDSCH, 1), 0),
+        (1, 1, (Activity.RX_PDSCH, 2), 1),
+        (1, 1, (Activity.TX_PUCCH, 1), 2),
+    )
+    timeline = SubframeTimeline(blocks, 2)
     report = validate(timeline, CycleParams(n_tbphc=2, dd2a_min=0, n_switch=0))
     kinds = {c.kind for c in report.conflicts}
     assert "double-booking" in kinds
@@ -242,13 +241,12 @@ def test_validate_flags_hand_built_overlap():
 
 def test_validate_flags_short_feedback_delay():
     # feedback 2 SFs after the data with a 3-SF minimum
-    slots = [
-        ((Activity.RX_PDSCH, 1),),
-        (),
-        ((Activity.SWITCH, None),),
-        ((Activity.TX_PUCCH, 1),),
-    ]
-    timeline = SubframeTimeline.from_slots(slots=slots)
+    blocks = (
+        (0, 1, (Activity.RX_PDSCH, 1), 0),
+        (2, 1, (Activity.SWITCH, None), 1),
+        (3, 1, (Activity.TX_PUCCH, 1), 2),
+    )
+    timeline = SubframeTimeline(blocks, 4)
     report = validate(timeline, CycleParams(n_tbphc=1, dd2a_min=3, n_switch=1))
     assert any(c.kind == "min-delay" for c in report.conflicts)
 
@@ -264,14 +262,8 @@ def test_validate_checks_the_feedback_delay_of_every_bundle_group():
 
 
 def test_validate_flags_missing_switch():
-    slots = [
-        ((Activity.RX_PDSCH, 1),),
-        (),
-        (),
-        (),
-        ((Activity.TX_PUCCH, 1),),
-    ]
-    timeline = SubframeTimeline.from_slots(slots=slots)
+    blocks = ((0, 1, (Activity.RX_PDSCH, 1), 0), (4, 1, (Activity.TX_PUCCH, 1), 1))
+    timeline = SubframeTimeline(blocks, 5)
     report = validate(timeline, CycleParams(n_tbphc=1, dd2a_min=3, n_switch=1))
     assert any(c.kind == "missing-switch" for c in report.conflicts)
 
@@ -295,7 +287,7 @@ def test_validate_checks_ul_grant_separation():
 
 
 def test_validate_rejects_bs_perspective():
-    timeline = SubframeTimeline.from_slots(slots=[()], perspective=Perspective.BS)
+    timeline = SubframeTimeline((), 1, Perspective.BS)
     with pytest.raises(InvalidInputError):
         validate(timeline, CycleParams())
 
@@ -307,7 +299,7 @@ def test_bs_view_zero_rtt_is_identity():
     params = CycleParams(n_tbphc=2, rep_pdsch=2, dd2a_min=3, grant_mode=GrantMode.MTBG)
     timeline = build_proposed_cycle(params, Direction.DL)
     view = bs_view(timeline, 0)
-    assert view.slots == timeline.slots
+    assert view.segments == timeline.segments
     assert view.origin == timeline.origin
     assert view.perspective is Perspective.BS
 
@@ -339,9 +331,7 @@ def test_bs_view_feedback_arrives_one_way_later():
 
 
 def test_bs_view_grant_position_example():
-    slots = [() for _ in range(12)]
-    slots[10] = ((Activity.RX_PDCCH, None),)
-    timeline = SubframeTimeline.from_slots(slots=slots)
+    timeline = SubframeTimeline(((10, 1, (Activity.RX_PDCCH, None), 0),), 12)
     view = bs_view(timeline, 20)
     positions = [i for i, (activity, _) in uses(view) if activity is Activity.RX_PDCCH]
     assert positions == [0]
@@ -350,19 +340,15 @@ def test_bs_view_grant_position_example():
 def test_bs_view_rejects_negative_rtt():
     for rtt in (-1, math.nan, math.inf):
         with pytest.raises(InvalidInputError, match="^rtt must be finite and >= 0$"):
-            bs_view(SubframeTimeline.from_slots(slots=[()]), rtt)
+            bs_view(SubframeTimeline((), 1), rtt)
 
 
 # --- export ----------------------------------------------------------------
 
 
 def test_export_format():
-    slots = [
-        ((Activity.RX_PDCCH, None),),
-        (),
-        ((Activity.TX_PUSCH, 1),),
-    ]
-    timeline = SubframeTimeline.from_slots(slots=slots)
+    blocks = ((0, 1, (Activity.RX_PDCCH, None), 0), (2, 1, (Activity.TX_PUSCH, 1), 1))
+    timeline = SubframeTimeline(blocks, 3)
     assert export_timeline(timeline) == (
         "0,UE,RxPDCCH,,\n"
         "1,UE,Idle,,\n"
