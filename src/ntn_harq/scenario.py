@@ -106,14 +106,6 @@ class ScenarioConfig(NamedTuple):
     power_op_rate_per_s: float
     monte_carlo: MonteCarloSettings
 
-    @property
-    def scenario_id(self) -> str:
-        return (
-            f"leo{self.geometry.altitude_km:g}-{self.geometry.payload.value}"
-            f"-{self.protocol.name}-{self.direction.value}-{self.mode.value}"
-            f"-tbs{self.tbs_bits}"
-        )
-
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -321,6 +313,10 @@ def _scalar_section(texts: tuple[str | None, ...]) -> tuple[Any, ...]:
     if values["max_harq"] is None:
         protocol = values["protocol"]
         values["max_harq"] = protocol.max_harq_extended if extended else protocol.max_harq
+    # power_nw at the most delay operations of any scheme: finite there, it is finite at fewer
+    power = delay_power(values["efficiency_mops_per_mw"], values["op_rate_per_s"], max(DELAY_OP_COUNTS.values()))
+    if not isfinite(power * 1e9):
+        raise ConfigError("power.op_rate_per_s over power.efficiency_mops_per_mw overflows the delay power")
     return tuple(values.values())
 
 
@@ -517,6 +513,13 @@ class ScenarioResult(NamedTuple):
 
 
 CSV_COLUMNS = tuple(name for name in ScenarioResult._fields if name != "goodput")
+# the keys a scenario's id reads, named by _values as _scenario_id's arguments
+_ID_KEYS = ("geometry.altitude_km", "geometry.payload", "protocol", "direction", "mode", "tbs_bits")
+
+
+def _scenario_id(altitude_km: float, payload: Payload, protocol: ProtocolProfile, direction: Direction,
+                 mode: SchedulingMode, tbs_bits: int) -> str:
+    return f"leo{altitude_km:g}-{payload.value}-{protocol.name}-{direction.value}-{mode.value}-tbs{tbs_bits}"
 
 
 def _power_scheme(config: ScenarioConfig) -> str:
@@ -525,8 +528,14 @@ def _power_scheme(config: ScenarioConfig) -> str:
     return "dd2a_bundled" if config.cycle.ack_bundling else "dd2a"
 
 
+def _gain_pct(config: ScenarioConfig, n_rep: int, suf: float) -> float:
+    """The gain in % of ``suf`` over the one-TB legacy cycle's SUF at ``n_rep`` repetitions."""
+    baseline_params = _completed_cycle(config.cycle, 1, n_rep)
+    return 100.0 * (suf / suf_closed_form(baseline_params, config.direction, _LEGACY) - 1.0)
+
+
 def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
-    """Full pipeline for one scenario.
+    """Full pipeline for one scenario; its gain is ``_gain_pct``'s, as each ``calibrate`` candidate's is.
 
     Raises InfeasibleLinkError when no tabulated repetition count reaches
     the target BLER at the operating SNR, and MinDelayViolationError when
@@ -541,17 +550,11 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
         )
     rtt_ms, snr, n_rep, params = resolve(config, table)
     suf = suf_closed_form(params, config.direction, mode)
-    gain = 0.0
-    if mode is _PROPOSED:
-        baseline_params = _completed_cycle(config.cycle, 1, n_rep)
-        baseline_suf = suf_closed_form(baseline_params, config.direction, _LEGACY)
-        gain = suf / baseline_suf - 1.0
+    gain_pct = _gain_pct(config, n_rep, suf) if mode is _PROPOSED else 0.0
     rate = throughput(suf, config.tbs_bits)
     required = harq_for_tbphc(params, rtt_ms, config.n_a2g)
     power_nw = delay_power(config.power_efficiency_mops_per_mw, config.power_op_rate_per_s,
-                           DELAY_OP_COUNTS[_power_scheme(config)]) * 1e9
-    if not isfinite(power_nw):
-        raise ConfigError("power.op_rate_per_s over power.efficiency_mops_per_mw overflows the delay power")
+                           DELAY_OP_COUNTS[_power_scheme(config)]) * 1e9  # finite: see _scalar_section
     goodput = None
     mc = config.monte_carlo
     if mc.n_cycles > 0 and mode is _PROPOSED:
@@ -566,9 +569,9 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
         )
     geometry = config.geometry
     return ScenarioResult(  # positional, in field order: the fastest call
-        config.scenario_id, geometry.altitude_km, geometry.payload.value, geometry.service_elevation_deg,
-        rtt_ms, snr, config.tbs_bits, n_rep, mode.value, params.n_tbphc, required, suf, rate, 100.0 * gain,
-        power_nw, goodput,
+        _scenario_id(geometry.altitude_km, geometry.payload, config.protocol, config.direction, mode, config.tbs_bits),
+        geometry.altitude_km, geometry.payload.value, geometry.service_elevation_deg, rtt_ms, snr, config.tbs_bits,
+        n_rep, mode.value, params.n_tbphc, required, suf, rate, gain_pct, power_nw, goodput,
     )
 
 
@@ -587,7 +590,7 @@ def results_to_csv(results: list[ScenarioResult]) -> str:
 
 # the errors of one point, which sweep and calibrate report and go on past
 _POINT_ERRORS = (InfeasibleLinkError, MinDelayViolationError, CurveNotFoundError, ConfigError)
-# the Monte Carlo settings of every point that sweep and calibrate run: neither reads goodput
+# the Monte Carlo settings of every point that sweep runs: it writes no goodput
 _NO_MONTE_CARLO = MonteCarloSettings()
 
 
@@ -607,9 +610,9 @@ def sweep(
     a check that depends on the point (such as the HARQ budget at its
     round trip, feedback bundling on an uplink point, or a minimum delay
     shorter than the switch gap); the sweep goes on past those.  A label
-    is the point's ``scenario_id`` followed by one ``key=value`` per axis,
-    in axis order, so points with distinct axis values never share one.
-    Points run with Monte Carlo off, so no result carries a goodput.
+    is the point's ``scenario_id``, read off its texts, followed by one
+    ``key=value`` per axis, in axis order, so points with distinct axis
+    values never share one.  Points run with Monte Carlo off: no goodput.
     """
     for key, options in axes:
         if key not in _SCHEMA:
@@ -625,15 +628,11 @@ def sweep(
     results, infeasible = [], []
     for values in product(*(options for _, options in axes)):
         raw = {**base_raw, **dict(zip(keys, values))}
-        config = None
         try:
-            config = config_from_mapping(raw)
-            results.append(run_scenario(config._replace(monte_carlo=_NO_MONTE_CARLO), table))
+            results.append(run_scenario(config_from_mapping(raw)._replace(monte_carlo=_NO_MONTE_CARLO), table))
         except _POINT_ERRORS as exc:
-            if config is None:  # keys in conflict at this point; the id reads none of the cycle keys
-                config = config_from_mapping({k: v for k, v in raw.items() if not k.startswith("cycle.")})
-            label = " ".join([config.scenario_id, *(f"{k}={v}" for k, v in zip(keys, values))])
-            infeasible.append((label, str(exc)))
+            point_id = _scenario_id(**_values(_ID_KEYS, tuple(map(raw.get, _ID_KEYS))))  # each parsed alone above
+            infeasible.append((" ".join([point_id, *(f"{k}={v}" for k, v in zip(keys, values))]), str(exc)))
     return results, infeasible
 
 
@@ -654,9 +653,9 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     """Search the grant-repetition and feedback-processing-delay pair that
     best reproduces the protocol's published throughput gain.
 
-    The search covers rep_pdcch in [1, 8] and n_a2g in [0, 4] with the TB
-    count re-selected per candidate and Monte Carlo off (the gain reads no
-    goodput); ties break toward the smallest pair.
+    The search covers rep_pdcch in [1, 8] and n_a2g in [0, 4], scoring each
+    candidate on ``resolve`` (its TB count re-selected) and the closed forms
+    alone; ties break toward the smallest pair.
     A candidate that fails as a sweep point can (its HARQ budget, say, or
     an uplink minimum delay) is skipped and listed in ``skipped``; when every one
     fails, the first one's error is raised.  A result outside the
@@ -666,10 +665,10 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     scored: list[tuple[float, int, int, float]] = []  # (distance to the target, rep_pdcch, n_a2g, gain)
     skipped: list[tuple[str, Exception]] = []
     for p, a in product(range(1, 9), range(5)):
-        candidate = config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a,
-                                    n_tbphc=None, mode=_PROPOSED, monte_carlo=_NO_MONTE_CARLO)
+        candidate = config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a, n_tbphc=None, mode=_PROPOSED)
         try:
-            gain_pct = run_scenario(candidate, table).gain_pct
+            _, _, n_rep, params = resolve(candidate, table)
+            gain_pct = _gain_pct(candidate, n_rep, suf_closed_form(params, candidate.direction, _PROPOSED))
         except _POINT_ERRORS as exc:
             skipped.append((f"rep_pdcch={p} n_a2g={a}", exc))
             continue

@@ -337,17 +337,20 @@ def test_an_altitude_whose_slant_range_rounds_to_zero_is_one_bad_point(ltem_copy
         ("link.eirp_dbm = 1e308", "link.g_over_t_db", "1e308", "-4.9"),
         ("power.efficiency_mops_per_mw = 1e-308", "power.op_rate_per_s", "1e308", "1e-300"),
         ("power.efficiency_mops_per_mw = 1e300", "power.op_rate_per_s", "1e308", "1000"),  # inf / inf
+        # finite in watts, but not in the nanowatts the power_nw column writes
+        ("power.efficiency_mops_per_mw = 1e-300", "power.op_rate_per_s", "1e10", "1000"),
     ],
-    ids=["snr", "power", "power-nan"],
+    ids=["snr", "power", "power-nan", "power-nw"],
 )
 def test_finite_values_that_overflow_a_column_are_refused(ltem_copy, capsys, fixed, key, bad, good):
     keys = (fixed.split(" = ")[0], key)
     base = ltem_copy.read_text() + fixed + "\n"
     ltem_copy.write_text(base + f"{key} = {bad}\n")
-    assert run_cli("run", ltem_copy) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert all(k in captured.err for k in keys), captured.err
+    for args in (["run"], ["timeline"], ["calibrate", "--dry-run"]):
+        assert run_cli(args[0], ltem_copy, *args[1:]) == 3, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(k in captured.err for k in keys), captured.err
     # as a sweep point it is reported, and the sweep goes on
     ltem_copy.write_text(base)
     assert run_cli("sweep", ltem_copy, "--axis", f"{key}={bad},{good}") == 2
@@ -605,7 +608,7 @@ def test_calibrate_raises_the_first_candidates_error_when_every_one_fails(monkey
         raise (ConfigError if first else MinDelayViolationError)(
             f"rep_pdcch={config.cycle.rep_pdcch} n_a2g={config.n_a2g} fails")
 
-    monkeypatch.setattr(scenario, "run_scenario", fail)
+    monkeypatch.setattr(scenario, "resolve", fail)
     assert run_cli("calibrate", NBIOT, "--dry-run") == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "config error: rep_pdcch=1 n_a2g=0 fails\n")

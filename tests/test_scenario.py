@@ -1,3 +1,4 @@
+import gzip
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from ntn_harq.scenario import (
 
 NBIOT_EXT = {"protocol": "nb-iot", "protocol.extended_harq": "true"}
 SRC = Path(__file__).resolve().parent.parent / "src"
+PROFILES = SRC.parent / "profiles"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_defaults_run_ltem_leo600(table):
@@ -336,6 +339,25 @@ def test_sweep_goes_on_past_infeasible_points(table):
     assert all(reason.startswith("no repetition count reaches BLER 0.1") for _, reason in infeasible)
 
 
+def test_a_point_that_fails_to_parse_is_labelled_from_its_texts(monkeypatch, table):
+    # a combined check of a section that fails at one point: the label must
+    # not parse the point again, or the whole sweep aborts
+    real_section = scenario._geometry_section
+
+    def section(texts):
+        if texts[0] == "1200":  # geometry.altitude_km
+            raise ConfigError("the geometry fails at 1200 km")
+        return real_section(texts)
+
+    monkeypatch.setattr(scenario, "_geometry_section", section)
+    base = {"protocol": "NB-IoT", "protocol.extended_harq": "true", "mode": "Legacy"}
+    rows, infeasible = sweep(base, [("geometry.altitude_km", ["1200", "600"])], table)
+    assert [(r.scenario_id, r.altitude_km) for r in rows] == [("leo600-transparent-nb-iot-ul-legacy-tbs504", 600.0)]
+    assert infeasible == [
+        ("leo1200-transparent-nb-iot-ul-legacy-tbs504 geometry.altitude_km=1200", "the geometry fails at 1200 km")
+    ]
+
+
 def test_sweep_unknown_axis(table):
     with pytest.raises(ConfigError):
         sweep({}, [("cycle.bogus", ["1"])], table)
@@ -394,13 +416,11 @@ def test_calibrate_breaks_a_tie_toward_the_smallest_pair(monkeypatch, table):
     config = config_from_mapping({})
     target = config.protocol.target_gain_pct
     offsets = {(5, 0): 1.0, (2, 3): -1.0}
-    real_run = scenario.run_scenario
 
-    def run(candidate, table):
-        offset = offsets.get((candidate.cycle.rep_pdcch, candidate.n_a2g), 10.0)
-        return real_run(candidate, table)._replace(gain_pct=target + offset)
+    def gain_pct(candidate, n_rep, suf):
+        return target + offsets.get((candidate.cycle.rep_pdcch, candidate.n_a2g), 10.0)
 
-    monkeypatch.setattr(scenario, "run_scenario", run)
+    monkeypatch.setattr(scenario, "_gain_pct", gain_pct)
     result = calibrate(config, table)
     assert (result.rep_pdcch, result.n_a2g, result.gain_pct) == (2, 3, target - 1.0)
 
@@ -414,6 +434,26 @@ def test_calibrate_runs_no_monte_carlo(monkeypatch, table):
 
     monkeypatch.setattr(scheduler, "monte_carlo_goodput", refuse)
     assert calibrate(config_from_mapping(raw), table) == expected
+
+
+@pytest.mark.parametrize("profile", sorted(p.stem for p in PROFILES.glob("*.cfg")))
+def test_calibrate_scores_without_run_scenario_and_agrees_with_it(monkeypatch, table, profile):
+    config = load_config(PROFILES / f"{profile}.cfg")
+
+    def refuse(*args):
+        raise AssertionError("calibrate ran run_scenario")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(scenario, "run_scenario", refuse)
+        result = calibrate(config, table)
+    # the pair and gain the calibrate --dry-run golden pins
+    printed = f"rep_pdcch={result.rep_pdcch} n_a2g={result.n_a2g}\ngain_pct={result.gain_pct:.6g} "
+    assert gzip.decompress((GOLDEN / f"calibrate.{profile}.txt.gz").read_bytes()).decode().startswith(printed)
+    # and run_scenario's gain at that pair, to the last bit
+    chosen = config._replace(cycle=config.cycle._replace(rep_pdcch=result.rep_pdcch), n_a2g=result.n_a2g,
+                             n_tbphc=None, mode=SchedulingMode.PROPOSED_VARIABLE,
+                             monte_carlo=scenario.MonteCarloSettings())
+    assert run_scenario(chosen, table).gain_pct == result.gain_pct
 
 
 def test_calibrate_reports_degraded_when_target_unreachable(table):
