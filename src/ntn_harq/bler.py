@@ -13,7 +13,7 @@ from functools import cache
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CurveNotFoundError, InfeasibleLinkError, InvalidInputError
+from .errors import InfeasibleLinkError, InvalidInputError
 from .harq import MAX_SUBFRAMES
 from .records import Frozen
 
@@ -46,7 +46,7 @@ class BlerTable(Frozen):
         try:
             return self.curves[tbs][n_rep]
         except KeyError:
-            raise CurveNotFoundError(f"no BLER curve for tbs={tbs}, n_rep={n_rep}") from None
+            raise InvalidInputError(f"no BLER curve for tbs={tbs}, n_rep={n_rep}") from None
 
 
 def _interp_log(points: Points, snr: float) -> float:
@@ -71,13 +71,14 @@ def select_repetitions(table: BlerTable, tbs: int, snr: float, target_bler: floa
 
     Raises InfeasibleLinkError when even the largest tabulated repetition
     count misses the target, i.e. the link is too weak for this TBS, and
-    InvalidInputError for a target outside (0, 1] or a NaN SNR.
+    InvalidInputError for a target outside (0, 1], a NaN SNR or a TBS
+    with no curves in the table.
     """
     if not 0.0 < target_bler <= 1.0:
         raise InvalidInputError(f"target BLER must lie in (0, 1], got {target_bler}")
     reps = table.reps_for(tbs)
     if not reps:
-        raise CurveNotFoundError(f"no BLER curves for tbs={tbs}")
+        raise InvalidInputError(f"no BLER curves for tbs={tbs}")
     for n_rep in reps:
         if bler_at(table, tbs, n_rep, snr) <= target_bler:
             return n_rep

@@ -10,8 +10,8 @@ Subcommands:
 
 Exit status: 0 success, 2 infeasible link or an uplink schedule that
 misses a minimum delay (for sweep: at one point or more, the others still
-emitted; a point that fails its HARQ budget, has no BLER curve for its
-TB size or sets feedback bundling on an uplink cycle counts too), 3
+emitted; a point whose settings fail a check that depends on the point,
+such as its HARQ budget or a TB size with no BLER curve, counts too), 3
 configuration error or a command-line usage error.
 """
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 from .bler import BlerTable, default_table, load_bler_table
 from .errors import (
     ConfigError,
-    CurveNotFoundError,
     InfeasibleLinkError,
     InvalidInputError,
     MinDelayViolationError,
@@ -332,9 +331,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except (ConfigError, InvalidInputError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CurveNotFoundError as exc:
-        print(f"config error: tbs_bits has no BLER curve in the table ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
 

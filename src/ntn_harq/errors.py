@@ -5,10 +5,6 @@ class InvalidInputError(ValueError):
     """An argument is outside its documented domain."""
 
 
-class CurveNotFoundError(LookupError):
-    """No BLER curve exists for the requested (TBS, repetition) pair."""
-
-
 class InfeasibleLinkError(RuntimeError):
     """No available repetition count meets the target BLER at this SNR."""
 

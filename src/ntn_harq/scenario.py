@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
-from .errors import ConfigError, CurveNotFoundError, InfeasibleLinkError, MinDelayViolationError
+from .errors import ConfigError, InfeasibleLinkError, MinDelayViolationError
 from .geometry import MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, OrbitGeometry, Payload, round_trip_time, slant_range
 from .harq import MAX_SUBFRAMES, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
 from .linkbudget import LinkBudgetParams, snr_db
@@ -443,8 +443,8 @@ def _operating_point(geometry: OrbitGeometry, link: LinkBudgetParams, table: Ble
                      target_bler: float) -> tuple[float, float, int | str]:
     """The round trip in ms, the operating SNR in dB and the repetition
     count that reaches the target there, or the reason no count does: a
-    value, not an exception.  A missing curve raises, and so does a slant
-    range that rounds to 0 km or an SNR that overflows."""
+    value, not an exception.  A slant range that rounds to 0 km, an SNR
+    that overflows and a TB size with no curve in the table raise."""
     rtt_ms = round_trip_time(geometry)
     distance_km = slant_range(geometry.altitude_km, geometry.service_elevation_deg)
     if not distance_km > 0:
@@ -452,6 +452,8 @@ def _operating_point(geometry: OrbitGeometry, link: LinkBudgetParams, table: Ble
     snr = snr_db(link, distance_km * 1000.0)
     if not isfinite(snr):
         raise ConfigError(f"link.eirp_dbm, link.g_over_t_db and link.loss_*_db overflow the SNR to {snr} dB")
+    if not table.curves.get(tbs_bits):
+        raise ConfigError(f"bad value for tbs_bits: {tbs_bits} has no BLER curve in the table")
     try:
         return rtt_ms, snr, select_repetitions(table, tbs_bits, snr, target_bler)
     except InfeasibleLinkError as exc:
@@ -464,7 +466,7 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
 
     A legacy config keeps its configured TB count (one under ``auto``), so
     multi-TB conflict attempts can still be rendered.  Raises
-    CurveNotFoundError when the table has no curve for the TB size, and
+    ConfigError when the table has no curve for the TB size, and
     InfeasibleLinkError when no tabulated repetition count reaches the
     target BLER at the operating SNR.
     """
@@ -545,8 +547,8 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     mode = config.mode
     if mode is _LEGACY and config.n_tbphc not in (None, 1):
         raise ConfigError(
-            "legacy fixed-delay scheduling carries one TB per cycle; use the timeline "
-            "command to inspect multi-TB attempts"
+            f"mode = legacy needs cycle.n_tbphc = 1 or auto, got {config.n_tbphc}: legacy fixed-delay scheduling "
+            f"carries one TB per cycle; use the timeline command to inspect multi-TB attempts"
         )
     rtt_ms, snr, n_rep, params = resolve(config, table)
     suf = suf_closed_form(params, config.direction, mode)
@@ -589,7 +591,7 @@ def results_to_csv(results: list[ScenarioResult]) -> str:
 
 
 # the errors of one point, which sweep and calibrate report and go on past
-_POINT_ERRORS = (InfeasibleLinkError, MinDelayViolationError, CurveNotFoundError, ConfigError)
+_POINT_ERRORS = (InfeasibleLinkError, MinDelayViolationError, ConfigError)
 # the Monte Carlo settings of every point that sweep runs: it writes no goodput
 _NO_MONTE_CARLO = MonteCarloSettings()
 
@@ -606,8 +608,8 @@ def sweep(
     before any point runs, and an axis with no values is a ConfigError.
     Returns one result per feasible point, and the ``(label, reason)`` of
     each point whose link is infeasible, whose uplink cycle misses a
-    minimum delay, whose TB size has no BLER curve or whose settings fail
-    a check that depends on the point (such as the HARQ budget at its
+    minimum delay or whose settings fail a check that depends on the
+    point (such as a TB size with no BLER curve, the HARQ budget at its
     round trip, feedback bundling on an uplink point, or a minimum delay
     shorter than the switch gap); the sweep goes on past those.  A label
     is the point's ``scenario_id``, read off its texts, followed by one
@@ -657,9 +659,10 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     candidate on ``resolve`` (its TB count re-selected) and the closed forms
     alone; ties break toward the smallest pair.
     A candidate that fails as a sweep point can (its HARQ budget, say, or
-    an uplink minimum delay) is skipped and listed in ``skipped``; when every one
-    fails, the first one's error is raised.  A result outside the
-    protocol's tolerance is flagged degraded rather than hidden.
+    an uplink minimum delay) is skipped and listed in ``skipped``; when
+    every one fails, as all do for a TB size with no BLER curve, the first
+    one's error is raised.  A result outside the protocol's tolerance is
+    flagged degraded rather than hidden.
     """
     target = config.protocol.target_gain_pct
     scored: list[tuple[float, int, int, float]] = []  # (distance to the target, rep_pdcch, n_a2g, gain)

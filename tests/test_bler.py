@@ -12,7 +12,7 @@ from ntn_harq.bler import (
     select_repetitions,
     spectral_efficiency,
 )
-from ntn_harq.errors import CurveNotFoundError, InfeasibleLinkError, InvalidInputError
+from ntn_harq.errors import InfeasibleLinkError, InvalidInputError
 
 
 def make_table(lines):
@@ -38,9 +38,12 @@ def test_exact_tabulated_points_returned_verbatim(table):
 
 
 def test_missing_curve_raises(table):
-    with pytest.raises(CurveNotFoundError):
+    # a curve the table lacks is an argument outside it
+    with pytest.raises(InvalidInputError, match="^no BLER curve for tbs=504, n_rep=3$"):
         bler_at(table, 504, 3, -5.6)
-    with pytest.raises(CurveNotFoundError):
+    with pytest.raises(InvalidInputError, match="^no BLER curve for tbs=1000, n_rep=12$"):
+        table.curve(1000, 12)
+    with pytest.raises(InvalidInputError, match="^no BLER curves for tbs=999$"):
         select_repetitions(table, 999, -5.6, 0.1)
 
 

@@ -310,8 +310,31 @@ def test_sweep_reports_uplink_bundling_and_missing_curves_and_goes_on(ltem_copy,
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("leo600-transparent-lte-m-ul-proposed-tbs504,")
     assert lines[2:] == [
-        "# infeasible leo600-transparent-lte-m-ul-proposed-tbs1000 tbs_bits=1000: no BLER curves for tbs=1000"
+        "# infeasible leo600-transparent-lte-m-ul-proposed-tbs1000 tbs_bits=1000: "
+        "bad value for tbs_bits: 1000 has no BLER curve in the table"
     ]
+
+
+@pytest.mark.parametrize("command", [["run"], ["timeline"], ["calibrate", "--dry-run"]], ids=lambda c: c[0])
+def test_a_tb_size_without_a_curve_is_a_bad_value_for_tbs_bits(ltem_copy, capsys, command):
+    ltem_copy.write_text(ltem_copy.read_text() + "tbs_bits = 1000\n")
+    assert run_cli(command[0], ltem_copy, *command[1:]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: bad value for tbs_bits: 1000 has no BLER curve in the table\n"
+
+
+def test_a_multi_tb_legacy_run_names_both_keys(ltem_copy, capsys):
+    reason = ("mode = legacy needs cycle.n_tbphc = 1 or auto, got 4: legacy fixed-delay scheduling carries one TB "
+              "per cycle; use the timeline command to inspect multi-TB attempts")
+    ltem_copy.write_text(ltem_copy.read_text() + "mode = legacy\ncycle.n_tbphc = 4\n")
+    assert run_cli("run", ltem_copy) == 3
+    assert capsys.readouterr().err == f"config error: {reason}\n"
+    assert run_cli("sweep", LTEM, "--axis", "mode=legacy", "--axis", "cycle.n_tbphc=1,4") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("leo600-transparent-lte-m-ul-legacy-tbs504,")
+    assert lines[2:] == [f"# infeasible leo600-transparent-lte-m-ul-legacy-tbs504 mode=legacy cycle.n_tbphc=4: "
+                         f"{reason}"]
 
 
 def test_an_altitude_whose_slant_range_rounds_to_zero_is_one_bad_point(ltem_copy, capsys):

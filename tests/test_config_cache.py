@@ -25,7 +25,6 @@ from ntn_harq.bler import BlerTable
 from ntn_harq.cli import main
 from ntn_harq.errors import (
     ConfigError,
-    CurveNotFoundError,
     InfeasibleLinkError,
     InvalidInputError,
     MinDelayViolationError,
@@ -36,7 +35,7 @@ from ntn_harq.scenario import _SCHEMA, ScenarioConfig, config_from_mapping, pars
 SECTIONS = ("_geometry_section", "_link_section", "_cycle_section", "_scalar_section", "_monte_carlo_section")
 CACHED = (*SECTIONS, "_completed_cycle", "_operating_point")
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
-POINT_ERRORS = (ConfigError, CurveNotFoundError, InfeasibleLinkError, InvalidInputError, MinDelayViolationError)
+POINT_ERRORS = (ConfigError, InfeasibleLinkError, InvalidInputError, MinDelayViolationError)
 
 
 def cycle_texts(texts: dict[str, str]) -> tuple[str | None, ...]:
@@ -218,7 +217,9 @@ def test_grid_rows_and_errors_match_a_cache_free_reference(table, profile):
         reference = [outcome(raw, table) for raw in raws]
     assert cached == reference
     kinds = {result[1] if len(result) == 3 else "row" for result in cached}
-    assert {"row", "InfeasibleLinkError", "CurveNotFoundError", "ConfigError"} <= kinds
+    assert {"row", "InfeasibleLinkError", "ConfigError"} <= kinds
+    messages = {result[2] for result in cached if len(result) == 3}
+    assert "bad value for tbs_bits: 1000 has no BLER curve in the table" in messages
 
 
 def test_point_errors_raise_on_every_call(table):
@@ -227,7 +228,7 @@ def test_point_errors_raise_on_every_call(table):
     cases = (
         (min_delay, MinDelayViolationError),
         ({"geometry.altitude_km": "3000"}, InfeasibleLinkError),
-        ({"tbs_bits": "1000"}, CurveNotFoundError),
+        ({"tbs_bits": "1000"}, ConfigError),
     )
     for raw, error in cases:
         config = config_from_mapping(raw)

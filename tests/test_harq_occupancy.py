@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from ntn_harq import scenario
 from ntn_harq.errors import ConfigError, InfeasibleLinkError, MinDelayViolationError
-from ntn_harq.harq import SF_MS, Activity, CycleParams, Direction, GrantMode, harq_for_tbphc
-from ntn_harq.metrics import SchedulingMode
+from ntn_harq.harq import SF_MS, Activity, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
+from ntn_harq.metrics import SchedulingMode, suf_closed_form
 from ntn_harq.scheduler import SubframeTimeline, build_proposed_cycle
 
 from harq_occupancy import harq_peak, hold_spans
@@ -152,3 +152,25 @@ def test_harq_sizing_against_the_oracle_on_the_shipped_profiles(table):
                     f"| {config.max_harq} |")
     table_rows = [line for line in README.read_text().splitlines() if re.match(r"\| `leo\d+_", line)]
     assert table_rows == rows
+
+
+def test_the_nbiot_fit_holds_only_under_the_relation(table):
+    config = scenario.load_config(README.parent / "profiles" / "leo600_nbiot_ul.cfg")
+    fit = scenario.calibrate(config, table)
+    config = config._replace(cycle=config.cycle._replace(rep_pdcch=fit.rep_pdcch), n_a2g=fit.n_a2g)
+    rtt_ms, _, n_rep, params = scenario.resolve(config, table)
+    n = params.n_tbphc + 1  # the first count the relation refuses
+    params = params._replace(n_tbphc=n)
+    relation = harq_processes(config.cycle, n, n_rep, rtt_ms, config.n_a2g)
+    peak = harq_peak(build_proposed_cycle(params, config.direction), params, config.direction, rtt_ms, config.n_a2g)
+    assert relation > config.max_harq >= peak
+    suf = suf_closed_form(params, config.direction, SchedulingMode.PROPOSED_VARIABLE)
+    gain = scenario._gain_pct(config, n_rep, suf)
+    protocol = config.protocol
+    assert abs(gain - protocol.target_gain_pct) > protocol.gain_tolerance_pct
+    sentence = (
+        f"At the fitted `rep_pdcch = {fit.rep_pdcch}` on `leo600_nbiot_ul`, {n} TBs per cycle need {relation} "
+        f"processes by the relation but {peak} by the oracle's peak, within the budget of {config.max_harq}; there "
+        f"the gain would be {gain:.2f} %, outside {protocol.target_gain_pct:g} ± {protocol.gain_tolerance_pct:g}."
+    )
+    assert sentence in " ".join(README.read_text().split())

@@ -1,4 +1,5 @@
 import gzip
+import itertools
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ntn_harq import scenario, scheduler
+from ntn_harq.bler import BlerTable
 from ntn_harq.errors import ConfigError, InfeasibleLinkError
 from ntn_harq.metrics import SchedulingMode
 from ntn_harq.scenario import (
@@ -24,6 +26,7 @@ NBIOT_EXT = {"protocol": "nb-iot", "protocol.extended_harq": "true"}
 SRC = Path(__file__).resolve().parent.parent / "src"
 PROFILES = SRC.parent / "profiles"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = SRC.parent / "README.md"
 
 
 def test_defaults_run_ltem_leo600(table):
@@ -83,6 +86,13 @@ def test_infeasible_link_raises(table):
     config = config_from_mapping({"link.eirp_dbm": "-40"})
     with pytest.raises(InfeasibleLinkError):
         run_scenario(config, table)
+
+
+def test_a_tb_size_without_a_curve_is_a_config_error_that_names_tbs_bits(table):
+    config = config_from_mapping({"tbs_bits": "1000"})
+    for call in (scenario.resolve, run_scenario):
+        with pytest.raises(ConfigError, match="^bad value for tbs_bits: 1000 has no BLER curve in the table$"):
+            call(config, table)
 
 
 def test_dl_scenario_runs(table):
@@ -454,6 +464,36 @@ def test_calibrate_scores_without_run_scenario_and_agrees_with_it(monkeypatch, t
                              n_tbphc=None, mode=SchedulingMode.PROPOSED_VARIABLE,
                              monte_carlo=scenario.MonteCarloSettings())
     assert run_scenario(chosen, table).gain_pct == result.gain_pct
+
+
+def test_calibrate_with_a_table_that_lacks_the_tb_size_raises_its_config_error(table):
+    without_504 = BlerTable({tbs: curves for tbs, curves in table.curves.items() if tbs != 504})
+    with pytest.raises(ConfigError, match="^bad value for tbs_bits: 504 has no BLER curve in the table$"):
+        calibrate(config_from_mapping({}), without_504)
+
+
+def test_the_readme_calibration_table_comes_from_run_scenario(table):
+    rows = []
+    for path in sorted(PROFILES.glob("*.cfg")):
+        config = load_config(path)
+        protocol = config.protocol
+        gains = {  # run_scenario's gain at each of calibrate's candidates
+            (p, a): run_scenario(config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a, n_tbphc=None,
+                                                 mode=SchedulingMode.PROPOSED_VARIABLE), table).gain_pct
+            for p, a in itertools.product(range(1, 9), range(5))
+        }
+        distance, pair = min((abs(gain - protocol.target_gain_pct), pair) for pair, gain in gains.items())
+        degraded = distance > protocol.gain_tolerance_pct
+        result = calibrate(config, table)
+        assert (result.rep_pdcch, result.n_a2g, result.degraded) == (*pair, degraded)
+        moved = any(len({gains[p, a] for a in range(5)}) > 1 for p in range(1, 9))
+        rows.append(
+            f"| `profiles/{path.name}` | {run_scenario(config, table).gain_pct:.2f} % "
+            f"| {min(gains.values()):.2f}–{max(gains.values()):.2f} % | {pair} | {gains[pair]:.2f} % "
+            f"| {'yes' if moved else 'no'} | {protocol.target_gain_pct:g} ± {protocol.gain_tolerance_pct:g} % "
+            f"| {'DEGRADED' if degraded else 'within tolerance'} |"
+        )
+    assert [line for line in README.read_text().splitlines() if line.startswith("| `profiles/")] == rows
 
 
 def test_calibrate_reports_degraded_when_target_unreachable(table):
