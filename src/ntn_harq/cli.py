@@ -33,9 +33,10 @@ from .metrics import SchedulingMode
 from .scenario import (
     MAX_AUTO_TBPHC,
     ScenarioConfig,
+    _parse_bool,
     auto_tbphc_capped,
     calibrate,
-    load_config,
+    config_from_mapping,
     read_config,
     resolve,
     results_to_csv,
@@ -72,6 +73,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _load_table(path: str | None):
     return load_bler_table(path) if path else default_table()
+
+
+def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, BlerTable]:
+    raw = read_config(args.config)
+    config = config_from_mapping(raw)
+    max_harq = raw.get("cycle.max_harq", "protocol")  # the note is decided from the texts, before any point runs
+    if max_harq.lower() != "protocol" and _parse_bool(raw.get("protocol.extended_harq", "false")):
+        print(f"note: cycle.max_harq = {max_harq} overrides protocol.extended_harq = true", file=sys.stderr)
+    return config, _load_table(args.bler_table)
 
 
 def _note_capped_or_ignored(config: ScenarioConfig, table) -> None:
@@ -211,8 +221,7 @@ def render_timeline(config: ScenarioConfig, perspective: str, fmt: str, table: B
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    table = _load_table(args.bler_table)
+    config, table = _load(args)
     result = run_scenario(config, table)
     _note_capped_or_ignored(config, table)
     if result.goodput is None and config.monte_carlo.n_cycles > 0:
@@ -248,8 +257,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    table = _load_table(args.bler_table)
+    config, table = _load(args)
     text, status = render_timeline(config, args.perspective, args.format, table)
     _note_capped_or_ignored(config, table)
     _emit(text, args.out)
@@ -257,8 +265,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    table = _load_table(args.bler_table)
+    config, table = _load(args)
     result = calibrate(config, table)
     if result.skipped:
         label, reason = result.skipped[0]

@@ -10,14 +10,10 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .records import IdentityEnum, Validated
+from .records import IdentityEnum, Validated, _between
 
 EARTH_RADIUS_KM = 6371.0
 SPEED_OF_LIGHT_KM_S = 299792.458
-
-# Operational elevation window for the link model.
-MIN_ELEVATION_DEG = 10.0
-MAX_ELEVATION_DEG = 90.0
 
 
 class Payload(IdentityEnum):
@@ -49,16 +45,11 @@ class OrbitGeometry(Validated, _OrbitFields):
     """
 
     __slots__ = ()
-
-    def __post_init__(self) -> None:
-        if not self.altitude_km > 0:
-            raise InvalidInputError(f"altitude must be positive, got {self.altitude_km}")
-        for name in ("service_elevation_deg", "feeder_elevation_deg"):
-            value = getattr(self, name)
-            if not MIN_ELEVATION_DEG <= value <= MAX_ELEVATION_DEG:
-                raise InvalidInputError(
-                    f"{name} must lie in [{MIN_ELEVATION_DEG}, {MAX_ELEVATION_DEG}] degrees, got {value}"
-                )
+    RULES = {
+        "altitude_km": ("must lie in (0, 35786] (GEO)", lambda v: 0 < v <= 35786),
+        "service_elevation_deg": _between(10, 90),  # the link model's operational elevation window
+        "feeder_elevation_deg": _between(10, 90),
+    }
 
 
 def slant_range(altitude_km: float, elevation_deg: float) -> float:

@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidInputError, MinDelayViolationError
-from .records import IdentityEnum, Validated
+from .records import IdentityEnum, Validated, _count
 
 SF_MS = 1.0  # one subframe lasts one millisecond
 SF_SECONDS = SF_MS / 1000.0
@@ -66,24 +66,11 @@ class CycleParams(Validated, _CycleFields):
     """
 
     __slots__ = ()
-
-    def __post_init__(self) -> None:
-        if self.n_tbphc < 1:
-            raise InvalidInputError(f"n_tbphc must be >= 1, got {self.n_tbphc}")
-        if self.n_bundle < 1:
-            raise InvalidInputError(f"n_bundle must be >= 1, got {self.n_bundle}")
-        for name in ("rep_pdcch", "rep_pucch"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
-        for name in ("rep_pdsch", "rep_pusch"):
-            if (count := getattr(self, name)) < 1:
-                raise InvalidInputError(f"{name} repetitions must be >= 1, got {count}")
-        for name in ("n_switch", "n_dg2d", "dd2a_min", "ug2d_min"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be >= 0")
-        for name, count in zip(self._fields, self[:10]):  # every field ahead of grant_mode is a count
-            if not isinstance(count, int):
-                raise InvalidInputError(f"{name} must be an integer, got {count!r}")
+    RULES = {
+        **dict.fromkeys(("n_tbphc", "rep_pdcch", "rep_pdsch", "rep_pusch", "rep_pucch"), _count(1, MAX_SUBFRAMES)),
+        **dict.fromkeys(("n_switch", "n_dg2d", "dd2a_min", "ug2d_min"), _count(0, MAX_SUBFRAMES)),
+        "n_bundle": _count(1),
+    }
 
 
 def fixed_positions(anchor_sf: int, fixed_delay: int) -> int:

@@ -9,7 +9,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .records import Validated
+from .records import _AT_LEAST_0, _POSITIVE, Validated, _between
 
 BOLTZMANN_DBW_PER_HZ_K = -228.6
 DBM_TO_DBW = -30.0
@@ -30,15 +30,11 @@ class LinkBudgetParams(Validated, _LinkFields):
     """Transmit-side and propagation parameters of the IoT uplink."""
 
     __slots__ = ()
-
-    def __post_init__(self) -> None:
-        if not self.bandwidth_hz > 0:
-            raise InvalidInputError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-        if not self.carrier_ghz > 0:
-            raise InvalidInputError(f"carrier frequency must be positive, got {self.carrier_ghz}")
-        for name in ("loss_atm_db", "loss_shadow_db", "loss_scint_db", "loss_polar_db"):
-            if not getattr(self, name) >= 0:
-                raise InvalidInputError(f"{name} must be >= 0 dB")
+    RULES = {
+        "bandwidth_hz": _POSITIVE,
+        "carrier_ghz": _between(0.1, 100),
+        **dict.fromkeys(("loss_atm_db", "loss_shadow_db", "loss_scint_db", "loss_polar_db"), _AT_LEAST_0),
+    }
 
 
 def fspl_db(carrier_ghz: float, distance_m: float) -> float:

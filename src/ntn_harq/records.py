@@ -1,17 +1,34 @@
 """Bases of the package's immutable records, built without ``dataclasses``.
 
 Plain records are ``typing.NamedTuple`` classes.  A record that checks its
-values subclasses ``Validated`` and its NamedTuple of fields.  The two
-records that cache derived state, which a tuple cannot hold, subclass
-``Frozen``.  Either way a record compares and hashes by value, and setting
-any attribute raises ``AttributeError``.  Every enum subclasses
-``IdentityEnum``.
+values subclasses ``Validated`` and its NamedTuple of fields, and states each
+field's bound once, in ``RULES``, which the config schema reads too.  Records
+that cache derived state, which a tuple cannot hold, subclass ``Frozen``.
+Either way a record compares and hashes by value and refuses any assignment.
 """
 from __future__ import annotations
 
 from enum import Enum
+from math import inf
 from operator import attrgetter
-from typing import Any
+from typing import Any, Callable
+
+from .errors import InvalidInputError
+
+Rule = tuple[str, Callable[[Any], bool]]  # the text after the bounded name, and a check that NaN fails
+_AT_LEAST_0: Rule = ("must be >= 0", lambda v: v >= 0)
+_AT_LEAST_1: Rule = ("must be >= 1", lambda v: v >= 1)
+_POSITIVE: Rule = ("must be > 0", lambda v: v > 0)
+
+
+def _between(low: float, high: float) -> Rule:
+    return (f"must lie in [{low:g}, {high:g}]", lambda v: low <= v <= high)
+
+
+def _count(low: int, high: float = inf) -> Rule:
+    """An integer in [low, high]; without ``high``, one >= low."""
+    bound = f">= {low}" if high == inf else f"in [{low}, {high}]"
+    return (f"must be an integer {bound}", lambda v: isinstance(v, int) and low <= v <= high)
 
 
 class IdentityEnum(Enum):
@@ -27,14 +44,16 @@ class IdentityEnum(Enum):
 
 class Validated:
     """Mixin placed ahead of a NamedTuple of fields, as in
-    ``class Checked(Validated, Fields)``: ``__post_init__`` checks every new
-    record, including those made by ``_make`` and so by ``_replace``."""
+    ``class Checked(Validated, Fields)``: every new record, including those
+    made by ``_make`` and so by ``_replace``, must pass the class's ``RULES``."""
 
     __slots__ = ()
 
     def __new__(cls, *args: Any, **kwargs: Any) -> Any:
         self = super().__new__(cls, *args, **kwargs)
-        self.__post_init__()
+        for field, (rule, check) in cls.RULES.items():
+            if not check(value := getattr(self, field)):
+                raise InvalidInputError(f"{field} {rule}, got {value!r}")
         return self
 
     @classmethod

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 from . import bler as bler_mod
 from .bler import BlerTable, select_repetitions
 from .errors import ConfigError, InfeasibleLinkError, MinDelayViolationError
-from .geometry import MAX_ELEVATION_DEG, MIN_ELEVATION_DEG, OrbitGeometry, Payload, round_trip_time, slant_range
+from .geometry import OrbitGeometry, Payload, round_trip_time, slant_range
 from .harq import MAX_SUBFRAMES, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
 from .linkbudget import LinkBudgetParams, snr_db
 from .metrics import (
@@ -33,6 +33,7 @@ from .metrics import (
     suf_closed_form,
     throughput,
 )
+from .records import _AT_LEAST_0, _AT_LEAST_1, _POSITIVE, Rule, _between
 
 if TYPE_CHECKING:
     from .scheduler import GoodputResult
@@ -145,33 +146,22 @@ def _int_or(word: str) -> Callable[[str], int | None]:
     return lambda text: None if text.lower() == word else int(text)
 
 
-def _between(low: float, high: float) -> tuple[str, Callable[[Any], bool]]:
-    """The (rule, check) pair of the closed range [low, high]."""
-    return (f"must lie in [{low:g}, {high:g}]", lambda v: v is None or low <= v <= high)
-
-
-# (rule, check) pairs; None ("auto", "protocol") passes the integer rules
-_AT_LEAST_0 = ("must be >= 0", lambda v: v >= 0)
-_AT_LEAST_1 = ("must be >= 1", lambda v: v is None or v >= 1)
-_POSITIVE = ("must be > 0", lambda v: v > 0)
-
 # key -> (parser from the stripped text to the final value, default text,
-# (rule, check) on the parsed value or None).  Every float must also be
-# finite.  None from "auto" selects the TB count; None from "protocol"
-# takes the protocol's value.
-_SCHEMA: dict[str, tuple[Callable[[str], Any], str, tuple[str, Callable[[Any], bool]] | None]] = {
-    "geometry.altitude_km": (float, "600", ("must lie in (0, 35786] (GEO)", lambda v: 0 < v <= 35786)),
+# rule on the parsed value or None); a key of a record field reads its rule.
+# Every float must also be finite.  None ("auto", "protocol") passes any rule.
+_SCHEMA: dict[str, tuple[Callable[[str], Any], str, Rule | None]] = {
+    "geometry.altitude_km": (float, "600", OrbitGeometry.RULES["altitude_km"]),
     "geometry.payload": (_one_of(Payload), "transparent", None),
-    "geometry.service_elevation_deg": (float, "30", _between(MIN_ELEVATION_DEG, MAX_ELEVATION_DEG)),
-    "geometry.feeder_elevation_deg": (float, "10", _between(MIN_ELEVATION_DEG, MAX_ELEVATION_DEG)),
+    "geometry.service_elevation_deg": (float, "30", OrbitGeometry.RULES["service_elevation_deg"]),
+    "geometry.feeder_elevation_deg": (float, "10", OrbitGeometry.RULES["feeder_elevation_deg"]),
     "link.eirp_dbm": (float, "23", None),
     "link.g_over_t_db": (float, "-4.9", None),
-    "link.bandwidth_hz": (float, "180000", _POSITIVE),
-    "link.carrier_ghz": (float, "2", _between(0.1, 100)),
-    "link.loss_atm_db": (float, "0.07", _AT_LEAST_0),
-    "link.loss_shadow_db": (float, "3", _AT_LEAST_0),
-    "link.loss_scint_db": (float, "2.2", _AT_LEAST_0),
-    "link.loss_polar_db": (float, "0", _AT_LEAST_0),
+    "link.bandwidth_hz": (float, "180000", LinkBudgetParams.RULES["bandwidth_hz"]),
+    "link.carrier_ghz": (float, "2", LinkBudgetParams.RULES["carrier_ghz"]),
+    "link.loss_atm_db": (float, "0.07", LinkBudgetParams.RULES["loss_atm_db"]),
+    "link.loss_shadow_db": (float, "3", LinkBudgetParams.RULES["loss_shadow_db"]),
+    "link.loss_scint_db": (float, "2.2", LinkBudgetParams.RULES["loss_scint_db"]),
+    "link.loss_polar_db": (float, "0", LinkBudgetParams.RULES["loss_polar_db"]),
     "protocol": (_one_of(PROTOCOLS), "lte-m", None),
     "protocol.extended_harq": (_parse_bool, "false", None),
     "tbs_bits": (int, "504", _between(1, bler_mod.MAX_TBS_BITS)),
@@ -181,15 +171,15 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str, tuple[str, Callable[[Any], b
     # an explicit count shares the auto count's cap: timeline lays the cycle
     # out and Monte Carlo draws once per TB slot, in time that grows with n
     "cycle.n_tbphc": (_int_or("auto"), "auto", _between(1, MAX_AUTO_TBPHC)),
-    "cycle.rep_pdcch": (int, "1", _between(1, MAX_SUBFRAMES)),
-    "cycle.rep_pucch": (int, "1", _between(1, MAX_SUBFRAMES)),
-    "cycle.n_dg2d": (int, "1", _between(0, MAX_SUBFRAMES)),
-    "cycle.n_switch": (_int_or("protocol"), "protocol", _between(0, MAX_SUBFRAMES)),
-    "cycle.dd2a_min": (_int_or("protocol"), "protocol", _between(0, MAX_SUBFRAMES)),
-    "cycle.ug2d_min": (_int_or("protocol"), "protocol", _between(0, MAX_SUBFRAMES)),
+    "cycle.rep_pdcch": (int, "1", CycleParams.RULES["rep_pdcch"]),
+    "cycle.rep_pucch": (int, "1", CycleParams.RULES["rep_pucch"]),
+    "cycle.n_dg2d": (int, "1", CycleParams.RULES["n_dg2d"]),
+    "cycle.n_switch": (_int_or("protocol"), "protocol", CycleParams.RULES["n_switch"]),
+    "cycle.dd2a_min": (_int_or("protocol"), "protocol", CycleParams.RULES["dd2a_min"]),
+    "cycle.ug2d_min": (_int_or("protocol"), "protocol", CycleParams.RULES["ug2d_min"]),
     "cycle.grant_mode": (_one_of(GrantMode), "stbg", None),
     "cycle.ack_bundling": (_parse_bool, "false", None),
-    "cycle.n_bundle": (int, "1", _AT_LEAST_1),
+    "cycle.n_bundle": (int, "1", CycleParams.RULES["n_bundle"]),
     "cycle.n_a2g": (int, "0", _between(0, MAX_SUBFRAMES)),
     "cycle.max_harq": (_int_or("protocol"), "protocol", _AT_LEAST_1),
     "power.efficiency_mops_per_mw": (float, "144", _POSITIVE),
@@ -235,7 +225,7 @@ def _parse_value(key: str, text: str) -> Any:
         raise ConfigError(f"bad value for {key}: {exc}") from None
     if parse is float and not isfinite(value):
         raise ConfigError(f"bad value for {key}: {text!r} is not a finite number")
-    if rule is not None and not rule[1](value):
+    if rule is not None and value is not None and not rule[1](value):
         raise ConfigError(f"bad value for {key}: {text!r} {rule[0]}")
     return value
 
@@ -656,8 +646,8 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     best reproduces the protocol's published throughput gain.
 
     The search covers rep_pdcch in [1, 8] and n_a2g in [0, 4], scoring each
-    candidate on ``resolve`` (its TB count re-selected) and the closed forms
-    alone; ties break toward the smallest pair.
+    candidate as ``run_scenario`` scores mode = proposed there: ``resolve``
+    (an explicit TB count kept), then ``_gain_pct``; ties go to the smallest pair.
     A candidate that fails as a sweep point can (its HARQ budget, say, or
     an uplink minimum delay) is skipped and listed in ``skipped``; when
     every one fails, as all do for a TB size with no BLER curve, the first
@@ -668,7 +658,7 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     scored: list[tuple[float, int, int, float]] = []  # (distance to the target, rep_pdcch, n_a2g, gain)
     skipped: list[tuple[str, Exception]] = []
     for p, a in product(range(1, 9), range(5)):
-        candidate = config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a, n_tbphc=None, mode=_PROPOSED)
+        candidate = config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a, mode=_PROPOSED)
         try:
             _, _, n_rep, params = resolve(candidate, table)
             gain_pct = _gain_pct(candidate, n_rep, suf_closed_form(params, candidate.direction, _PROPOSED))

@@ -243,6 +243,13 @@ def test_sweep_bad_axis(tmp_path):
     assert run_cli("sweep", LTEM, "--axis", "nonsense=1,2") == 3
 
 
+def test_sweep_refuses_an_axis_without_values(capsys):
+    assert run_cli("sweep", LTEM, "--axis", "mode") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --axis expects key=v1,v2,..., got 'mode'\n"
+
+
 @pytest.mark.parametrize("axis", ["mode=", "mode= , ", "mode=,"])
 def test_sweep_rejects_an_axis_with_no_values(capsys, axis):
     assert run_cli("sweep", LTEM, "--axis", "geometry.altitude_km=600,1200", "--axis", axis) == 3
@@ -486,6 +493,31 @@ def test_sweep_bad_axis_value_exits_before_any_point_runs(monkeypatch, capsys):
     axes = ["--axis", "mode=legacy,proposed", "--axis", "geometry.altitude_km=600,-3"]
     assert run_cli("sweep", LTEM, *axes) == 3
     assert "bad value for geometry.altitude_km: '-3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "timeline"])
+def test_a_numeric_max_harq_says_it_overrides_extended_harq(tmp_path, capsys, command):
+    path = tmp_path / "nbiot.cfg"
+    path.write_text(NBIOT.read_text() + "protocol.extended_harq = false\ncycle.max_harq = 3\n")
+    assert run_cli(command, path) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    path.write_text(NBIOT.read_text() + "cycle.max_harq = 3\n")  # the profile enables extended_harq
+    assert run_cli(command, path) == 0
+    noted = capsys.readouterr()
+    assert noted.out == plain.out
+    assert noted.err == "note: cycle.max_harq = 3 overrides protocol.extended_harq = true\n"
+    # the note comes before the point runs, so it heads the budget error too
+    path.write_text(NBIOT.read_text() + "cycle.max_harq = 2\n")
+    assert run_cli(command, path) == 3
+    failed = capsys.readouterr()
+    assert failed.out == ""
+    assert failed.err.startswith("note: cycle.max_harq = 2 overrides protocol.extended_harq = true\n"
+                                 "config error: even one TB per cycle needs more than 2 HARQ processes")
+    # the protocol's own budget, extended or not, draws no note
+    path.write_text(NBIOT.read_text() + "cycle.max_harq = protocol\n")
+    assert run_cli(command, path) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_run_says_legacy_mode_ignores_monte_carlo(ltem_copy, capsys):

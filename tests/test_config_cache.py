@@ -96,13 +96,13 @@ def test_cached_configs_and_rows_match_a_cache_free_reference(table, raw):
 def test_a_bad_value_raises_on_every_call():
     scenario._cycle_section.cache_clear()
     for _ in range(2):
-        with pytest.raises(ConfigError, match=r"bad value for cycle.rep_pdcch: '0' must lie in \[1, 100000\]"):
+        with pytest.raises(ConfigError, match=r"bad value for cycle.rep_pdcch: '0' must be an integer in \[1, 100000\]"):
             config_from_mapping({"cycle.rep_pdcch": "0"})
         with pytest.raises(ConfigError, match="unknown configuration key 'cycle.bogus'"):
             config_from_mapping({"cycle.bogus": "1"})
-        with pytest.raises(ConfigError, match="bad value for cycle.n_bundle: '0' must be >= 1"):
+        with pytest.raises(ConfigError, match="bad value for cycle.n_bundle: '0' must be an integer >= 1"):
             scenario._cycle_section(cycle_texts({"cycle.n_bundle": "0"}))
-        with pytest.raises(InvalidInputError, match="rep_pdsch repetitions must be >= 1"):
+        with pytest.raises(InvalidInputError, match=r"rep_pdsch must be an integer in \[1, 100000\], got 0"):
             scenario._completed_cycle(CycleParams(), 2, 0)
     assert scenario._cycle_section.cache_info().currsize == 0
 

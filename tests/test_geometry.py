@@ -118,7 +118,7 @@ def test_transparent_exceeds_regenerative():
 def test_orbit_geometry_validation():
     with pytest.raises(InvalidInputError):
         OrbitGeometry(0, Payload.REGENERATIVE, 30)
-    with pytest.raises(InvalidInputError, match="altitude must be positive, got nan"):
+    with pytest.raises(InvalidInputError, match=r"^altitude_km must lie in \(0, 35786\] \(GEO\), got nan$"):
         OrbitGeometry(math.nan, Payload.REGENERATIVE, 30)
     with pytest.raises(InvalidInputError):
         OrbitGeometry(600, Payload.REGENERATIVE, 5)

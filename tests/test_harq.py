@@ -258,7 +258,7 @@ def test_cycle_params_validation():
         CycleParams(n_tbphc=0)
     with pytest.raises(InvalidInputError):
         CycleParams(rep_pdsch=0)
-    with pytest.raises(TypeError):  # one count per data channel, not one per TB
+    with pytest.raises(InvalidInputError):  # one count per data channel, not one per TB
         CycleParams(n_tbphc=2, rep_pdsch=(4, 4))
     with pytest.raises(InvalidInputError):
         CycleParams(n_bundle=0)
@@ -269,5 +269,6 @@ def test_cycle_params_validation():
 def test_cycle_params_rejects_a_count_that_is_not_an_integer(name, value):
     # a count that passes its bound but is no integer would reach the closed
     # forms: an infinite or fractional repetition count gives such a length
-    with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got {value!r}$"):
+    bound = r">= 1" if name == "n_bundle" else r"in \[[01], 100000\]"
+    with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer {bound}, got {value!r}$"):
         CycleParams(**{name: value})

@@ -8,13 +8,14 @@ from ``_replace``.
 """
 from __future__ import annotations
 
+import math
 import re
 from enum import Enum
 
 import pytest
 
 from ntn_harq.bler import BlerTable
-from ntn_harq.errors import InvalidInputError
+from ntn_harq.errors import ConfigError, InvalidInputError
 from ntn_harq.geometry import OrbitGeometry, Payload
 from ntn_harq.harq import CycleParams, Direction, GrantMode
 from ntn_harq.linkbudget import LinkBudgetParams
@@ -27,6 +28,9 @@ from ntn_harq.scenario import (
     ProtocolProfile,
     ScenarioConfig,
     ScenarioResult,
+    _SCHEMA,
+    _parse_value,
+    config_from_mapping,
 )
 from ntn_harq.scheduler import (
     Activity,
@@ -144,27 +148,25 @@ def test_tuple_records_unpack_and_replace(cls):
 
 # (type, field, bad value, message) for each check a validated record makes
 BAD_VALUES = [
-    (CycleParams, "n_tbphc", 0, "n_tbphc must be >= 1, got 0"),
-    (CycleParams, "n_bundle", 0, "n_bundle must be >= 1, got 0"),
-    (CycleParams, "rep_pdcch", 0, "rep_pdcch must be >= 1"),
-    (CycleParams, "rep_pucch", 0, "rep_pucch must be >= 1"),
-    (CycleParams, "rep_pdsch", 0, "rep_pdsch repetitions must be >= 1, got 0"),
-    (CycleParams, "rep_pusch", -1, "rep_pusch repetitions must be >= 1, got -1"),
-    (CycleParams, "n_switch", -1, "n_switch must be >= 0"),
-    (CycleParams, "n_dg2d", -1, "n_dg2d must be >= 0"),
-    (CycleParams, "dd2a_min", -1, "dd2a_min must be >= 0"),
-    (CycleParams, "ug2d_min", -1, "ug2d_min must be >= 0"),
-    (OrbitGeometry, "altitude_km", 0.0, "altitude must be positive, got 0.0"),
-    (OrbitGeometry, "service_elevation_deg", 5.0,
-     "service_elevation_deg must lie in [10.0, 90.0] degrees, got 5.0"),
-    (OrbitGeometry, "feeder_elevation_deg", 91.0,
-     "feeder_elevation_deg must lie in [10.0, 90.0] degrees, got 91.0"),
-    (LinkBudgetParams, "bandwidth_hz", 0.0, "bandwidth must be positive, got 0.0"),
-    (LinkBudgetParams, "carrier_ghz", -2.0, "carrier frequency must be positive, got -2.0"),
-    (LinkBudgetParams, "loss_atm_db", -0.1, "loss_atm_db must be >= 0 dB"),
-    (LinkBudgetParams, "loss_shadow_db", -0.1, "loss_shadow_db must be >= 0 dB"),
-    (LinkBudgetParams, "loss_scint_db", -0.1, "loss_scint_db must be >= 0 dB"),
-    (LinkBudgetParams, "loss_polar_db", -0.1, "loss_polar_db must be >= 0 dB"),
+    (CycleParams, "n_tbphc", 0, "n_tbphc must be an integer in [1, 100000], got 0"),
+    (CycleParams, "n_bundle", 0, "n_bundle must be an integer >= 1, got 0"),
+    (CycleParams, "rep_pdcch", 0, "rep_pdcch must be an integer in [1, 100000], got 0"),
+    (CycleParams, "rep_pucch", 0, "rep_pucch must be an integer in [1, 100000], got 0"),
+    (CycleParams, "rep_pdsch", 0, "rep_pdsch must be an integer in [1, 100000], got 0"),
+    (CycleParams, "rep_pusch", -1, "rep_pusch must be an integer in [1, 100000], got -1"),
+    (CycleParams, "n_switch", -1, "n_switch must be an integer in [0, 100000], got -1"),
+    (CycleParams, "n_dg2d", -1, "n_dg2d must be an integer in [0, 100000], got -1"),
+    (CycleParams, "dd2a_min", -1, "dd2a_min must be an integer in [0, 100000], got -1"),
+    (CycleParams, "ug2d_min", -1, "ug2d_min must be an integer in [0, 100000], got -1"),
+    (OrbitGeometry, "altitude_km", 0.0, "altitude_km must lie in (0, 35786] (GEO), got 0.0"),
+    (OrbitGeometry, "service_elevation_deg", 5.0, "service_elevation_deg must lie in [10, 90], got 5.0"),
+    (OrbitGeometry, "feeder_elevation_deg", 91.0, "feeder_elevation_deg must lie in [10, 90], got 91.0"),
+    (LinkBudgetParams, "bandwidth_hz", 0.0, "bandwidth_hz must be > 0, got 0.0"),
+    (LinkBudgetParams, "carrier_ghz", -2.0, "carrier_ghz must lie in [0.1, 100], got -2.0"),
+    (LinkBudgetParams, "loss_atm_db", -0.1, "loss_atm_db must be >= 0, got -0.1"),
+    (LinkBudgetParams, "loss_shadow_db", -0.1, "loss_shadow_db must be >= 0, got -0.1"),
+    (LinkBudgetParams, "loss_scint_db", -0.1, "loss_scint_db must be >= 0, got -0.1"),
+    (LinkBudgetParams, "loss_polar_db", -0.1, "loss_polar_db must be >= 0, got -0.1"),
 ]
 
 
@@ -180,6 +182,74 @@ def test_a_bad_value_raises_from_construction_and_from_replace(cls, field, bad, 
         good._replace(**{field: bad})
     with pytest.raises(InvalidInputError, match=exact):
         cls._make(bad if name == field else value for name, value in zip(cls._fields, good))
+
+
+# each config key that sets a field of a validated record -> (texts just
+# outside the field's bound, texts on its edges)
+FIELD_KEYS = {
+    "geometry.altitude_km": (("0", "-1", "35786.5", "40000"), ("1e-3", "35786")),
+    "geometry.service_elevation_deg": (("9.99", "90.01"), ("10", "90")),
+    "geometry.feeder_elevation_deg": (("9.99", "90.01"), ("10", "90")),
+    "link.bandwidth_hz": (("0", "-1"), ("1e-9",)),
+    "link.carrier_ghz": (("0.0999", "0.05", "100.01"), ("0.1", "100")),
+    **{f"link.loss_{name}_db": (("-0.001",), ("0",)) for name in ("atm", "shadow", "scint", "polar")},
+    **{f"cycle.{name}": (("0", "100001", "1000000"), ("1", "100000")) for name in ("rep_pdcch", "rep_pucch")},
+    **{f"cycle.{name}": (("-1", "100001"), ("0", "100000")) for name in ("n_dg2d", "n_switch", "dd2a_min", "ug2d_min")},
+    "cycle.n_bundle": (("0", "-1"), ("1", "1000000")),
+}
+SECTIONS = {"geometry": OrbitGeometry, "link": LinkBudgetParams, "cycle": CycleParams}
+
+
+def test_a_field_key_holds_its_fields_rule():
+    assert len(FIELD_KEYS) == 16
+    for key in FIELD_KEYS:
+        section, field = key.split(".")
+        assert _SCHEMA[key][2] is SECTIONS[section].RULES[field], key
+    # keys that are not record fields keep their own rules: the config's TB
+    # count is capped at 512, far below CycleParams' bound
+    assert _SCHEMA["cycle.n_tbphc"][2] is not CycleParams.RULES["n_tbphc"]
+    with pytest.raises(ConfigError, match=r"^bad value for cycle.n_tbphc: '600' must lie in \[1, 512\]$"):
+        config_from_mapping({"cycle.n_tbphc": "600"})
+
+
+@pytest.mark.parametrize("key", FIELD_KEYS)
+def test_a_value_outside_a_bound_is_refused_by_the_record_and_by_the_config(key):
+    section, field = key.split(".")
+    record = getattr(config_from_mapping({}), section)
+    parse, _, (rule, _) = _SCHEMA[key]
+    outside, edges = FIELD_KEYS[key]
+    for text in outside:
+        value = parse(text)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{field} {rule}, got {value!r}')}$"):
+            record._replace(**{field: value})
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'bad value for {key}: {text!r} {rule}')}$"):
+            config_from_mapping({key: text})
+    for text in edges:
+        assert getattr(record._replace(**{field: parse(text)}), field) == _parse_value(key, text) == parse(text)
+
+
+@pytest.mark.parametrize("section,cls", SECTIONS.items(), ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_every_ruled_field_refuses_nan_and_the_config_refuses_it_for_every_float(section, cls):
+    make, _, _ = RECORDS[cls]
+    record = cls(**make())
+    for field in cls.RULES:
+        with pytest.raises(InvalidInputError, match=f"^{field} .*, got nan$"):
+            record._replace(**{field: math.nan})
+    for key, (parse, _, _) in _SCHEMA.items():
+        if key.startswith(f"{section}.") and parse is float:
+            with pytest.raises(ConfigError, match=f"^bad value for {key}: 'nan' is not a finite number$"):
+                config_from_mapping({key: "nan"})
+
+
+def test_a_frozen_record_names_its_fields_and_refuses_deletion():
+    timeline = SubframeTimeline(**_timeline())
+    assert repr(timeline) == (
+        "SubframeTimeline(blocks=((0, 2, (<Activity.RX_PDCCH: 'RxPDCCH'>, 1), 0), "
+        "(5, 3, (<Activity.TX_PUSCH: 'TxPUSCH'>, 1), 1)), length=9, perspective=<Perspective.UE: 'UE'>, origin=0)"
+    )
+    with pytest.raises(AttributeError, match="^cannot delete field 'length'$"):
+        del timeline.length
+    assert timeline.length == 9
 
 
 ENUMS = (Direction, GrantMode, Activity, SchedulingMode, Payload, Perspective)

@@ -466,6 +466,24 @@ def test_calibrate_scores_without_run_scenario_and_agrees_with_it(monkeypatch, t
     assert run_scenario(chosen, table).gain_pct == result.gain_pct
 
 
+def test_calibrate_keeps_an_explicit_tb_count_and_reports_the_gain_run_gives(table):
+    # with its TB count re-selected, each candidate scored 6 TBs and the
+    # fit read 27.5 % at (1, 0), where run reports 13.3 % for 2 TBs
+    raw = scenario.read_config(PROFILES / "leo600_ltem_ul.cfg")
+    config = config_from_mapping({**raw, "cycle.n_tbphc": "2"})
+    result = calibrate(config, table)
+    assert (result.rep_pdcch, result.n_a2g, result.degraded, result.skipped) == (3, 0, True, ())
+    assert result.gain_pct == pytest.approx(18.75)
+    chosen = config._replace(cycle=config.cycle._replace(rep_pdcch=result.rep_pdcch), n_a2g=result.n_a2g)
+    assert run_scenario(chosen, table).gain_pct == result.gain_pct
+    # a count that no candidate's HARQ budget carries fails calibrate as it fails run
+    too_many = config_from_mapping({**raw, "cycle.n_tbphc": "7"})
+    message = r"^cycle.n_tbphc=7 needs 9 HARQ processes, more than the configured maximum of 8"
+    for search in (calibrate, run_scenario):
+        with pytest.raises(ConfigError, match=message):
+            search(too_many, table)
+
+
 def test_calibrate_with_a_table_that_lacks_the_tb_size_raises_its_config_error(table):
     without_504 = BlerTable({tbs: curves for tbs, curves in table.curves.items() if tbs != 504})
     with pytest.raises(ConfigError, match="^bad value for tbs_bits: 504 has no BLER curve in the table$"):

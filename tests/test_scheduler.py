@@ -337,6 +337,12 @@ def test_bs_view_grant_position_example():
     assert positions == [0]
 
 
+def test_bs_view_rejects_a_bs_perspective_timeline():
+    view = bs_view(build_proposed_cycle(CycleParams(), Direction.UL), 16)
+    with pytest.raises(InvalidInputError, match=r"^bs_view\(\) expects a UE-perspective timeline$"):
+        bs_view(view, 16)
+
+
 def test_bs_view_rejects_negative_rtt():
     for rtt in (-1, math.nan, math.inf):
         with pytest.raises(InvalidInputError, match="^rtt must be finite and >= 0$"):
