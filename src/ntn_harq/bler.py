@@ -14,12 +14,16 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import InfeasibleLinkError, InvalidInputError
-from .harq import MAX_SUBFRAMES
-from .records import Frozen
+from .harq import CycleParams
+from .records import Frozen, Rule, _between, require
 
 DEFAULT_TABLE_RESOURCE = "bler_pusch_ntn_tdla.csv"
 Points = tuple[tuple[float, float], ...]  # (snr_db, bler), ascending snr
-MAX_TBS_BITS = 100_000  # far above any LTE-M or NB-IoT transport block
+# the rules of arguments that the config schema reads for its keys too
+_TBS_BITS = _between(1, 100_000)  # far above any LTE-M or NB-IoT transport block
+_TARGET_BLER: Rule = ("must lie in (0, 1]", lambda v: 0 < v <= 1)
+_BLER_PER_ATTEMPT: Rule = ("must list probabilities in [0, 1]", lambda v: all(0 <= p <= 1 for p in v))
+_N_REP = CycleParams.RULES["rep_pusch"]
 
 
 class BlerTable(Frozen):
@@ -71,11 +75,10 @@ def select_repetitions(table: BlerTable, tbs: int, snr: float, target_bler: floa
 
     Raises InfeasibleLinkError when even the largest tabulated repetition
     count misses the target, i.e. the link is too weak for this TBS, and
-    InvalidInputError for a target outside (0, 1], a NaN SNR or a TBS
-    with no curves in the table.
+    InvalidInputError for a target the ``target_bler`` key's rule refuses,
+    a NaN SNR or a TBS with no curves in the table.
     """
-    if not 0.0 < target_bler <= 1.0:
-        raise InvalidInputError(f"target BLER must lie in (0, 1], got {target_bler}")
+    require("target_bler", target_bler, _TARGET_BLER)
     reps = table.reps_for(tbs)
     if not reps:
         raise InvalidInputError(f"no BLER curves for tbs={tbs}")
@@ -89,8 +92,7 @@ def select_repetitions(table: BlerTable, tbs: int, snr: float, target_bler: floa
 
 def spectral_efficiency(tbs: int, n_rep: int) -> float:
     """Payload bits per PRB-subframe when one TB spans one PRB per repetition."""
-    if n_rep < 1:
-        raise InvalidInputError(f"n_rep must be >= 1, got {n_rep}")
+    require("n_rep", n_rep, _N_REP)
     return tbs / n_rep
 
 
@@ -131,8 +133,8 @@ def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
 
     ``source`` may be the path of a UTF-8 file, with or without a
     byte-order mark, or an iterable of lines such as an open file.  Lines
-    starting with ``#`` and blank lines are ignored.  TB sizes must lie in
-    [1, ``MAX_TBS_BITS``] and repetition counts in [1, ``MAX_SUBFRAMES``].
+    starting with ``#`` and blank lines are ignored.  TB sizes must pass
+    the ``tbs_bits`` key's rule and repetition counts ``CycleParams``'.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -154,14 +156,12 @@ def load_bler_table(source: str | Path | Iterable[str]) -> BlerTable:
         try:
             tbs, n_rep = int(parts[0]), int(parts[1])
             snr, bler = float(parts[2]), float(parts[3])
+            require("tbs", tbs, _TBS_BITS)  # an InvalidInputError is a ValueError, so it names the line too
+            require("n_rep", n_rep, _N_REP)
         except ValueError as exc:
             raise InvalidInputError(f"line {lineno}: {exc}") from None
         if not (math.isfinite(snr) and math.isfinite(bler)):
             raise InvalidInputError(f"line {lineno}: SNR and BLER must be finite, got {line!r}")
-        if not (1 <= tbs <= MAX_TBS_BITS and 1 <= n_rep <= MAX_SUBFRAMES):
-            raise InvalidInputError(
-                f"line {lineno}: tbs must lie in [1, {MAX_TBS_BITS}] and n_rep in [1, {MAX_SUBFRAMES}], got {line!r}"
-            )
         rows.setdefault(tbs, {}).setdefault(n_rep, []).append((snr, bler))
     curves = {
         tbs: {n_rep: tuple(sorted(by_rep[n_rep])) for n_rep in sorted(by_rep)}

@@ -9,7 +9,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidInputError
-from .records import _AT_LEAST_0, _POSITIVE, Validated, _between
+from .records import _AT_LEAST_0, _FINITE, _POSITIVE, Validated, _between
 
 BOLTZMANN_DBW_PER_HZ_K = -228.6
 DBM_TO_DBW = -30.0
@@ -31,6 +31,7 @@ class LinkBudgetParams(Validated, _LinkFields):
 
     __slots__ = ()
     RULES = {
+        **dict.fromkeys(("eirp_dbm", "g_over_t_db"), _FINITE),
         "bandwidth_hz": _POSITIVE,
         "carrier_ghz": _between(0.1, 100),
         **dict.fromkeys(("loss_atm_db", "loss_shadow_db", "loss_scint_db", "loss_polar_db"), _AT_LEAST_0),

@@ -7,9 +7,10 @@ so they can be compared slot-for-slot against built timelines.
 """
 from __future__ import annotations
 
+from .bler import _TBS_BITS
 from .errors import InvalidInputError
 from .harq import SF_SECONDS, CycleParams, Direction, GrantMode, delay_guard, feedback_wait
-from .records import IdentityEnum
+from .records import _AT_LEAST_0, _POSITIVE, IdentityEnum, require
 
 
 class SchedulingMode(IdentityEnum):
@@ -77,8 +78,7 @@ def suf_closed_form(params: CycleParams, direction: Direction, mode: SchedulingM
 def throughput(suf: float, tbs_bits: int) -> float:
     """Useful data rate in bits/s for a utilization factor and TB size,
     one TB per subframe at full utilization."""
-    if not tbs_bits > 0:
-        raise InvalidInputError("TB size must be positive")
+    require("tbs_bits", tbs_bits, _TBS_BITS)
     return suf * (tbs_bits / SF_SECONDS)
 
 
@@ -93,8 +93,7 @@ def delay_power(efficiency_mops_per_mw: float, op_rate_per_s: float, op_count: f
     op_rate * op_count divided by the processor efficiency; MOPS/mW
     reconciles to 1e9 ops-per-second per watt.
     """
-    if not (efficiency_mops_per_mw > 0 and op_rate_per_s > 0):
-        raise InvalidInputError("processor efficiency and op rate must be positive")
-    if not op_count >= 0:
-        raise InvalidInputError("op count must be >= 0")
+    require("efficiency_mops_per_mw", efficiency_mops_per_mw, _POSITIVE)
+    require("op_rate_per_s", op_rate_per_s, _POSITIVE)
+    require("op_count", op_count, _AT_LEAST_0)
     return op_rate_per_s * op_count / (efficiency_mops_per_mw * 1e9)

@@ -16,9 +16,10 @@ from typing import Any, Callable
 from .errors import InvalidInputError
 
 Rule = tuple[str, Callable[[Any], bool]]  # the text after the bounded name, and a check that NaN fails
-_AT_LEAST_0: Rule = ("must be >= 0", lambda v: v >= 0)
+_AT_LEAST_0: Rule = ("must lie in [0, inf)", lambda v: 0 <= v < inf)
 _AT_LEAST_1: Rule = ("must be >= 1", lambda v: v >= 1)
-_POSITIVE: Rule = ("must be > 0", lambda v: v > 0)
+_FINITE: Rule = ("must be finite", lambda v: -inf < v < inf)
+_POSITIVE: Rule = ("must lie in (0, inf)", lambda v: 0 < v < inf)
 
 
 def _between(low: float, high: float) -> Rule:
@@ -29,6 +30,12 @@ def _count(low: int, high: float = inf) -> Rule:
     """An integer in [low, high]; without ``high``, one >= low."""
     bound = f">= {low}" if high == inf else f"in [{low}, {high}]"
     return (f"must be an integer {bound}", lambda v: isinstance(v, int) and low <= v <= high)
+
+
+def require(name: str, value: Any, rule: Rule) -> None:
+    """Raise ``InvalidInputError("<name> <rule>, got <value>")`` unless ``value`` passes ``rule``."""
+    if not rule[1](value):
+        raise InvalidInputError(f"{name} {rule[0]}, got {value!r}")
 
 
 class IdentityEnum(Enum):
@@ -51,9 +58,9 @@ class Validated:
 
     def __new__(cls, *args: Any, **kwargs: Any) -> Any:
         self = super().__new__(cls, *args, **kwargs)
-        for field, (rule, check) in cls.RULES.items():
-            if not check(value := getattr(self, field)):
-                raise InvalidInputError(f"{field} {rule}, got {value!r}")
+        for field, rule in cls.RULES.items():
+            if not rule[1](value := getattr(self, field)):  # inline: a call per field costs 5 % of a _replace
+                require(field, value, rule)
         return self
 
     @classmethod

@@ -19,8 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
-from . import bler as bler_mod
-from .bler import BlerTable, select_repetitions
+from .bler import _BLER_PER_ATTEMPT, _TARGET_BLER, _TBS_BITS, BlerTable, select_repetitions
 from .errors import ConfigError, InfeasibleLinkError, MinDelayViolationError
 from .geometry import OrbitGeometry, Payload, round_trip_time, slant_range
 from .harq import MAX_SUBFRAMES, CycleParams, Direction, GrantMode, harq_for_tbphc, harq_processes
@@ -147,15 +146,16 @@ def _int_or(word: str) -> Callable[[str], int | None]:
 
 
 # key -> (parser from the stripped text to the final value, default text,
-# rule on the parsed value or None); a key of a record field reads its rule.
-# Every float must also be finite.  None ("auto", "protocol") passes any rule.
+# rule on the parsed value or None); a key of a record field or of a function
+# argument reads its rule, and every float's rule refuses NaN and +-inf.
+# None ("auto", "protocol") passes any rule.
 _SCHEMA: dict[str, tuple[Callable[[str], Any], str, Rule | None]] = {
     "geometry.altitude_km": (float, "600", OrbitGeometry.RULES["altitude_km"]),
     "geometry.payload": (_one_of(Payload), "transparent", None),
     "geometry.service_elevation_deg": (float, "30", OrbitGeometry.RULES["service_elevation_deg"]),
     "geometry.feeder_elevation_deg": (float, "10", OrbitGeometry.RULES["feeder_elevation_deg"]),
-    "link.eirp_dbm": (float, "23", None),
-    "link.g_over_t_db": (float, "-4.9", None),
+    "link.eirp_dbm": (float, "23", LinkBudgetParams.RULES["eirp_dbm"]),
+    "link.g_over_t_db": (float, "-4.9", LinkBudgetParams.RULES["g_over_t_db"]),
     "link.bandwidth_hz": (float, "180000", LinkBudgetParams.RULES["bandwidth_hz"]),
     "link.carrier_ghz": (float, "2", LinkBudgetParams.RULES["carrier_ghz"]),
     "link.loss_atm_db": (float, "0.07", LinkBudgetParams.RULES["loss_atm_db"]),
@@ -164,8 +164,8 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str, Rule | None]] = {
     "link.loss_polar_db": (float, "0", LinkBudgetParams.RULES["loss_polar_db"]),
     "protocol": (_one_of(PROTOCOLS), "lte-m", None),
     "protocol.extended_harq": (_parse_bool, "false", None),
-    "tbs_bits": (int, "504", _between(1, bler_mod.MAX_TBS_BITS)),
-    "target_bler": (float, "0.1", ("must lie in (0, 1]", lambda v: 0 < v <= 1)),
+    "tbs_bits": (int, "504", _TBS_BITS),
+    "target_bler": (float, "0.1", _TARGET_BLER),
     "direction": (_one_of(Direction), "ul", None),
     "mode": (_one_of(SchedulingMode), "proposed", None),
     # an explicit count shares the auto count's cap: timeline lays the cycle
@@ -186,11 +186,7 @@ _SCHEMA: dict[str, tuple[Callable[[str], Any], str, Rule | None]] = {
     "power.op_rate_per_s": (float, str(DEFAULT_OP_RATE_PER_S), _POSITIVE),
     "monte_carlo.n_cycles": (int, "0", _AT_LEAST_0),
     "monte_carlo.seed": (int, "1", None),
-    "monte_carlo.bler_per_attempt": (
-        _parse_float_list,
-        "",
-        ("must list probabilities in [0, 1]", lambda v: all(0 <= p <= 1 for p in v)),
-    ),
+    "monte_carlo.bler_per_attempt": (_parse_float_list, "", _BLER_PER_ATTEMPT),
 }
 _DEFAULTS = {key: parse(default) for key, (parse, default, _) in _SCHEMA.items()}
 
@@ -223,8 +219,6 @@ def _parse_value(key: str, text: str) -> Any:
         value = parse(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from None
-    if parse is float and not isfinite(value):
-        raise ConfigError(f"bad value for {key}: {text!r} is not a finite number")
     if rule is not None and value is not None and not rule[1](value):
         raise ConfigError(f"bad value for {key}: {text!r} {rule[0]}")
     return value

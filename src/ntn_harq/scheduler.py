@@ -34,10 +34,11 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
+from .bler import _BLER_PER_ATTEMPT, _TBS_BITS
 from .errors import InvalidInputError
 from .harq import SF_MS, Activity, CycleParams, Direction, GrantMode, delay_guard, delay_plan, fixed_positions
 from .metrics import SchedulingMode, cycle_length_closed_form, throughput
-from .records import Frozen, IdentityEnum
+from .records import _AT_LEAST_1, Frozen, IdentityEnum, require
 
 RX_ACTIVITIES = frozenset({Activity.RX_PDCCH, Activity.RX_PDSCH})
 TX_ACTIVITIES = frozenset({Activity.TX_PUCCH, Activity.TX_PUSCH})
@@ -458,12 +459,9 @@ def monte_carlo_goodput(
     """
     if not bler_per_attempt:
         raise InvalidInputError("bler_per_attempt must not be empty")
-    if any(not 0.0 <= p <= 1.0 for p in bler_per_attempt):
-        raise InvalidInputError("attempt error probabilities must lie in [0, 1]")
-    if n_cycles < 1:
-        raise InvalidInputError("n_cycles must be >= 1")
-    if tbs_bits <= 0:
-        raise InvalidInputError("TB size must be positive")
+    require("bler_per_attempt", bler_per_attempt, _BLER_PER_ATTEMPT)
+    require("n_cycles", n_cycles, _AT_LEAST_1)  # a config's n_cycles = 0 turns Monte Carlo off instead
+    require("tbs_bits", tbs_bits, _TBS_BITS)
     cycle_len = cycle_length_closed_form(params, direction, _PROPOSED)
     n_slots = params.n_tbphc
     last = len(bler_per_attempt) - 1

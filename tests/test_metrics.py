@@ -217,12 +217,12 @@ def test_processor_profile_validation():
 
 # (efficiency, op rate, op count, message) for each check delay_power makes
 DELAY_POWER_BAD_VALUES = {
-    "efficiency": (0.0, 1000.0, 6, "processor efficiency and op rate must be positive"),
-    "op_rate": (144.0, -1.0, 6, "processor efficiency and op rate must be positive"),
-    "op_count": (144.0, 1000.0, -1, "op count must be >= 0"),
-    "efficiency_nan": (math.nan, 1000.0, 6, "processor efficiency and op rate must be positive"),
-    "op_rate_nan": (144.0, math.nan, 6, "processor efficiency and op rate must be positive"),
-    "op_count_nan": (144.0, 1000.0, math.nan, "op count must be >= 0"),
+    "efficiency": (0.0, 1000.0, 6, "efficiency_mops_per_mw must lie in (0, inf), got 0.0"),
+    "op_rate": (144.0, -1.0, 6, "op_rate_per_s must lie in (0, inf), got -1.0"),
+    "op_count": (144.0, 1000.0, -1, "op_count must lie in [0, inf), got -1"),
+    "efficiency_nan": (math.nan, 1000.0, 6, "efficiency_mops_per_mw must lie in (0, inf), got nan"),
+    "op_rate_nan": (144.0, math.nan, 6, "op_rate_per_s must lie in (0, inf), got nan"),
+    "op_count_nan": (144.0, 1000.0, math.nan, "op_count must lie in [0, inf), got nan"),
 }
 
 

@@ -4,7 +4,8 @@ Every record keeps its field names, order and defaults, cannot be
 changed after construction, and is equal to, and hashes like, any record
 of the same type with equal values.  The three validated records reject a
 bad value with the same message whether it comes from construction or
-from ``_replace``.
+from ``_replace``.  A config key and the record field or function argument
+it sets share one rule object, so they accept the same values.
 """
 from __future__ import annotations
 
@@ -13,13 +14,16 @@ import re
 from enum import Enum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ntn_harq import bler, metrics, scheduler
 from ntn_harq.bler import BlerTable
-from ntn_harq.errors import ConfigError, InvalidInputError
+from ntn_harq.errors import ConfigError, InfeasibleLinkError, InvalidInputError
 from ntn_harq.geometry import OrbitGeometry, Payload
 from ntn_harq.harq import CycleParams, Direction, GrantMode
 from ntn_harq.linkbudget import LinkBudgetParams
-from ntn_harq.records import IdentityEnum
+from ntn_harq.records import _AT_LEAST_0, _AT_LEAST_1, IdentityEnum, require
 from ntn_harq.metrics import SchedulingMode
 from ntn_harq.scenario import (
     PROTOCOLS,
@@ -161,12 +165,14 @@ BAD_VALUES = [
     (OrbitGeometry, "altitude_km", 0.0, "altitude_km must lie in (0, 35786] (GEO), got 0.0"),
     (OrbitGeometry, "service_elevation_deg", 5.0, "service_elevation_deg must lie in [10, 90], got 5.0"),
     (OrbitGeometry, "feeder_elevation_deg", 91.0, "feeder_elevation_deg must lie in [10, 90], got 91.0"),
-    (LinkBudgetParams, "bandwidth_hz", 0.0, "bandwidth_hz must be > 0, got 0.0"),
+    (LinkBudgetParams, "eirp_dbm", math.inf, "eirp_dbm must be finite, got inf"),
+    (LinkBudgetParams, "g_over_t_db", -math.inf, "g_over_t_db must be finite, got -inf"),
+    (LinkBudgetParams, "bandwidth_hz", 0.0, "bandwidth_hz must lie in (0, inf), got 0.0"),
     (LinkBudgetParams, "carrier_ghz", -2.0, "carrier_ghz must lie in [0.1, 100], got -2.0"),
-    (LinkBudgetParams, "loss_atm_db", -0.1, "loss_atm_db must be >= 0, got -0.1"),
-    (LinkBudgetParams, "loss_shadow_db", -0.1, "loss_shadow_db must be >= 0, got -0.1"),
-    (LinkBudgetParams, "loss_scint_db", -0.1, "loss_scint_db must be >= 0, got -0.1"),
-    (LinkBudgetParams, "loss_polar_db", -0.1, "loss_polar_db must be >= 0, got -0.1"),
+    (LinkBudgetParams, "loss_atm_db", -0.1, "loss_atm_db must lie in [0, inf), got -0.1"),
+    (LinkBudgetParams, "loss_shadow_db", -0.1, "loss_shadow_db must lie in [0, inf), got -0.1"),
+    (LinkBudgetParams, "loss_scint_db", -0.1, "loss_scint_db must lie in [0, inf), got -0.1"),
+    (LinkBudgetParams, "loss_polar_db", -0.1, "loss_polar_db must lie in [0, inf), got -0.1"),
 ]
 
 
@@ -190,9 +196,11 @@ FIELD_KEYS = {
     "geometry.altitude_km": (("0", "-1", "35786.5", "40000"), ("1e-3", "35786")),
     "geometry.service_elevation_deg": (("9.99", "90.01"), ("10", "90")),
     "geometry.feeder_elevation_deg": (("9.99", "90.01"), ("10", "90")),
-    "link.bandwidth_hz": (("0", "-1"), ("1e-9",)),
+    **{f"link.{name}": (("inf", "-inf", "1e309"), ("-1.7976931348623157e308", "1.7976931348623157e308"))
+       for name in ("eirp_dbm", "g_over_t_db")},
+    "link.bandwidth_hz": (("0", "-1", "inf"), ("1e-9", "1e308")),
     "link.carrier_ghz": (("0.0999", "0.05", "100.01"), ("0.1", "100")),
-    **{f"link.loss_{name}_db": (("-0.001",), ("0",)) for name in ("atm", "shadow", "scint", "polar")},
+    **{f"link.loss_{name}_db": (("-0.001", "inf"), ("0", "1e308")) for name in ("atm", "shadow", "scint", "polar")},
     **{f"cycle.{name}": (("0", "100001", "1000000"), ("1", "100000")) for name in ("rep_pdcch", "rep_pucch")},
     **{f"cycle.{name}": (("-1", "100001"), ("0", "100000")) for name in ("n_dg2d", "n_switch", "dd2a_min", "ug2d_min")},
     "cycle.n_bundle": (("0", "-1"), ("1", "1000000")),
@@ -201,7 +209,7 @@ SECTIONS = {"geometry": OrbitGeometry, "link": LinkBudgetParams, "cycle": CycleP
 
 
 def test_a_field_key_holds_its_fields_rule():
-    assert len(FIELD_KEYS) == 16
+    assert len(FIELD_KEYS) == 18
     for key in FIELD_KEYS:
         section, field = key.split(".")
         assert _SCHEMA[key][2] is SECTIONS[section].RULES[field], key
@@ -230,15 +238,119 @@ def test_a_value_outside_a_bound_is_refused_by_the_record_and_by_the_config(key)
 
 @pytest.mark.parametrize("section,cls", SECTIONS.items(), ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_every_ruled_field_refuses_nan_and_the_config_refuses_it_for_every_float(section, cls):
+    """NaN, inf and -inf: every float field has a rule, which refuses each
+    of them, and so does the config, with the same rule's text."""
     make, _, _ = RECORDS[cls]
     record = cls(**make())
-    for field in cls.RULES:
-        with pytest.raises(InvalidInputError, match=f"^{field} .*, got nan$"):
-            record._replace(**{field: math.nan})
-    for key, (parse, _, _) in _SCHEMA.items():
-        if key.startswith(f"{section}.") and parse is float:
-            with pytest.raises(ConfigError, match=f"^bad value for {key}: 'nan' is not a finite number$"):
-                config_from_mapping({key: "nan"})
+    assert {field for field in cls._fields if isinstance(getattr(record, field), float)} <= set(cls.RULES)
+    for value in (math.nan, math.inf, -math.inf):
+        for field, (rule, _) in cls.RULES.items():
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{field} {rule}, got {value!r}')}$"):
+                record._replace(**{field: value})
+        for key, (parse, _, rule) in _SCHEMA.items():
+            if key.startswith(f"{section}.") and parse is float:
+                text = repr(value)
+                with pytest.raises(ConfigError, match=f"^{re.escape(f'bad value for {key}: {text!r} {rule[0]}')}$"):
+                    config_from_mapping({key: text})
+
+
+_TABLE = BlerTable({504: {1: ((-6.0, 0.5), (0.0, 0.001))}})
+# "function.argument" -> (the rule it shares with a config key, a call of the
+# function with the argument set to v, a value the rule passes, one it refuses)
+ARGUMENT_RULES = {
+    "select_repetitions.target_bler": (
+        _SCHEMA["target_bler"][2], lambda v: bler.select_repetitions(_TABLE, 504, 0.0, v), 0.1, 1.5),
+    "load_bler_table.tbs": (_SCHEMA["tbs_bits"][2], lambda v: bler.load_bler_table([f"{v},1,-6,0.5"]), 504, 0),
+    "load_bler_table.n_rep": (
+        CycleParams.RULES["rep_pusch"], lambda v: bler.load_bler_table([f"504,{v},-6,0.5"]), 24, 100001),
+    "spectral_efficiency.n_rep": (CycleParams.RULES["rep_pusch"], lambda v: bler.spectral_efficiency(504, v), 24, 0),
+    "monte_carlo_goodput.bler_per_attempt": (
+        _SCHEMA["monte_carlo.bler_per_attempt"][2],
+        lambda v: scheduler.monte_carlo_goodput(CycleParams(), Direction.DL, v, 1, 1, 504), [0.1], [0.1, 1.2]),
+    "monte_carlo_goodput.n_cycles": (
+        _AT_LEAST_1, lambda v: scheduler.monte_carlo_goodput(CycleParams(), Direction.DL, [0.1], v, 1, 504), 1, 0),
+    "monte_carlo_goodput.tbs_bits": (
+        _SCHEMA["tbs_bits"][2],
+        lambda v: scheduler.monte_carlo_goodput(CycleParams(), Direction.DL, [0.1], 1, 1, v), 504, -504),
+    "delay_power.efficiency_mops_per_mw": (
+        _SCHEMA["power.efficiency_mops_per_mw"][2], lambda v: metrics.delay_power(v, 1000.0, 6), 144.0, math.inf),
+    "delay_power.op_rate_per_s": (
+        _SCHEMA["power.op_rate_per_s"][2], lambda v: metrics.delay_power(144.0, v, 6), 1000.0, 0.0),
+    "delay_power.op_count": (_AT_LEAST_0, lambda v: metrics.delay_power(144.0, 1000.0, v), 6, -math.inf),
+    "throughput.tbs_bits": (_SCHEMA["tbs_bits"][2], lambda v: metrics.throughput(0.5, v), 504, 100001),
+}
+
+
+@pytest.mark.parametrize("argument", ARGUMENT_RULES)
+def test_a_function_argument_checks_the_rule_object_of_its_key(monkeypatch, argument):
+    rule, call, good, bad = ARGUMENT_RULES[argument]
+    function, _, name = argument.partition(".")
+    used = []
+
+    def spy(checked_name, value, checked_rule):
+        used.append((checked_name, checked_rule))
+        require(checked_name, value, checked_rule)
+
+    for module in (bler, metrics, scheduler):
+        monkeypatch.setattr(module, "require", spy)
+    call(good)
+    assert any(used_name == name and used_rule is rule for used_name, used_rule in used), used
+    message = f"{'line 1: ' if function == 'load_bler_table' else ''}{name} {rule[0]}, got {bad!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+def _use(key, value):
+    """Pass ``value`` to the record field or function argument that shares ``key``'s rule."""
+    section, _, field = key.partition(".")
+    if section in SECTIONS:
+        getattr(config_from_mapping({}), section)._replace(**{field: value})
+    else:
+        {
+            "target_bler": lambda: bler.select_repetitions(_TABLE, 504, 0.0, value),
+            "power.efficiency_mops_per_mw": lambda: metrics.delay_power(value, 1000.0, 6),
+            "power.op_rate_per_s": lambda: metrics.delay_power(144.0, value, 6),
+            "monte_carlo.bler_per_attempt": lambda: scheduler.monte_carlo_goodput(
+                CycleParams(), Direction.DL, value, 1, 1, 504),
+        }[key]()
+
+
+# every key of a float or of a list of floats
+FLOAT_KEYS = sorted(key for key, (parse, _, _) in _SCHEMA.items() if parse is float) + ["monte_carlo.bler_per_attempt"]
+EDGES = (0.0, 0.1, 1.0, 10.0, 90.0, 100.0, 35786.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf)
+FLOAT_TEXTS = st.one_of(
+    # each edge of a rule, negated or one step off
+    st.sampled_from(EDGES).flatmap(lambda e: st.sampled_from([e, -e, math.nextafter(e, -math.inf),
+                                                              math.nextafter(e, math.inf)])).map(repr),
+    st.floats().map(repr),  # NaN, +-inf and subnormals among them
+    st.sampled_from(["NaN", "-nan", "Infinity", "-INF", "+inf", "1e309", "-1e309", "1e-400", "4.9e-324"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from(FLOAT_KEYS), texts=st.lists(FLOAT_TEXTS, min_size=1, max_size=3))
+def test_a_float_key_accepts_a_text_exactly_when_its_record_or_function_accepts_the_value(key, texts):
+    parse, _, (rule, _) = _SCHEMA[key]
+    text = ",".join(texts) if parse is not float else texts[0]
+    value = parse(text)
+    try:
+        _parse_value(key, text)
+    except ConfigError as exc:
+        assert str(exc) == f"bad value for {key}: {text!r} {rule}"
+        config_accepts = False
+    else:
+        config_accepts = True
+    try:
+        _use(key, value)
+    except InvalidInputError as exc:
+        assert str(exc).endswith(f" {rule}, got {value!r}")
+        accepts = False
+    except InfeasibleLinkError:  # a target below the table's lowest BLER, accepted
+        accepts = True
+    else:
+        accepts = True
+    assert config_accepts == accepts
+    assert not accepts or all(map(math.isfinite, value if isinstance(value, tuple) else [value]))
 
 
 def test_a_frozen_record_names_its_fields_and_refuses_deletion():

@@ -431,7 +431,7 @@ def _no_draws(seed):
 @pytest.mark.parametrize("tbs_bits", [0, -504])
 def test_monte_carlo_checks_the_tb_size_before_any_draw(monkeypatch, tbs_bits):
     monkeypatch.setattr(scheduler, "random", SimpleNamespace(Random=_no_draws))
-    with pytest.raises(InvalidInputError, match="^TB size must be positive$"):
+    with pytest.raises(InvalidInputError, match=rf"^tbs_bits must lie in \[1, 100000\], got {tbs_bits}$"):
         monte_carlo_goodput(UL_PARAMS, Direction.UL, [0.5], 20_000, 1, tbs_bits)
 
 
