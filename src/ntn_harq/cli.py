@@ -33,7 +33,7 @@ from .metrics import SchedulingMode
 from .scenario import (
     MAX_AUTO_TBPHC,
     ScenarioConfig,
-    _parse_bool,
+    _values,
     auto_tbphc_capped,
     calibrate,
     config_from_mapping,
@@ -62,6 +62,8 @@ _CHANNEL_ROWS = (
     ("switch", Activity.SWITCH, "#b0b0b0"),
 )
 _LEGACY = SchedulingMode.LEGACY_FIXED  # a global: see harq._DL
+# the keys of the max_harq note, whose texts the schema's parsers read
+_OVERRIDE_KEYS = ("cycle.max_harq", "protocol.extended_harq")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -78,9 +80,10 @@ def _load_table(path: str | None):
 def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, BlerTable]:
     raw = read_config(args.config)
     config = config_from_mapping(raw)
-    max_harq = raw.get("cycle.max_harq", "protocol")  # the note is decided from the texts, before any point runs
-    if max_harq.lower() != "protocol" and _parse_bool(raw.get("protocol.extended_harq", "false")):
-        print(f"note: cycle.max_harq = {max_harq} overrides protocol.extended_harq = true", file=sys.stderr)
+    max_harq, extended = _values(_OVERRIDE_KEYS, tuple(map(raw.get, _OVERRIDE_KEYS))).values()
+    if max_harq is not None and extended:  # decided from the texts, before any point runs
+        print(f"note: cycle.max_harq = {raw['cycle.max_harq']} overrides protocol.extended_harq = true",
+              file=sys.stderr)
     return config, _load_table(args.bler_table)
 
 
@@ -248,8 +251,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     table = _load_table(args.bler_table)
     results, infeasible = sweep(raw, axes, table)
     # texts that sweep has parsed; like sweep, dict() gives a key on two axes the later axis's values
-    n_cycles = dict(axes).get("monte_carlo.n_cycles", [raw.get("monte_carlo.n_cycles", "0")])
-    if any(int(text) > 0 for text in n_cycles):
+    n_cycles = dict(axes).get("monte_carlo.n_cycles", [raw.get("monte_carlo.n_cycles")])
+    if any(_values(("monte_carlo.n_cycles",), (text,))["n_cycles"] > 0 for text in n_cycles):
         print("note: sweep writes no Monte Carlo goodput (run one point for it)", file=sys.stderr)
     text = results_to_csv(results) + "".join(f"# infeasible {label}: {reason}\n" for label, reason in infeasible)
     _emit(text, args.out)

@@ -102,8 +102,9 @@ class ScenarioConfig(NamedTuple):
     n_tbphc: int | None  # None selects the largest feasible value
     n_a2g: int
     max_harq: int
-    power_efficiency_mops_per_mw: float
-    power_op_rate_per_s: float
+    # the delay power of its feedback scheme, derived when parsed, like
+    # max_harq: a _replace(direction=...) does not recompute it
+    power_nw: float
     monte_carlo: MonteCarloSettings
 
 
@@ -240,13 +241,14 @@ def _values(keys: tuple[str, ...], texts: tuple[str | None, ...]) -> dict[str, A
 
 
 # the keys of each section of a ScenarioConfig: together, the schema's keys.
-# Apart from protocol.extended_harq, the scalar keys follow its field order.
+# Apart from the two flags after protocol and the power keys, the scalar keys follow its field order.
 _GEOMETRY_KEYS = tuple(key for key in _SCHEMA if key.startswith("geometry."))
 _LINK_KEYS = tuple(key for key in _SCHEMA if key.startswith("link."))
-_CYCLE_KEYS = ("protocol", "direction", "cycle.rep_pdcch", "cycle.rep_pucch", "cycle.n_switch", "cycle.n_dg2d",
+_CYCLE_KEYS = ("protocol", "cycle.rep_pdcch", "cycle.rep_pucch", "cycle.n_switch", "cycle.n_dg2d",
                "cycle.dd2a_min", "cycle.ug2d_min", "cycle.n_bundle", "cycle.grant_mode", "cycle.ack_bundling")
-_SCALAR_KEYS = ("protocol", "protocol.extended_harq", "tbs_bits", "target_bler", "direction", "mode", "cycle.n_tbphc",
-                "cycle.n_a2g", "cycle.max_harq", "power.efficiency_mops_per_mw", "power.op_rate_per_s")
+_SCALAR_KEYS = ("protocol", "protocol.extended_harq", "cycle.ack_bundling", "tbs_bits", "target_bler", "direction",
+                "mode", "cycle.n_tbphc", "cycle.n_a2g", "cycle.max_harq", "power.efficiency_mops_per_mw",
+                "power.op_rate_per_s")
 _MONTE_CARLO_KEYS = tuple(key for key in _SCHEMA if key.startswith("monte_carlo."))
 # every schema key without a text, and a reader of each section's texts
 _UNSET = dict.fromkeys(_SCHEMA)
@@ -268,10 +270,9 @@ _monte_carlo_section = _section_of(MonteCarloSettings, _MONTE_CARLO_KEYS)
 def _cycle_section(texts: tuple[str | None, ...]) -> CycleParams:
     """The cycle template; a ``protocol`` timing value takes the protocol's.
     A minimum delay must leave room for the switch between receiving and
-    sending that it spans, and only a downlink cycle bundles feedback."""
+    sending that it spans; the scalar section, which reads ``direction``, rules on bundling."""
     values = _values(_CYCLE_KEYS, texts)
     protocol = values.pop("protocol")
-    direction = values.pop("direction")
     for name in ("n_switch", "dd2a_min", "ug2d_min"):
         if values[name] is None:
             values[name] = getattr(protocol, name)
@@ -281,27 +282,29 @@ def _cycle_section(texts: tuple[str | None, ...]) -> CycleParams:
                 f"cycle.{name} = {values[name]} is shorter than cycle.n_switch = {values['n_switch']}: "
                 f"a minimum delay spans the switch between receiving and sending"
             )
-    if values["ack_bundling"] and direction is _UL:
-        raise ConfigError(
-            "cycle.ack_bundling = true needs direction = dl: feedback bundling "
-            "applies to downlink cycles only"
-        )
     return CycleParams(**values)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _scalar_section(texts: tuple[str | None, ...]) -> tuple[Any, ...]:
-    """The ScenarioConfig fields that hold one value each, in field order."""
+    """The ScenarioConfig fields that hold one value each, in field order.  The
+    feedback scheme is decided here: an uplink may not bundle, and ``power_nw`` is the scheme's."""
     values = _values(_SCALAR_KEYS, texts)
-    extended = values.pop("extended_harq")
+    extended, bundled = values.pop("extended_harq"), values.pop("ack_bundling")
     if values["max_harq"] is None:
         protocol = values["protocol"]
         values["max_harq"] = protocol.max_harq_extended if extended else protocol.max_harq
-    # power_nw at the most delay operations of any scheme: finite there, it is finite at fewer
-    power = delay_power(values["efficiency_mops_per_mw"], values["op_rate_per_s"], max(DELAY_OP_COUNTS.values()))
-    if not isfinite(power * 1e9):
+    if bundled and values["direction"] is _UL:
+        raise ConfigError(
+            "cycle.ack_bundling = true needs direction = dl: feedback bundling "
+            "applies to downlink cycles only"
+        )
+    scheme = "ug2d" if values["direction"] is _UL else "dd2a_bundled" if bundled else "dd2a"
+    power_nw = delay_power(values.pop("efficiency_mops_per_mw"), values.pop("op_rate_per_s"),
+                           DELAY_OP_COUNTS[scheme]) * 1e9
+    if not isfinite(power_nw):
         raise ConfigError("power.op_rate_per_s over power.efficiency_mops_per_mw overflows the delay power")
-    return tuple(values.values())
+    return (*values.values(), power_nw)
 
 
 def _raise_first_bad_key(raw: Mapping[str, str]) -> None:
@@ -508,12 +511,6 @@ def _scenario_id(altitude_km: float, payload: Payload, protocol: ProtocolProfile
     return f"leo{altitude_km:g}-{payload.value}-{protocol.name}-{direction.value}-{mode.value}-tbs{tbs_bits}"
 
 
-def _power_scheme(config: ScenarioConfig) -> str:
-    if config.direction is _UL:
-        return "ug2d"
-    return "dd2a_bundled" if config.cycle.ack_bundling else "dd2a"
-
-
 def _gain_pct(config: ScenarioConfig, n_rep: int, suf: float) -> float:
     """The gain in % of ``suf`` over the one-TB legacy cycle's SUF at ``n_rep`` repetitions."""
     baseline_params = _completed_cycle(config.cycle, 1, n_rep)
@@ -539,8 +536,6 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     gain_pct = _gain_pct(config, n_rep, suf) if mode is _PROPOSED else 0.0
     rate = throughput(suf, config.tbs_bits)
     required = harq_for_tbphc(params, rtt_ms, config.n_a2g)
-    power_nw = delay_power(config.power_efficiency_mops_per_mw, config.power_op_rate_per_s,
-                           DELAY_OP_COUNTS[_power_scheme(config)]) * 1e9  # finite: see _scalar_section
     goodput = None
     mc = config.monte_carlo
     if mc.n_cycles > 0 and mode is _PROPOSED:
@@ -557,7 +552,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
     return ScenarioResult(  # positional, in field order: the fastest call
         _scenario_id(geometry.altitude_km, geometry.payload, config.protocol, config.direction, mode, config.tbs_bits),
         geometry.altitude_km, geometry.payload.value, geometry.service_elevation_deg, rtt_ms, snr, config.tbs_bits,
-        n_rep, mode.value, params.n_tbphc, required, suf, rate, gain_pct, power_nw, goodput,
+        n_rep, mode.value, params.n_tbphc, required, suf, rate, gain_pct, config.power_nw, goodput,
     )
 
 

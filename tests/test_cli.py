@@ -390,6 +390,25 @@ def test_finite_values_that_overflow_a_column_are_refused(ltem_copy, capsys, fix
     assert all(k in lines[2] for k in keys), lines[2]
 
 
+# 2.5e307 delay evaluations a second at 1 MOPS/mW: 1.5e308 nW at the 6
+# operations of UG2D or plain DD2A, but 2e308 at the 8 of bundled DD2A
+HUGE_OP_RATE = "power.efficiency_mops_per_mw = 1\npower.op_rate_per_s = 2.5e307\n"
+
+
+def test_the_power_check_reads_the_configs_own_feedback_scheme(tmp_path, capsys):
+    path = tmp_path / "power.cfg"
+    for profile in ("leo600_ltem_ul", "leo600_ltem_dl"):
+        path.write_text((PROFILES / f"{profile}.cfg").read_text() + HUGE_OP_RATE)
+        assert run_cli("run", path) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["power_nw"] == "1.5e+308"
+    path.write_text(path.read_text() + "cycle.ack_bundling = true\n")
+    assert run_cli("run", path) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "power.efficiency_mops_per_mw" in captured.err and "power.op_rate_per_s" in captured.err, captured.err
+
+
 def test_a_minimum_delay_shorter_than_the_switch_gap_names_both_keys(ltem_copy, tmp_path, capsys):
     ltem_copy.write_text(ltem_copy.read_text() + "cycle.dd2a_min = 0\n")
     for args in (["run", ltem_copy], ["calibrate", ltem_copy], ["calibrate", ltem_copy, "--dry-run"],

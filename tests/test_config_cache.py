@@ -35,6 +35,7 @@ from ntn_harq.scenario import _SCHEMA, ScenarioConfig, config_from_mapping, pars
 SECTIONS = ("_geometry_section", "_link_section", "_cycle_section", "_scalar_section", "_monte_carlo_section")
 CACHED = (*SECTIONS, "_completed_cycle", "_operating_point")
 PROFILES = Path(__file__).resolve().parent.parent / "profiles"
+README = PROFILES.parent / "README.md"
 POINT_ERRORS = (ConfigError, InfeasibleLinkError, InvalidInputError, MinDelayViolationError)
 
 
@@ -123,9 +124,13 @@ def test_the_sections_cover_the_schema():
 
 
 def test_the_scalar_keys_follow_the_config_fields():
+    # the two flags set max_harq and power_nw, and the two power keys give power_nw
+    flags = ("protocol.extended_harq", "cycle.ack_bundling")
+    power = ("power.efficiency_mops_per_mw", "power.op_rate_per_s")
     names = [key.replace(".", "_").removeprefix("cycle_")
-             for key in scenario._SCALAR_KEYS if key != "protocol.extended_harq"]
-    assert names == list(ScenarioConfig._fields)[3:-1]
+             for key in scenario._SCALAR_KEYS if key not in flags + power]
+    assert scenario._SCALAR_KEYS[1:3] == flags and scenario._SCALAR_KEYS[-2:] == power
+    assert [*names, "power_nw"] == list(ScenarioConfig._fields)[3:-1]
 
 
 # two bad keys each, from sections the cache looks up in the other order
@@ -235,7 +240,7 @@ def test_point_errors_raise_on_every_call(table):
         for _ in range(2):
             with pytest.raises(error):
                 run_scenario(config, table)
-    for _ in range(2):  # uplink bundling is refused when the cycle section is parsed
+    for _ in range(2):  # uplink bundling is refused when the scalar section is parsed
         with pytest.raises(ConfigError, match="^cycle.ack_bundling = true needs direction = dl"):
             config_from_mapping({"cycle.ack_bundling": "true"})
 
@@ -282,7 +287,8 @@ def test_a_table_differing_in_one_point_selects_on_its_own_curve(table):
 
 def test_a_warm_sweep_point_builds_no_validated_record(table, bench_workloads, monkeypatch):
     # once a pass of the benchmark sweep has filled the caches, every
-    # validated record that a point needs comes out of them
+    # validated record that a point needs comes out of them, and so does
+    # power_nw, which the scalar section computes once per distinct section
     root, workloads = bench_workloads
     ops = workloads.sweep_ops(root, 1, table)
     for op in ops:
@@ -294,7 +300,33 @@ def test_a_warm_sweep_point_builds_no_validated_record(table, bench_workloads, m
         built[cls.__name__] += 1
         return new(cls, *args, **kwargs)
 
+    delay_power = scenario.delay_power
+
+    def counting_delay_power(*args):
+        built["delay_power"] += 1
+        return delay_power(*args)
+
     monkeypatch.setattr(records.Validated, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(scenario, "delay_power", counting_delay_power)
     outcomes = Counter(workloads.run_op(op)[0] for op in ops)
     assert outcomes["ok"] == 5728
     assert built == Counter()
+
+
+def test_one_pass_of_the_benchmark_sweep_fills_the_caches_the_readme_counts(table, bench_workloads):
+    root, workloads = bench_workloads
+    ops = workloads.sweep_ops(root, 1, table)
+    clear_caches()
+    for op in ops:
+        workloads.run_op(op)
+    size = {name: getattr(scenario, name).cache_info().currsize for name in CACHED}
+    assert size == {"_geometry_section": 28, "_link_section": 1, "_cycle_section": 12, "_scalar_section": 48,
+                    "_monte_carlo_section": 1, "_completed_cycle": 246, "_operating_point": 56}
+    sentence = (
+        f"The benchmark's {len(ops)}-point sweep fills {sum(size[name] for name in SECTIONS)} sections "
+        f"({size['_geometry_section']} geometries, {size['_link_section']} link budget, "
+        f"{size['_cycle_section']} cycle templates, {size['_scalar_section']} scalar sets, "
+        f"{size['_monte_carlo_section']} Monte Carlo setting), {size['_operating_point']} operating points "
+        f"and {size['_completed_cycle']} cycles."
+    )
+    assert sentence in " ".join(README.read_text().split())

@@ -55,7 +55,7 @@ def _config() -> dict:
     return dict(geometry=OrbitGeometry(600.0, Payload.TRANSPARENT, 30.0), link=LinkBudgetParams(23.0, -4.9, 180e3, 2.0),
                 cycle=CycleParams(), protocol=PROTOCOLS["lte-m"], tbs_bits=504, target_bler=0.1, direction=Direction.UL,
                 mode=SchedulingMode.PROPOSED_VARIABLE, n_tbphc=None, n_a2g=0, max_harq=8,
-                power_efficiency_mops_per_mw=144.0, power_op_rate_per_s=1000.0, monte_carlo=MonteCarloSettings())
+                power_nw=41.67, monte_carlo=MonteCarloSettings())
 
 
 def _result() -> dict:

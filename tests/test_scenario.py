@@ -521,3 +521,23 @@ def test_calibrate_reports_degraded_when_target_unreachable(table):
     result = calibrate(config, table)
     assert result.degraded
     assert result.gain_pct < 26.0
+
+
+MIN_DELAY_ERROR = ("cycle.dd2a_min = 0 is shorter than cycle.n_switch = 1: "
+                   "a minimum delay spans the switch between receiving and sending")
+BUNDLING_ERROR = "cycle.ack_bundling = true needs direction = dl: feedback bundling applies to downlink cycles only"
+
+
+@pytest.mark.parametrize("extra, error", [
+    ({"cycle.dd2a_min": "0"}, MIN_DELAY_ERROR),
+    ({"power.efficiency_mops_per_mw": "1e-300", "power.op_rate_per_s": "1e10"}, BUNDLING_ERROR),
+], ids=["minimum-delay-before-bundling", "bundling-before-power"])
+def test_uplink_bundling_is_reported_in_the_readme_order(table, extra, error):
+    # the minimum-delay rule, then bundling, then the delay power
+    raw = {"direction": "ul", **extra}
+    with pytest.raises(ConfigError) as caught:
+        config_from_mapping({**raw, "cycle.ack_bundling": "true"})
+    assert str(caught.value) == error
+    results, infeasible = sweep(raw, [("cycle.ack_bundling", ["true"])], table)
+    assert results == []
+    assert infeasible == [("leo600-transparent-lte-m-ul-proposed-tbs504 cycle.ack_bundling=true", error)]
