@@ -28,7 +28,7 @@ from .errors import (
     InvalidInputError,
     MinDelayViolationError,
 )
-from .harq import Activity
+from .harq import Activity, feedback_group
 from .metrics import SchedulingMode
 from .scenario import (
     MAX_AUTO_TBPHC,
@@ -92,7 +92,7 @@ def _note_capped_or_ignored(config: ScenarioConfig, table) -> None:
         print(f"note: auto cycle.n_tbphc stops at its cap of {MAX_AUTO_TBPHC} TBs per cycle, "
               f"although the HARQ budget of {config.max_harq} processes admits more",
               file=sys.stderr)
-    if config.cycle.n_bundle != 1 and not config.cycle.ack_bundling:
+    if feedback_group(config.cycle, config.direction) != config.cycle.n_bundle:
         print(f"note: cycle.n_bundle = {config.cycle.n_bundle} is ignored without cycle.ack_bundling = true",
               file=sys.stderr)
 

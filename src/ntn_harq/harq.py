@@ -100,6 +100,15 @@ def feedback_wait(n_before: int, n_bundle: int, rep_pucch: int) -> int:
     return n_before // n_bundle * rep_pucch
 
 
+def feedback_group(params: CycleParams, direction: Direction) -> int:
+    """TBs answered by one feedback block: ``n_bundle`` when a downlink
+    cycle bundles its feedback, else 1.  The one owner of the rule that
+    bundling is downlink-only: an uplink cycle that bundles raises."""
+    if params.ack_bundling and direction is not _DL:
+        raise InvalidInputError("feedback bundling applies to downlink cycles only")
+    return params.n_bundle if params.ack_bundling else 1
+
+
 def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
     """Every TB's variable delay in one cycle, in transmission order.
 
@@ -110,13 +119,10 @@ def delay_plan(params: CycleParams, direction: Direction) -> tuple[int, ...]:
     of the later TBs, plus the data of the earlier TBs, plus the switching
     gap.
     """
-    n, sw = params.n_tbphc, params.n_switch
+    n, sw, g = params.n_tbphc, params.n_switch, feedback_group(params, direction)
     if direction is _DL:
-        n_bundle = params.n_bundle if params.ack_bundling else 1
         r = params.rep_pdsch
-        return tuple((n - 1 - b) * r + feedback_wait(b, n_bundle, params.rep_pucch) + sw for b in range(n))
-    if params.ack_bundling:
-        raise InvalidInputError("feedback bundling applies to downlink cycles only")
+        return tuple((n - 1 - b) * r + feedback_wait(b, g, params.rep_pucch) + sw for b in range(n))
     p, r = params.rep_pdcch, params.rep_pusch
     return tuple((n - j) * p + (j - 1) * r + sw for j in range(1, n + 1))
 
@@ -125,7 +131,8 @@ def delay_guard(params: CycleParams, direction: Direction) -> int:
     """Subframes added to every TB's variable delay so that the tightest
     one meets the mandatory minimum, in O(1) without the plan.  The
     builder and the closed form both read it, so it alone decides whether
-    a proposed cycle can be laid out.
+    a proposed cycle can be laid out; ``feedback_group`` refuses an uplink
+    cycle that bundles.
 
     DL: TB b+1 waits ``(n-1-b)*r + (b//g)*q`` beyond the switch gap, which
     falls within each group of ``g`` TBs and is linear across whole
@@ -136,9 +143,8 @@ def delay_guard(params: CycleParams, direction: Direction) -> int:
     blocks (``p > r``) a later TB can fall short, first at
     ``j = (d1 - m) // (p - r) + 2``, and MinDelayViolationError names it.
     """
-    n = params.n_tbphc
+    n, g = params.n_tbphc, feedback_group(params, direction)
     if direction is _DL:
-        g = params.n_bundle if params.ack_bundling else 1
         r, q = params.rep_pdsch, params.rep_pucch
         k = (n - 1) // g  # the last TB's group
         tightest = min(k * q, (n - g) * r, (n - k * g) * r + (k - 1) * q) if k else 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .bler import _TBS_BITS
 from .errors import InvalidInputError
-from .harq import SF_SECONDS, CycleParams, Direction, GrantMode, delay_guard, feedback_wait
+from .harq import SF_SECONDS, CycleParams, Direction, GrantMode, delay_guard, feedback_group, feedback_wait
 from .records import _AT_LEAST_0, _POSITIVE, IdentityEnum, require
 
 
@@ -52,8 +52,7 @@ def cycle_length_closed_form(
     sw = params.n_switch
     if direction is _DL:
         grants = p if params.grant_mode is _MTBG else n * p
-        n_bundle = params.n_bundle if params.ack_bundling else 1
-        wait = feedback_wait(n - 1, n_bundle, params.rep_pucch)
+        wait = feedback_wait(n - 1, feedback_group(params, direction), params.rep_pucch)
         length = (
             grants
             + params.n_dg2d
@@ -63,8 +62,6 @@ def cycle_length_closed_form(
             + delay_guard(params, direction)
             + 2 * sw
         )
-    elif params.ack_bundling:
-        raise InvalidInputError("feedback bundling applies to downlink cycles only")
     else:
         length = n * p + delay_guard(params, direction) + n * params.rep_pusch + 2 * sw
     return length - sw if mode is _LEGACY else length

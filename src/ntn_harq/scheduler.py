@@ -36,7 +36,8 @@ from typing import NamedTuple, Sequence
 
 from .bler import _BLER_PER_ATTEMPT, _TBS_BITS
 from .errors import InvalidInputError
-from .harq import SF_MS, Activity, CycleParams, Direction, GrantMode, delay_guard, delay_plan, fixed_positions
+from .harq import (SF_MS, Activity, CycleParams, Direction, GrantMode, delay_guard, delay_plan, feedback_group,
+                   fixed_positions)
 from .metrics import SchedulingMode, cycle_length_closed_form, throughput
 from .records import _AT_LEAST_1, Frozen, IdentityEnum, require
 
@@ -234,8 +235,7 @@ def build_legacy_cycle(
     timeline; one TB always succeeds.
     """
     dl = direction is _DL
-    if not dl and params.ack_bundling:
-        raise InvalidInputError("feedback bundling applies to downlink cycles only")
+    feedback_group(params, direction)  # refuses an uplink cycle that bundles
     delays = [params.dd2a_min if dl else params.ug2d_min] * params.n_tbphc
     claims = _cycle_claims(params, direction, delays, 0, params.rep_pusch, dl, False)
     timeline, conflicts = _lay_out(claims, params.n_switch)
@@ -278,8 +278,9 @@ def validate(timeline: SubframeTimeline, params: CycleParams) -> ConflictReport:
     per TB its last data and first feedback slot (DL), or its last grant
     and first data slot (UL).  Untagged feedback and grants stand for
     every TB: the k-th block of ``rep_pucch`` feedback slots, tagged or
-    not, answers the k-th bundle group, and the last grant slot grants
-    every TB without its own.
+    not, answers the k-th group of ``n_bundle`` TBs, read as given: in a
+    hand-built timeline untagged feedback is bundled whatever the flags
+    say.  The last grant slot grants every TB without its own.
     """
     if timeline.perspective is not _UE:
         raise InvalidInputError("validate() checks UE-perspective timelines")

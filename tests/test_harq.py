@@ -8,6 +8,7 @@ from ntn_harq.harq import (
     CycleParams,
     Direction,
     delay_plan,
+    feedback_group,
     fixed_positions,
     harq_for_tbphc,
     harq_processes,
@@ -246,8 +247,14 @@ def test_delay_plan_dispatch_and_floor():
     for plan in (dl, ul, bundled):
         assert len(plan) == 3
         assert all(d >= 2 for d in plan)  # every delay swallows the switch gap
-    with pytest.raises(InvalidInputError):
-        delay_plan(CycleParams(n_tbphc=2, ack_bundling=True), Direction.UL)
+
+
+@pytest.mark.parametrize("n_bundle", [1, 4])
+def test_feedback_group_is_the_bundle_of_a_bundling_downlink_only(n_bundle):
+    # its uplink refusal is an input of test_properties::test_each_entry_point_refuses_ul_bundling
+    assert feedback_group(CycleParams(n_bundle=n_bundle, ack_bundling=True), Direction.DL) == n_bundle
+    for direction in Direction:
+        assert feedback_group(CycleParams(n_bundle=n_bundle), direction) == 1
 
 
 # --- parameter validation -----------------------------------------------

@@ -50,8 +50,9 @@ def brute_force_peak(timeline: SubframeTimeline, params: CycleParams, direction:
             stop = max(ends[(k, j)]) + 1
         else:  # the last SF of the group's block among the untagged feedback SFs
             stop = ends[(k, None)][((j - 1) // n_bundle + 1) * params.rep_pucch - 1] + 1
-        holds.append((first, stop + wait))
-    return max(sum(first <= t < end for first, end in holds) for t in range((k_cycles - 1) * period, len(laid)))
+        holds.append((first, stop - first + wait))  # a length, as harq_peak reads it: a tiny wait survives
+    return max(sum(0 <= t - first < length for first, length in holds)
+               for t in range((k_cycles - 1) * period, len(laid)))
 
 
 @settings(max_examples=400, deadline=None)
@@ -72,6 +73,9 @@ def brute_force_peak(timeline: SubframeTimeline, params: CycleParams, direction:
 # bundled DL feedback, two groups of three, and holds longer than the cycle
 @example(direction=Direction.DL, grant_mode=GrantMode.MTBG, n=6, rep_pdcch=1, rep_data=2, rep_pucch=2, n_dg2d=1,
          n_switch=1, extra_min=2, n_bundle=3, rtt_ms=40.5, n_a2g=2)
+# a wait of 3e-15 SF, which an absolute end subframe would round away
+@example(direction=Direction.DL, grant_mode=GrantMode.STBG, n=3, rep_pdcch=1, rep_data=1, rep_pucch=3, n_dg2d=0,
+         n_switch=0, extra_min=0, n_bundle=0, rtt_ms=3.174584413582417e-15, n_a2g=2)
 def test_harq_peak_matches_a_brute_force_count_over_laid_out_cycles(direction, grant_mode, n, rep_pdcch, rep_data,
                                                                      rep_pucch, n_dg2d, n_switch, extra_min,
                                                                      n_bundle, rtt_ms, n_a2g):

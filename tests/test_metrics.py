@@ -58,12 +58,6 @@ def test_legacy_closed_form_requires_single_tb():
         suf_closed_form(params, Direction.UL, LEGACY)
 
 
-def test_closed_form_rejects_ul_bundling():
-    params = CycleParams(n_tbphc=2, ack_bundling=True, n_bundle=2)
-    with pytest.raises(InvalidInputError):
-        suf_closed_form(params, Direction.UL, PROPOSED)
-
-
 def test_closed_form_refuses_an_uplink_cycle_that_cannot_be_laid_out():
     # grant blocks 8 SFs wide against 1-SF data: the padded UL delays fall
     # 42, 35, 28, so TB 3 misses the minimum and no 58-SF cycle exists

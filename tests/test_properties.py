@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ntn_harq.errors import InvalidInputError, MinDelayViolationError
-from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, delay_plan, fixed_positions
-from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form
+from ntn_harq.harq import CycleParams, Direction, GrantMode, delay_guard, delay_plan, feedback_group, fixed_positions
+from ntn_harq.metrics import SchedulingMode, cycle_length_closed_form, suf_closed_form
 from ntn_harq.cli import render_timeline_svg, render_timeline_text
 from ntn_harq.scheduler import (
     RX_ACTIVITIES,
@@ -34,6 +35,7 @@ from ntn_harq.scheduler import (
     build_proposed_cycle,
     export_timeline,
     index_run,
+    monte_carlo_goodput,
     validate,
 )
 
@@ -232,19 +234,29 @@ def test_ranks_do_not_change_the_output_of_a_conflict_free_cycle(cycle, rtt_ms, 
             assert write(theirs) == write(ours)
 
 
-@pytest.mark.parametrize("mode", SchedulingMode)
-def test_both_closed_forms_refuse_an_uplink_cycle_that_bundles_feedback(mode):
-    params = CycleParams(ack_bundling=True, n_bundle=2)
-    with pytest.raises(InvalidInputError, match="^feedback bundling applies to downlink cycles only$"):
-        cycle_length_closed_form(params, Direction.UL, mode)
+# every library function that takes a cycle and its direction, each with
+# a cycle it would otherwise accept: the fixed-delay forms need one TB
+_CYCLE_ENTRY_POINTS = [
+    pytest.param(1, feedback_group, id="feedback_group"),
+    pytest.param(2, delay_plan, id="delay_plan"),
+    pytest.param(2, delay_guard, id="delay_guard"),
+    *(pytest.param(n, partial(form, mode=mode), id=f"{form.__name__}-{mode.value}")
+      for form in (cycle_length_closed_form, suf_closed_form)
+      for n, mode in ((1, SchedulingMode.LEGACY_FIXED), (2, SchedulingMode.PROPOSED_VARIABLE))),
+    pytest.param(1, build_legacy_cycle, id="build_legacy_cycle"),
+    pytest.param(2, build_proposed_cycle, id="build_proposed_cycle"),
+    pytest.param(2, partial(monte_carlo_goodput, bler_per_attempt=[0.1], n_cycles=1, seed=0, tbs_bits=504),
+                 id="monte_carlo_goodput"),
+]
 
 
-@pytest.mark.parametrize("build", [build_legacy_cycle, build_proposed_cycle], ids=lambda build: build.__name__)
-def test_both_builders_refuse_an_uplink_cycle_that_bundles_feedback(build):
-    # as the closed forms do, so no builder lays out a cycle whose length the closed form refuses
-    params = CycleParams(ack_bundling=True, n_bundle=2)
+@pytest.mark.parametrize("n_tbphc, entry_point", _CYCLE_ENTRY_POINTS)
+def test_each_entry_point_refuses_ul_bundling(n_tbphc, entry_point):
+    # through harq.feedback_group, so no builder lays out a cycle whose length the closed form refuses
+    params = CycleParams(n_tbphc=n_tbphc, ack_bundling=True, n_bundle=2)
+    entry_point(params._replace(ack_bundling=False), Direction.UL)  # accepted without the flag
     with pytest.raises(InvalidInputError, match="^feedback bundling applies to downlink cycles only$"):
-        build(params, Direction.UL)
+        entry_point(params, Direction.UL)
 
 
 def _padded_delays(timeline: SubframeTimeline, params: CycleParams, direction: Direction) -> list[int]:

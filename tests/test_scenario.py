@@ -9,7 +9,7 @@ import pytest
 
 from ntn_harq import scenario, scheduler
 from ntn_harq.bler import BlerTable
-from ntn_harq.errors import ConfigError, InfeasibleLinkError
+from ntn_harq.errors import ConfigError, InfeasibleLinkError, MinDelayViolationError
 from ntn_harq.metrics import SchedulingMode
 from ntn_harq.scenario import (
     calibrate,
@@ -512,6 +512,42 @@ def test_the_readme_calibration_table_comes_from_run_scenario(table):
             f"| {'DEGRADED' if degraded else 'within tolerance'} |"
         )
     assert [line for line in README.read_text().splitlines() if line.startswith("| `profiles/")] == rows
+
+
+# the altitude ordering's settings: base profile, direction, service
+# elevation, payload and TB size, each run from 300 to 2000 km
+ALTITUDE_SETTINGS = (("leo600_ltem_ul", "leo600_nbiot_ul"), ("ul", "dl"), ("30", "60", "90"),
+                     ("transparent", "regenerative"), ("144", "504"))
+
+
+def test_the_gain_rises_with_altitude_only_at_a_repetition_step_as_the_readme_says(table):
+    pairs, rises = 0, {}  # (setting, altitude) -> the results below and at it
+    for setting in itertools.product(*ALTITUDE_SETTINGS):
+        profile, direction, elevation, payload, tbs_bits = setting
+        raw = {**scenario.read_config(PROFILES / f"{profile}.cfg"), "direction": direction,
+               "geometry.service_elevation_deg": elevation, "geometry.payload": payload, "tbs_bits": tbs_bits}
+        below = None
+        for altitude in range(300, 2001, 100):
+            try:
+                result = run_scenario(config_from_mapping({**raw, "geometry.altitude_km": str(altitude)}), table)
+            except (ConfigError, InfeasibleLinkError, MinDelayViolationError):
+                below = None  # a point that raises breaks its chain of adjacent pairs
+                continue
+            if below is not None:
+                pairs += 1
+                if result.gain_pct > below.gain_pct:
+                    rises[setting, altitude] = below, result
+            below = result
+    assert all(high.n_rep > low.n_rep for low, high in rises.values())
+    more_tbs = sum(high.n_tbphc > low.n_tbphc for low, high in rises.values())
+    low, high = rises[("leo600_ltem_ul", "ul", "60", "transparent", "144"), 700]
+    statement = (
+        f"Of the {pairs} pairs of adjacent altitudes where both points resolve, the gain rises at {len(rises)}, "
+        f"and at each of them the repetition count steps up; at {more_tbs} the TB count rises too. "
+        f"For example, LTE-M UL at 60°, transparent, 144 bits: 600 → 700 km gives {low.gain_pct:.1f} % → "
+        f"{high.gain_pct:.1f} %, with repetitions {low.n_rep} → {high.n_rep} and TBs {low.n_tbphc} → {high.n_tbphc}."
+    )
+    assert statement in " ".join(README.read_text().split())
 
 
 def test_calibrate_reports_degraded_when_target_unreachable(table):
