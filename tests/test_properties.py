@@ -234,8 +234,9 @@ def test_ranks_do_not_change_the_output_of_a_conflict_free_cycle(cycle, rtt_ms, 
             assert write(theirs) == write(ours)
 
 
-# every library function that takes a cycle and its direction, each with
-# a cycle it would otherwise accept: the fixed-delay forms need one TB
+# every library function other than the builders (below) that takes a
+# cycle and its direction, each with a cycle it would otherwise accept:
+# the fixed-delay forms need one TB
 _CYCLE_ENTRY_POINTS = [
     pytest.param(1, feedback_group, id="feedback_group"),
     pytest.param(2, delay_plan, id="delay_plan"),
@@ -243,20 +244,29 @@ _CYCLE_ENTRY_POINTS = [
     *(pytest.param(n, partial(form, mode=mode), id=f"{form.__name__}-{mode.value}")
       for form in (cycle_length_closed_form, suf_closed_form)
       for n, mode in ((1, SchedulingMode.LEGACY_FIXED), (2, SchedulingMode.PROPOSED_VARIABLE))),
-    pytest.param(1, build_legacy_cycle, id="build_legacy_cycle"),
-    pytest.param(2, build_proposed_cycle, id="build_proposed_cycle"),
     pytest.param(2, partial(monte_carlo_goodput, bler_per_attempt=[0.1], n_cycles=1, seed=0, tbs_bits=504),
                  id="monte_carlo_goodput"),
 ]
 
 
-@pytest.mark.parametrize("n_tbphc, entry_point", _CYCLE_ENTRY_POINTS)
-def test_each_entry_point_refuses_ul_bundling(n_tbphc, entry_point):
-    # through harq.feedback_group, so no builder lays out a cycle whose length the closed form refuses
+def _refuses_ul_bundling(n_tbphc, entry_point):
     params = CycleParams(n_tbphc=n_tbphc, ack_bundling=True, n_bundle=2)
     entry_point(params._replace(ack_bundling=False), Direction.UL)  # accepted without the flag
     with pytest.raises(InvalidInputError, match="^feedback bundling applies to downlink cycles only$"):
         entry_point(params, Direction.UL)
+
+
+@pytest.mark.parametrize("n_tbphc, entry_point", _CYCLE_ENTRY_POINTS)
+def test_each_entry_point_refuses_ul_bundling(n_tbphc, entry_point):
+    _refuses_ul_bundling(n_tbphc, entry_point)
+
+
+@pytest.mark.parametrize("n_tbphc, build", [(1, build_legacy_cycle), (2, build_proposed_cycle)],
+                         ids=["build_legacy_cycle", "build_proposed_cycle"])
+def test_both_builders_refuse_an_uplink_cycle_that_bundles_feedback(n_tbphc, build):
+    # through harq.feedback_group, as the closed forms do, so no builder lays
+    # out a cycle whose length the closed form refuses
+    _refuses_ul_bundling(n_tbphc, build)
 
 
 def _padded_delays(timeline: SubframeTimeline, params: CycleParams, direction: Direction) -> list[int]:

@@ -198,6 +198,12 @@ def test_proposed_min_delay_violation():
         build_proposed_cycle(ul, Direction.UL)
 
 
+def test_proposed_rejects_ul_bundling():
+    params = CycleParams(n_tbphc=2, ack_bundling=True, n_bundle=2)
+    with pytest.raises(InvalidInputError, match="^feedback bundling applies to downlink cycles only$"):
+        build_proposed_cycle(params, Direction.UL)
+
+
 def test_proposed_realized_delays_meet_minimum():
     for n in (1, 2, 4, 8):
         params = CycleParams(
