@@ -34,7 +34,6 @@ from .scenario import (
     MAX_AUTO_TBPHC,
     ScenarioConfig,
     _values,
-    auto_tbphc_capped,
     calibrate,
     config_from_mapping,
     read_config,
@@ -62,6 +61,8 @@ _CHANNEL_ROWS = (
     ("switch", Activity.SWITCH, "#b0b0b0"),
 )
 _LEGACY = SchedulingMode.LEGACY_FIXED  # a global: see harq._DL
+# conflicts are found on the UE clock only, so a BS view labels them with UE SFs
+_CONFLICT_CLOCK = {"UE": "SF", "BS": "UE SF"}
 # the keys of the max_harq note, whose texts the schema's parsers read
 _OVERRIDE_KEYS = ("cycle.max_harq", "protocol.extended_harq")
 
@@ -88,7 +89,7 @@ def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, BlerTable]:
 
 
 def _note_capped_or_ignored(config: ScenarioConfig, table) -> None:
-    if auto_tbphc_capped(config, resolve(config, table)):
+    if resolve(config, table).capped:
         print(f"note: auto cycle.n_tbphc stops at its cap of {MAX_AUTO_TBPHC} TBs per cycle, "
               f"although the HARQ budget of {config.max_harq} processes admits more",
               file=sys.stderr)
@@ -132,9 +133,10 @@ def render_timeline_text(timeline: SubframeTimeline, conflicts: ConflictReport |
     lines = [header, *(label.ljust(8) + "".join(cells[activity]) + blank * (n - written[activity])
                        for label, activity, _ in _CHANNEL_ROWS)]
     if conflicts:
+        clock = _CONFLICT_CLOCK[timeline.perspective.value]
         for c in conflicts.conflicts:
             tbs = ",".join("-" if t is None else str(t) for t in c.tb_indices)
-            lines.append(f"! {c.kind} at SF {c.sf_index}: {' / '.join(c.activities)} (tb {tbs})")
+            lines.append(f"! {c.kind} at {clock} {c.sf_index}: {' / '.join(c.activities)} (tb {tbs})")
     return "\n".join(lines) + "\n"
 
 
@@ -181,9 +183,10 @@ def render_timeline_svg(timeline: SubframeTimeline, conflicts: ConflictReport | 
                       for x, sf in columns]
     if conflicts:
         y = top + len(_CHANNEL_ROWS) * cell_h + 16
+        clock = _CONFLICT_CLOCK[timeline.perspective.value]
         for c in conflicts.conflicts:
             parts.append(
-                f'<text x="4" y="{y}" fill="#c00">{c.kind} at SF {c.sf_index}: '
+                f'<text x="4" y="{y}" fill="#c00">{c.kind} at {clock} {c.sf_index}: '
                 f'{" / ".join(c.activities)}</text>'
             )
             y += 14

@@ -387,10 +387,11 @@ def update_config_file(path: str | Path, updates: Mapping[str, str]) -> None:
 # pipeline
 
 
-def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
-    """Resolve the TB count per variable-delay cycle: the configured value
-    (validated against the HARQ budget) or the largest feasible one.  Each
-    candidate n is sized on the template's scalars, building no cycle."""
+def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> tuple[int, bool]:
+    """The TB count per variable-delay cycle and whether the cap stopped it:
+    the configured value (validated against the HARQ budget) and False, or
+    the largest feasible count, held to ``MAX_AUTO_TBPHC`` (True past it).
+    Each candidate n is sized on the template's scalars, building no cycle."""
     if config.n_tbphc is not None:
         if (count := harq_processes(config.cycle, config.n_tbphc, n_rep, rtt_ms, config.n_a2g)) > config.max_harq:
             raise ConfigError(
@@ -398,12 +399,12 @@ def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
                 f"the configured maximum of {config.max_harq}; the HARQ-process sizing "
                 f"relation caps how many TBs one cycle may carry"
             )
-        return config.n_tbphc
+        return config.n_tbphc, False
 
     # the HARQ count needed grows with n and is ceil(n * (1 + wait / cycle)) >= n,
-    # so no n above max_harq fits: bisect once below the budget and the cap
+    # so no n above max_harq fits: bisect once below the budget and one past the cap
     template, n_a2g, budget = config.cycle, config.n_a2g, config.max_harq
-    best, high = 0, min(budget, MAX_AUTO_TBPHC) + 1
+    best, high = 0, min(budget, MAX_AUTO_TBPHC + 1) + 1
     while high - best > 1:
         n = (best + high) // 2
         best, high = (n, high) if harq_processes(template, n, n_rep, rtt_ms, n_a2g) <= budget else (best, n)
@@ -413,7 +414,7 @@ def select_tbphc(config: ScenarioConfig, n_rep: int, rtt_ms: float) -> int:
             f"under the HARQ-process sizing relation; raise cycle.max_harq or enable "
             f"protocol.extended_harq"
         )
-    return best
+    return (MAX_AUTO_TBPHC, True) if best > MAX_AUTO_TBPHC else (best, False)
 
 
 class ResolvedScenario(NamedTuple):
@@ -423,6 +424,7 @@ class ResolvedScenario(NamedTuple):
     snr_db: float
     n_rep: int
     params: CycleParams
+    capped: bool  # auto sizing stopped at MAX_AUTO_TBPHC although the HARQ budget admits more
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -452,7 +454,7 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
     count per cycle -> cycle parameters.
 
     A legacy config keeps its configured TB count (one under ``auto``), so
-    multi-TB conflict attempts can still be rendered.  Raises
+    multi-TB conflict attempts can still be rendered, and is never ``capped``.  Raises
     ConfigError when the table has no curve for the TB size, and
     InfeasibleLinkError when no tabulated repetition count reaches the
     target BLER at the operating SNR.
@@ -461,23 +463,11 @@ def resolve(config: ScenarioConfig, table: BlerTable) -> ResolvedScenario:
     if isinstance(n_rep, str):
         raise InfeasibleLinkError(n_rep)
     if config.mode is _LEGACY:
-        n_tbphc = config.n_tbphc or 1
+        n_tbphc, capped = config.n_tbphc or 1, False
     else:
-        n_tbphc = select_tbphc(config, n_rep, rtt_ms)
+        n_tbphc, capped = select_tbphc(config, n_rep, rtt_ms)
     params = _completed_cycle(config.cycle, n_tbphc, n_rep)
-    return ResolvedScenario(rtt_ms, snr, n_rep, params)
-
-
-def auto_tbphc_capped(config: ScenarioConfig, resolved: ResolvedScenario) -> bool:
-    """Whether auto sizing stopped at ``MAX_AUTO_TBPHC`` TBs per cycle
-    although the HARQ budget admits more."""
-    return (
-        config.n_tbphc is None
-        and config.mode is _PROPOSED
-        and resolved.params.n_tbphc == MAX_AUTO_TBPHC
-        and harq_processes(config.cycle, MAX_AUTO_TBPHC + 1, resolved.n_rep, resolved.rtt_ms, config.n_a2g)
-        <= config.max_harq
-    )
+    return ResolvedScenario(rtt_ms, snr, n_rep, params, capped)
 
 
 class ScenarioResult(NamedTuple):
@@ -531,7 +521,7 @@ def run_scenario(config: ScenarioConfig, table: BlerTable) -> ScenarioResult:
             f"mode = legacy needs cycle.n_tbphc = 1 or auto, got {config.n_tbphc}: legacy fixed-delay scheduling "
             f"carries one TB per cycle; use the timeline command to inspect multi-TB attempts"
         )
-    rtt_ms, snr, n_rep, params = resolve(config, table)
+    rtt_ms, snr, n_rep, params, _ = resolve(config, table)
     suf = suf_closed_form(params, config.direction, mode)
     gain_pct = _gain_pct(config, n_rep, suf) if mode is _PROPOSED else 0.0
     rate = throughput(suf, config.tbs_bits)
@@ -649,7 +639,7 @@ def calibrate(config: ScenarioConfig, table: BlerTable) -> CalibrationResult:
     for p, a in product(range(1, 9), range(5)):
         candidate = config._replace(cycle=config.cycle._replace(rep_pdcch=p), n_a2g=a, mode=_PROPOSED)
         try:
-            _, _, n_rep, params = resolve(candidate, table)
+            _, _, n_rep, params, _ = resolve(candidate, table)
             gain_pct = _gain_pct(candidate, n_rep, suf_closed_form(params, candidate.direction, _PROPOSED))
         except _POINT_ERRORS as exc:
             skipped.append((f"rep_pdcch={p} n_a2g={a}", exc))

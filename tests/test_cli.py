@@ -470,15 +470,17 @@ def test_auto_tbphc_at_its_cap_says_so(tmp_path, capsys, command):
     assert run_cli(command, path) == 0
     plain = capsys.readouterr()
     assert plain.err == ""
-    path.write_text(path.read_text() + "cycle.max_harq = 1024\n")
-    assert run_cli(command, path) == 0
-    capped = capsys.readouterr()
-    assert capped.err == (
-        "note: auto cycle.n_tbphc stops at its cap of 512 TBs per cycle, "
-        "although the HARQ budget of 1024 processes admits more\n"
-    )
-    if command == "run":
-        assert capped.out.splitlines()[1].split(",")[9] == "512"  # n_tbphc
+    # 512 TBs need 514 processes and 513 TBs 515: 515 is the first budget that draws the note
+    for budget in (515, 1024):
+        path.write_text(path.read_text() + f"cycle.max_harq = {budget}\n")
+        assert run_cli(command, path) == 0
+        capped = capsys.readouterr()
+        assert capped.err == (
+            "note: auto cycle.n_tbphc stops at its cap of 512 TBs per cycle, "
+            f"although the HARQ budget of {budget} processes admits more\n"
+        )
+        if command == "run":
+            assert capped.out.splitlines()[1].split(",")[9] == "512"  # n_tbphc
     # an explicit count, or a budget that 512 TBs use up, draws no note
     for extra in ("cycle.n_tbphc = 512\n", "cycle.n_tbphc = auto\ncycle.max_harq = 514\n"):
         path.write_text(path.read_text() + extra)

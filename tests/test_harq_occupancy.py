@@ -117,7 +117,7 @@ def _sizing_counts(table, bench_workloads) -> Counter:
         if config.mode is not SchedulingMode.PROPOSED_VARIABLE:
             continue
         try:
-            rtt_ms, _, _, params = scenario.resolve(config, table)
+            rtt_ms, _, _, params, _ = scenario.resolve(config, table)
             timeline = build_proposed_cycle(params, config.direction)
         except (ConfigError, InfeasibleLinkError):
             continue
@@ -149,7 +149,7 @@ def test_harq_sizing_against_the_oracle_on_the_shipped_profiles(table):
     rows = []
     for path in sorted((README.parent / "profiles").glob("*.cfg")):
         config = scenario.load_config(path)
-        rtt_ms, _, _, params = scenario.resolve(config, table)
+        rtt_ms, _, _, params, _ = scenario.resolve(config, table)
         timeline = build_proposed_cycle(params, config.direction)
         peak = harq_peak(timeline, params, config.direction, rtt_ms, config.n_a2g)
         rows.append(f"| `{path.stem}` | {params.n_tbphc} | {harq_for_tbphc(params, rtt_ms, config.n_a2g)} | {peak} "
@@ -162,7 +162,7 @@ def test_the_nbiot_fit_holds_only_under_the_relation(table):
     config = scenario.load_config(README.parent / "profiles" / "leo600_nbiot_ul.cfg")
     fit = scenario.calibrate(config, table)
     config = config._replace(cycle=config.cycle._replace(rep_pdcch=fit.rep_pdcch), n_a2g=fit.n_a2g)
-    rtt_ms, _, n_rep, params = scenario.resolve(config, table)
+    rtt_ms, _, n_rep, params, _ = scenario.resolve(config, table)
     n = params.n_tbphc + 1  # the first count the relation refuses
     params = params._replace(n_tbphc=n)
     relation = harq_processes(config.cycle, n, n_rep, rtt_ms, config.n_a2g)

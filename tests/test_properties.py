@@ -472,7 +472,14 @@ TEXT_ROWS = (("PDCCH", Activity.RX_PDCCH), ("PDSCH", Activity.RX_PDSCH), ("PUCCH
              ("PUSCH", Activity.TX_PUSCH), ("switch", Activity.SWITCH))
 
 
-def reference_text(blocks: list[Block], length: int, origin: int, report: ConflictReport | None) -> str:
+def conflict_clock(perspective: Perspective) -> str:
+    """The clock of a conflict line: conflicts are found on the UE's, so a
+    BS view names it."""
+    return "SF" if perspective is Perspective.UE else "UE SF"
+
+
+def reference_text(blocks: list[Block], length: int, origin: int, report: ConflictReport | None,
+                   perspective: Perspective) -> str:
     """The text grid written cell by cell: a row's cell shows the last use
     of its channel among the uses covering that subframe, in rank order."""
     covering = _covering(blocks, length)
@@ -486,7 +493,7 @@ def reference_text(blocks: list[Block], length: int, origin: int, report: Confli
         lines.append(row)
     for c in report.conflicts if report is not None else ():
         tbs = ",".join("-" if t is None else str(t) for t in c.tb_indices)
-        lines.append(f"! {c.kind} at SF {c.sf_index}: {' / '.join(c.activities)} (tb {tbs})")
+        lines.append(f"! {c.kind} at {conflict_clock(perspective)} {c.sf_index}: {' / '.join(c.activities)} (tb {tbs})")
     return "\n".join(lines) + "\n"
 
 
@@ -500,16 +507,16 @@ conflict_reports = st.none() | st.lists(st.builds(
 
 
 @settings(max_examples=400, deadline=None)
-@given(block_layouts(), st.integers(-1200, 1200), conflict_reports)
+@given(block_layouts(), st.integers(-1200, 1200), conflict_reports, st.sampled_from(Perspective))
 # two PDSCH uses share SFs 1-2: the later-ranked TB 1 shows there, and the grid pads out to SF 4
-@example(([(0, 3, (Activity.RX_PDSCH, 1), 1), (1, 3, (Activity.RX_PDSCH, 2), 0)], 6), 0, None)
-# an untagged feedback block between idle subframes, with a conflict line
+@example(([(0, 3, (Activity.RX_PDSCH, 1), 1), (1, 3, (Activity.RX_PDSCH, 2), 0)], 6), 0, None, Perspective.UE)
+# an untagged feedback block between idle subframes, with a conflict line on the UE clock of a BS view
 @example(([(2, 2, (Activity.TX_PUCCH, None), 0)], 7), -3,
-         ConflictReport((Conflict(2, ("TxPUCCH", "RxPDSCH"), (None, 1)),)))
-def test_text_grid_matches_the_per_subframe_reference(layout, origin, report):
+         ConflictReport((Conflict(2, ("TxPUCCH", "RxPDSCH"), (None, 1)),)), Perspective.BS)
+def test_text_grid_matches_the_per_subframe_reference(layout, origin, report, perspective):
     blocks, length = layout
-    timeline = SubframeTimeline(tuple(blocks), length, Perspective.UE, origin)
-    assert render_timeline_text(timeline, report) == reference_text(blocks, length, origin, report)
+    timeline = SubframeTimeline(tuple(blocks), length, perspective, origin)
+    assert render_timeline_text(timeline, report) == reference_text(blocks, length, origin, report, perspective)
 
 
 # (label, activity, fill) of each row of the SVG grid, top to bottom
@@ -517,7 +524,8 @@ SVG_ROWS = tuple((label, activity, fill) for (label, activity), fill
                  in zip(TEXT_ROWS, ("#4c78a8", "#72b7b2", "#f58518", "#e45756", "#b0b0b0")))
 
 
-def reference_svg(blocks: list[Block], length: int, origin: int, report: ConflictReport | None) -> str:
+def reference_svg(blocks: list[Block], length: int, origin: int, report: ConflictReport | None,
+                  perspective: Perspective) -> str:
     """The SVG grid written cell by cell: each subframe's index label, then
     per row, top to bottom, a rect (and a TB label when tagged) for every
     use of that row's channel covering the subframe, in rank order."""
@@ -536,22 +544,23 @@ def reference_svg(blocks: list[Block], length: int, origin: int, report: Conflic
                         parts.append(f'<text x="{x + 5}" y="{y + 14}" fill="white">{tb}</text>')
     y = 24 + 22 * 5 + 16
     for c in report.conflicts if report is not None else ():
-        parts.append(f'<text x="4" y="{y}" fill="#c00">{c.kind} at SF {c.sf_index}: {" / ".join(c.activities)}</text>')
+        parts.append(f'<text x="4" y="{y}" fill="#c00">{c.kind} at {conflict_clock(perspective)} {c.sf_index}: '
+                     f'{" / ".join(c.activities)}</text>')
         y += 14
     return "".join(parts) + "</svg>\n"
 
 
 @settings(max_examples=300, deadline=None)
-@given(block_layouts(), st.integers(-1200, 1200), conflict_reports)
+@given(block_layouts(), st.integers(-1200, 1200), conflict_reports, st.sampled_from(Perspective))
 # two PDSCH uses share SFs 1-2, both drawn there in rank order, between idle subframes
-@example(([(0, 3, (Activity.RX_PDSCH, 1), 1), (1, 3, (Activity.RX_PDSCH, 2), 0)], 6), 0, None)
-# an untagged feedback block draws rects without TB labels, with a conflict line
+@example(([(0, 3, (Activity.RX_PDSCH, 1), 1), (1, 3, (Activity.RX_PDSCH, 2), 0)], 6), 0, None, Perspective.UE)
+# an untagged feedback block draws rects without TB labels, with a conflict line on the UE clock of a BS view
 @example(([(2, 2, (Activity.TX_PUCCH, None), 0)], 7), -3,
-         ConflictReport((Conflict(2, ("TxPUCCH", "RxPDSCH"), (None, 1)),)))
-def test_svg_grid_matches_the_per_subframe_reference(layout, origin, report):
+         ConflictReport((Conflict(2, ("TxPUCCH", "RxPDSCH"), (None, 1)),)), Perspective.BS)
+def test_svg_grid_matches_the_per_subframe_reference(layout, origin, report, perspective):
     blocks, length = layout
-    timeline = SubframeTimeline(tuple(blocks), length, Perspective.UE, origin)
-    assert render_timeline_svg(timeline, report) == reference_svg(blocks, length, origin, report)
+    timeline = SubframeTimeline(tuple(blocks), length, perspective, origin)
+    assert render_timeline_svg(timeline, report) == reference_svg(blocks, length, origin, report, perspective)
 
 
 @settings(max_examples=100, deadline=None)

@@ -17,6 +17,7 @@ from ntn_harq.scenario import (
     MAX_AUTO_TBPHC,
     config_from_mapping,
     parse_config_text,
+    resolve,
     select_tbphc,
 )
 from ntn_harq.scheduler import Activity, SubframeTimeline, validate
@@ -45,18 +46,19 @@ def test_tbs_without_bler_curve_is_config_error(tmp_path, capsys):
     assert "tbs_bits" in capsys.readouterr().err
 
 
-def linear_select_tbphc(config, n_rep: int, rtt_ms: float) -> int:
-    """The largest n_tbphc within the HARQ budget, by trying n = 1, 2, ...
-    on each fully built cycle."""
+def linear_select_tbphc(config, n_rep: int, rtt_ms: float) -> tuple[int, bool]:
+    """The largest n_tbphc within the HARQ budget and the cap, and whether
+    the budget admits more than the cap, by trying n = 1, 2, ... up to one
+    past the cap on each fully built cycle."""
     best = None
-    for n in range(1, MAX_AUTO_TBPHC + 1):
+    for n in range(1, MAX_AUTO_TBPHC + 2):
         params = config.cycle._replace(n_tbphc=n, rep_pdsch=n_rep, rep_pusch=n_rep)
         if harq_for_tbphc(params, rtt_ms, config.n_a2g) > config.max_harq:
             break
         best = n
     if best is None:
         raise ConfigError("even one TB per cycle exceeds the HARQ budget")
-    return best
+    return min(best, MAX_AUTO_TBPHC), best > MAX_AUTO_TBPHC
 
 
 def assert_select_tbphc_matches_linear_scan(config, table):
@@ -70,6 +72,8 @@ def assert_select_tbphc_matches_linear_scan(config, table):
             select_tbphc(config, n_rep, rtt_ms)
     else:
         assert select_tbphc(config, n_rep, rtt_ms) == expected
+        resolved = resolve(config, table)
+        assert (resolved.params.n_tbphc, resolved.capped) == expected
 
 
 @pytest.mark.parametrize("extended", ["false", "true"])

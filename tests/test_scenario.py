@@ -69,6 +69,22 @@ def test_raising_max_harq_unlocks_more_tbs(table):
     assert result.n_tbphc == 8
 
 
+@pytest.mark.parametrize("profile", ["leo600_ltem_dl", "leo600_ltem_ul"])
+def test_resolve_reports_whether_the_cap_stopped_auto_sizing(profile, table):
+    # there 512 TBs need 514 HARQ processes and 513 TBs need 515
+    raw = {**parse_config_text((PROFILES / f"{profile}.cfg").read_text()), "cycle.n_tbphc": "auto"}
+    cases = [
+        ({"cycle.max_harq": "514"}, 512, False),
+        ({"cycle.max_harq": "515"}, 512, True),
+        ({"cycle.max_harq": "1024"}, 512, True),
+        ({"cycle.max_harq": "1024", "cycle.n_tbphc": "512"}, 512, False),
+        ({"cycle.max_harq": "1024", "mode": "legacy"}, 1, False),
+    ]
+    for updates, n_tbphc, capped in cases:
+        resolved = scenario.resolve(config_from_mapping({**raw, **updates}), table)
+        assert (resolved.params.n_tbphc, resolved.capped) == (n_tbphc, capped), updates
+
+
 def test_nbiot_without_extended_harq_cannot_pipeline(table):
     config = config_from_mapping({"protocol": "nb-iot"})
     with pytest.raises(ConfigError, match="HARQ"):
