@@ -39,7 +39,7 @@ from .errors import InvalidInputError
 from .harq import (SF_MS, Activity, CycleParams, Direction, GrantMode, delay_guard, delay_plan, feedback_group,
                    fixed_positions)
 from .metrics import SchedulingMode, cycle_length_closed_form, throughput
-from .records import _AT_LEAST_1, Frozen, IdentityEnum, require
+from .records import Frozen, IdentityEnum, _count, require
 
 RX_ACTIVITIES = frozenset({Activity.RX_PDCCH, Activity.RX_PDSCH})
 TX_ACTIVITIES = frozenset({Activity.TX_PUCCH, Activity.TX_PUSCH})
@@ -427,6 +427,8 @@ def export_timeline(timeline: SubframeTimeline) -> str:
 # ---------------------------------------------------------------------------
 # Monte Carlo goodput
 
+_N_CYCLES = _count(1)
+
 
 class GoodputResult(NamedTuple):
     goodput_bps: float
@@ -452,16 +454,18 @@ def monte_carlo_goodput(
     Draw order: one ``random()`` from ``random.Random(seed)`` per TB slot.
     A cycle first retries every TB that failed in the cycle before, in the
     order they failed, then fills its remaining slots with fresh TBs.  A
-    cycle fails at most ``n_tbphc`` TBs, so the retry queue never holds
-    more than ``n_tbphc`` entries and memory stays O(``n_tbphc``) for any
-    ``n_cycles``.  The same arguments give the same result.  The cycle
-    length is the closed form's, so an uplink cycle that the builder
-    refuses raises the same MinDelayViolationError, from ``delay_guard``.
+    cycle fails at most ``n_tbphc`` TBs, so the retry queue, like the
+    per-call table of fresh-slot ranges, holds O(``n_tbphc``) entries for
+    any ``n_cycles``.  Each TB slot costs one draw, and each cycle a fixed
+    cost that a cycle with nothing to retry mostly skips.  The same
+    arguments give the same result.  The cycle length is the closed
+    form's, so an uplink cycle that the builder refuses raises the same
+    MinDelayViolationError, from ``delay_guard``.
     """
     if not bler_per_attempt:
         raise InvalidInputError("bler_per_attempt must not be empty")
     require("bler_per_attempt", bler_per_attempt, _BLER_PER_ATTEMPT)
-    require("n_cycles", n_cycles, _AT_LEAST_1)  # a config's n_cycles = 0 turns Monte Carlo off instead
+    require("n_cycles", n_cycles, _N_CYCLES)  # a config's n_cycles = 0 turns Monte Carlo off instead
     require("tbs_bits", tbs_bits, _TBS_BITS)
     cycle_len = cycle_length_closed_form(params, direction, _PROPOSED)
     n_slots = params.n_tbphc
@@ -471,15 +475,20 @@ def monte_carlo_goodput(
     next_attempt = [min(k + 1, last) for k in range(last + 1)]
     p_fresh, fresh_retry = bler_per_attempt[0], next_attempt[0]
     draw = random.Random(seed).random
+    fresh_slots = [range(k) for k in range(n_slots + 1)]  # fresh-slot count -> its range, built once
+    every_slot = fresh_slots[n_slots]
     failed: list[int] = []  # attempt indices of the TBs the last cycle failed
     retransmissions = 0
     for _ in range(n_cycles):
-        retries, failed = failed, []
-        retransmissions += len(retries)
-        for attempt in retries:
-            if draw() < bler_per_attempt[attempt]:
-                failed.append(next_attempt[attempt])
-        for _ in range(n_slots - len(retries)):
+        slots = every_slot  # a cycle with nothing to retry skips straight to its fresh draws
+        if failed:
+            retries, failed = failed, []
+            retransmissions += len(retries)
+            for attempt in retries:
+                if draw() < bler_per_attempt[attempt]:
+                    failed.append(next_attempt[attempt])
+            slots = fresh_slots[n_slots - len(retries)]
+        for _ in slots:
             if draw() < p_fresh:
                 failed.append(fresh_retry)
     attempts = n_cycles * n_slots

@@ -1,12 +1,14 @@
 """Byte-identity of CLI outputs against copies recorded in ``tests/golden/``.
 
 The copies pin the ``run`` CSV and the ``calibrate --dry-run`` output of
-every shipped profile, the ``sweep`` CSV over three axes, over a key
-repeated across two axes and with no axis, and every timeline format and
-view of large auto-sized downlink (MTBG) and uplink (STBG) cycles, of
-small STBG downlink cycles with and without feedback bundling, and of
-legacy multi-TB attempts in both directions with their conflict
-annotations.
+every shipped profile, the ``run`` CSV with its ``# monte_carlo`` line at
+auto n_tbphc 2 (NB-IoT) and 6 (LTE-M) and at 64 TBs per cycle, under
+heavy, light and flat BLER vectors, the ``sweep`` CSV over three axes,
+over a key repeated across two axes and with no axis, and every timeline
+format and view of large auto-sized downlink (MTBG) and uplink (STBG)
+cycles, of small STBG downlink cycles with and without feedback
+bundling, and of legacy multi-TB attempts in both directions with their
+conflict annotations.
 
 Record the copies of new cases, and only those, with
 
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import gzip
 import io
+import shutil
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -30,7 +34,7 @@ import pytest
 
 from ntn_harq.bler import default_table
 from ntn_harq.cli import main, render_timeline
-from ntn_harq.scenario import config_from_mapping, read_config
+from ntn_harq.scenario import config_from_mapping, read_config, update_config_file
 
 ROOT = Path(__file__).resolve().parent.parent
 PROFILES = ROOT / "profiles"
@@ -49,6 +53,18 @@ TIMELINES = {
     "stbg_dl": ("leo600_ltem_dl", {"cycle.grant_mode": "stbg"}),
     "bundled_dl": ("leo600_ltem_dl", {"cycle.grant_mode": "stbg", "cycle.ack_bundling": "true",
                                       "cycle.n_bundle": "4", "cycle.max_harq": "64"}),
+}
+# (profile, overrides) per Monte Carlo run case: auto sizing gives NB-IoT
+# 2 TBs per cycle and LTE-M 6, so both branches of the retry loop run
+MONTE_CARLO = {
+    f"mc_{label}": (profile, {**overrides, "monte_carlo.n_cycles": "5000", "monte_carlo.seed": "1",
+                              "monte_carlo.bler_per_attempt": bler})
+    for label, profile, overrides, bler in (
+        ("nbiot_ul_heavy", "leo600_nbiot_ul", {}, "0.6,0.4,0.2"),
+        ("ltem_ul_light", "leo600_ltem_ul", {}, "0.1,0.01"),
+        ("ltem_dl_flat", "leo600_ltem_dl", {}, "0.3"),
+        ("n64_heavy", "leo600_ltem_ul", {"cycle.n_tbphc": "64", "cycle.max_harq": "128"}, "0.6,0.4,0.2"),
+    )
 }
 SWEEPS = {
     "three_axes": (
@@ -71,8 +87,14 @@ def _cli(*args: str) -> str:
     return out.getvalue()
 
 
-def _run_csv(profile: str) -> str:
-    return _cli("run", str(PROFILES / f"{profile}.cfg"))
+def _run_csv(profile: str, overrides: dict[str, str] | None = None) -> str:
+    if not overrides:
+        return _cli("run", str(PROFILES / f"{profile}.cfg"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{profile}.cfg"
+        shutil.copyfile(PROFILES / f"{profile}.cfg", path)
+        update_config_file(path, overrides)
+        return _cli("run", str(path))
 
 
 def _calibration(profile: str) -> str:
@@ -93,6 +115,7 @@ def _timeline(profile: str, overrides: dict[str, str], view: str, fmt: str) -> s
 
 CASES = {
     **{f"run.{p.stem}.csv": (_run_csv, p.stem) for p in sorted(PROFILES.glob("*.cfg"))},
+    **{f"run.{label}.csv": (_run_csv, *case) for label, case in MONTE_CARLO.items()},
     **{f"calibrate.{p.stem}.txt": (_calibration, p.stem) for p in sorted(PROFILES.glob("*.cfg"))},
     **{f"sweep.{label}.csv": (_sweep_csv, *args) for label, args in SWEEPS.items()},
     **{

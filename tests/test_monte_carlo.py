@@ -4,17 +4,21 @@
 TB slot takes the head of one FIFO queue of failed TBs, or a fresh TB
 when the queue is empty, and draws one ``random()``.  The loop in
 ``monte_carlo_goodput`` must return exactly its result, which pins the
-draw order that the seeded CSV lines rely on.  The renewal-theory
-oracle checks the rate the loop converges to.
+draw order that the seeded CSV lines rely on.  A counting generator
+checks that the loop draws exactly one ``random()`` per TB slot.  The
+renewal-theory oracle checks the rate the loop converges to.
 """
 from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
+from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ntn_harq import scheduler
 from ntn_harq.harq import SF_SECONDS, CycleParams, Direction
 from ntn_harq.scheduler import GoodputResult, build_proposed_cycle, monte_carlo_goodput
 
@@ -86,10 +90,50 @@ probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     seed=st.integers(0, 2 ** 32),
     bler=st.lists(probabilities, min_size=1, max_size=8),
 )
+# few TBs per cycle at a low and at a high fresh-TB failure rate: cycles
+# with nothing to retry alternate with cycles that retry
+@example(n_tbphc=1, n_cycles=300, seed=1, bler=[0.05])
+@example(n_tbphc=2, n_cycles=300, seed=2, bler=[0.05])
+@example(n_tbphc=1, n_cycles=300, seed=3, bler=[0.9, 0.0])
+@example(n_tbphc=2, n_cycles=300, seed=4, bler=[0.9, 0.0])
 def test_monte_carlo_matches_slot_reference(n_tbphc, n_cycles, seed, bler):
     params = params_for(n_tbphc)
     args = (params, Direction.UL, bler, n_cycles, seed, 504)
     assert monte_carlo_goodput(*args) == reference_goodput(*args)
+
+
+class CountingRandom(random.Random):
+    """A ``random.Random`` that counts its ``random()`` draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_tbphc=st.integers(1, 64),
+    n_cycles=st.integers(1, 300),
+    seed=st.integers(0, 2 ** 32),
+    bler=st.lists(probabilities, min_size=1, max_size=8),
+)
+@example(n_tbphc=1, n_cycles=50, seed=0, bler=[1.0])
+@example(n_tbphc=64, n_cycles=50, seed=0, bler=[0.0])
+@example(n_tbphc=3, n_cycles=50, seed=0, bler=[1.0, 0.0])
+def test_monte_carlo_draws_one_random_per_tb_slot(n_tbphc, n_cycles, seed, bler):
+    made = []
+
+    def counting(seed):
+        made.append(CountingRandom(seed))
+        return made[-1]
+
+    args = (params_for(n_tbphc), Direction.UL, bler, n_cycles, seed, 504)
+    with mock.patch.object(scheduler, "random", SimpleNamespace(Random=counting)):
+        result = monte_carlo_goodput(*args)
+    assert [rng.draws for rng in made] == [n_cycles * n_tbphc]
+    assert result == monte_carlo_goodput(*args)
 
 
 @settings(max_examples=200, deadline=None)

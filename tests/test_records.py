@@ -23,7 +23,7 @@ from ntn_harq.errors import ConfigError, InfeasibleLinkError, InvalidInputError
 from ntn_harq.geometry import OrbitGeometry, Payload
 from ntn_harq.harq import CycleParams, Direction, GrantMode
 from ntn_harq.linkbudget import LinkBudgetParams
-from ntn_harq.records import _AT_LEAST_0, _AT_LEAST_1, IdentityEnum, require
+from ntn_harq.records import _AT_LEAST_0, IdentityEnum, require
 from ntn_harq.metrics import SchedulingMode
 from ntn_harq.scenario import (
     PROTOCOLS,
@@ -255,8 +255,9 @@ def test_every_ruled_field_refuses_nan_and_the_config_refuses_it_for_every_float
 
 
 _TABLE = BlerTable({504: {1: ((-6.0, 0.5), (0.0, 0.001))}})
-# "function.argument" -> (the rule it shares with a config key, a call of the
-# function with the argument set to v, a value the rule passes, one it refuses)
+# "function.argument" -> (the rule it shares with a config key, or its own
+# module-level rule, a call of the function with the argument set to v, a
+# value the rule passes, then one or more values it refuses)
 ARGUMENT_RULES = {
     "select_repetitions.target_bler": (
         _SCHEMA["target_bler"][2], lambda v: bler.select_repetitions(_TABLE, 504, 0.0, v), 0.1, 1.5),
@@ -268,7 +269,8 @@ ARGUMENT_RULES = {
         _SCHEMA["monte_carlo.bler_per_attempt"][2],
         lambda v: scheduler.monte_carlo_goodput(CycleParams(), Direction.DL, v, 1, 1, 504), [0.1], [0.1, 1.2]),
     "monte_carlo_goodput.n_cycles": (
-        _AT_LEAST_1, lambda v: scheduler.monte_carlo_goodput(CycleParams(), Direction.DL, [0.1], v, 1, 504), 1, 0),
+        scheduler._N_CYCLES, lambda v: scheduler.monte_carlo_goodput(CycleParams(), Direction.DL, [0.1], v, 1, 504),
+        1, 0, 2.5, math.inf),
     "monte_carlo_goodput.tbs_bits": (
         _SCHEMA["tbs_bits"][2],
         lambda v: scheduler.monte_carlo_goodput(CycleParams(), Direction.DL, [0.1], 1, 1, v), 504, -504),
@@ -283,7 +285,7 @@ ARGUMENT_RULES = {
 
 @pytest.mark.parametrize("argument", ARGUMENT_RULES)
 def test_a_function_argument_checks_the_rule_object_of_its_key(monkeypatch, argument):
-    rule, call, good, bad = ARGUMENT_RULES[argument]
+    rule, call, good, *refused = ARGUMENT_RULES[argument]
     function, _, name = argument.partition(".")
     used = []
 
@@ -295,9 +297,10 @@ def test_a_function_argument_checks_the_rule_object_of_its_key(monkeypatch, argu
         monkeypatch.setattr(module, "require", spy)
     call(good)
     assert any(used_name == name and used_rule is rule for used_name, used_rule in used), used
-    message = f"{'line 1: ' if function == 'load_bler_table' else ''}{name} {rule[0]}, got {bad!r}"
-    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-        call(bad)
+    for bad in refused:
+        message = f"{'line 1: ' if function == 'load_bler_table' else ''}{name} {rule[0]}, got {bad!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            call(bad)
 
 
 def _use(key, value):
